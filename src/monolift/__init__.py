@@ -53,8 +53,8 @@ from .differential import (
     AlphaAverage,
     block_matrix,
     extension_jacobian,
+    extension_jacobians,
     finite_difference_jacobian,
-    operator_norm,
     spectral_norms,
     unit_ball_norm_average,
 )
@@ -94,6 +94,5 @@ from .quadrature import (
     build_scheme,
     default_scheme,
     gaussian_expectation,
-    integrate_gaussian,
     scheme_from_config,
 )

@@ -38,7 +38,6 @@ from .errors import (
     DegenerateTripleError,
     DimensionMismatchError,
     InvalidParameterError,
-    NoConvergenceError,
     NonpositiveDeterminantError,
     ZeroMatrixError,
 )
@@ -332,18 +331,7 @@ def matrix_gamma(A) -> float:
     if float(np.max(np.abs(A))) == 0.0:
         raise ZeroMatrixError("matrix constant of the zero matrix is undefined")
     lam = float(np.linalg.eigvalsh(0.5 * (A + A.T))[0])
-    try:
-        norm = operator_norm_of(A)
-    except NoConvergenceError:
-        norm = float(np.linalg.norm(A, 2))
-    return lam / norm
-
-
-def operator_norm_of(A) -> float:
-    # local import: certify must not drag the extension machinery in
-    from .differential import operator_norm
-
-    return operator_norm(A)
+    return lam / float(np.linalg.norm(A, 2))
 
 
 def claim_constant(delta):
@@ -531,11 +519,7 @@ def qc_distortion(A, n: int | None = None) -> float:
     det = float(np.linalg.det(A))
     if det <= 0.0:
         raise NonpositiveDeterminantError(f"distortion needs det > 0, got {det}")
-    try:
-        norm = operator_norm_of(A)
-    except NoConvergenceError:
-        norm = float(np.linalg.norm(A, 2))
-    return norm**n / det
+    return float(np.linalg.norm(A, 2)) ** n / det
 
 
 @dataclass(frozen=True, eq=False)

@@ -141,7 +141,7 @@ def _cmd_extend(args):
         return 0
     X, T = lattice_points(spec.dim, tuple(args.grid_bounds), args.grid_nx,
                           tuple(args.heights))
-    table = extend_grid(field, list(zip(X, T)), threads=args.threads)
+    table = extend_grid(field, list(zip(X, T)))
     meta = _meta(args, spec, scheme, scheme.seed)
     if args.format == "json":
         payload = {"meta": meta, "columns": table.columns(),
@@ -362,7 +362,6 @@ def build_parser() -> _Parser:
     p.add_argument("--grid-bounds", type=float, nargs=2, default=(-2.0, 2.0))
     p.add_argument("--grid-nx", type=int, default=9)
     p.add_argument("--heights", type=float, nargs="+", default=(0.25, 0.5, 1.0, 2.0))
-    p.add_argument("--threads", type=int, default=1)
     _add_scheme_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_extend)

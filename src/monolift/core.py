@@ -235,19 +235,6 @@ class MapSpec:
                     f"composition child of dim {child.dim} inside a dim {self.dim} composition"
                 )
 
-    # derived metadata -----------------------------------------------------
-
-    @property
-    def growth_exponent(self) -> float:
-        """Exponent p in the growth bound |f(x)| <= alpha·|x|^p + beta."""
-        if self.kind in ("identity", "linear", "planar_rotation", "translation"):
-            return 1.0
-        if self.kind == "power_radial":
-            return float(self.params["p"]) + 1.0
-        if self.kind == "convex_gradient_quartic":
-            return 3.0 if self.params["b"] > 0 else 1.0
-        return math.prod(child.growth_exponent for child in self.children)
-
     def as_dict(self) -> dict:
         d: dict = {"kind": self.kind, "dim": self.dim}
         if self.params:

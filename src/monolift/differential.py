@@ -7,10 +7,10 @@ integrand built from the base Jacobian A = Df(x + t y):
                [ y^T A,  y^T A y ]]        ((n+1) x (n+1)),
 
 so DF(x, t) = E[ B(Df(x + t y), y) ].  This module assembles that average
-with the same paired-node accumulation the lift itself uses, provides a
-central-difference Jacobian as the independent cross-check, a power-
-iteration operator norm, and the unit-ball norm average that controls the
-size of DF.
+for a batch of points with the same chunking and paired-node accumulation
+the lift itself uses, and provides a central-difference Jacobian as the
+independent cross-check, batched spectral norms, and the unit-ball norm
+average that controls the size of DF.
 """
 
 from __future__ import annotations
@@ -25,18 +25,17 @@ from .core import HalfSpacePoint, as_square_matrix, evaluate_map_jacobian
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
-    NoConvergenceError,
     NonFiniteIntegrandError,
     NonpositiveHeightError,
 )
-from .extension import ExtensionField
+from .extension import ExtensionField, _chunks, _require_finite
 from .quadrature import gaussian_expectation
 
 __all__ = [
     "block_matrix",
     "extension_jacobian",
+    "extension_jacobians",
     "finite_difference_jacobian",
-    "operator_norm",
     "spectral_norms",
     "AlphaAverage",
     "unit_ball_norm_average",
@@ -67,25 +66,45 @@ def _split_point(p):
     return np.asarray(x, dtype=float), float(t)
 
 
-def extension_jacobian(field: ExtensionField, p) -> np.ndarray:
-    """DF(x, t) for t > 0, via the quadrature average of the block integrand."""
-    x, t = _split_point(p)
-    if t <= 0.0:
-        raise NonpositiveHeightError(f"lifted Jacobian needs height > 0, got {t}")
+def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
+    """DF at a batch of points, rows of X with heights T > 0; shape (m, n+1, n+1).
+
+    Each point's matrix is bitwise independent of the batch it is
+    evaluated in.  An overflowing base Jacobian raises
+    :class:`NonFiniteIntegrandError` naming the first bad row.
+    """
     n = field.dim
+    X = np.asarray(X, dtype=float)
+    T = np.asarray(T, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise DimensionMismatchError(f"expected base points of shape (m, {n}), got {X.shape}")
+    if T.shape != (X.shape[0],):
+        raise DimensionMismatchError(f"heights of shape {T.shape} for {X.shape[0]} base points")
+    low = np.flatnonzero(T <= 0.0)
+    if low.size:
+        raise NonpositiveHeightError(
+            f"row {low[0]}: lifted Jacobian needs height > 0, got {T[low[0]]}")
     nodes = field.scheme.nodes
-    A = evaluate_map_jacobian(field.spec, x[None, :] + t * nodes)
-    if not np.all(np.isfinite(A)):
-        raise NonFiniteIntegrandError("base Jacobian overflowed at a quadrature node")
-    Ay = np.einsum("kij,kj->ki", A, nodes)
-    yA = np.einsum("ki,kij->kj", nodes, A)
-    yAy = np.einsum("ki,ki->k", nodes, Ay)
-    DF = np.empty((n + 1, n + 1))
-    DF[:n, :n] = gaussian_expectation(field.scheme, A)
-    DF[:n, n] = gaussian_expectation(field.scheme, Ay)
-    DF[n, :n] = gaussian_expectation(field.scheme, yA)
-    DF[n, n] = gaussian_expectation(field.scheme, yAy)
+    nnodes = nodes.shape[0]
+    DF = np.empty((X.shape[0], n + 1, n + 1))
+    for sl in _chunks(np.arange(X.shape[0]), nnodes):
+        pts = X[sl, None, :] + T[sl, None, None] * nodes[None, :, :]
+        A = evaluate_map_jacobian(field.spec, pts.reshape(-1, n)).reshape(sl.size, nnodes, n, n)
+        _require_finite(A, sl, "base Jacobian")
+        Ay = np.einsum("ckij,kj->cki", A, nodes)
+        yA = np.einsum("ki,ckij->ckj", nodes, A)
+        yAy = np.einsum("ki,cki->ck", nodes, Ay)
+        DF[sl, :n, :n] = gaussian_expectation(field.scheme, A, axis=1)
+        DF[sl, :n, n] = gaussian_expectation(field.scheme, Ay, axis=1)
+        DF[sl, n, :n] = gaussian_expectation(field.scheme, yA, axis=1)
+        DF[sl, n, n] = gaussian_expectation(field.scheme, yAy, axis=1)
     return DF
+
+
+def extension_jacobian(field: ExtensionField, p) -> np.ndarray:
+    """DF(x, t) for t > 0; ``p`` is a HalfSpacePoint or an (x, t) pair."""
+    x, t = _split_point(p)
+    return extension_jacobians(field, x[None, :], np.array([t]))[0]
 
 
 def finite_difference_jacobian(F, p, h: float | None = None) -> np.ndarray:
@@ -108,41 +127,6 @@ def finite_difference_jacobian(F, p, h: float | None = None) -> np.ndarray:
     if not np.all(np.isfinite(J)):
         raise NonFiniteIntegrandError("finite differencing hit a non-finite evaluation")
     return J
-
-
-def operator_norm(M, rel_tol: float = 1e-10, max_iter: int = 1000) -> float:
-    """Largest singular value by power iteration on M^T M.
-
-    Deterministic start vector; raises :class:`NoConvergenceError` if the
-    Rayleigh quotient fails to stabilise within ``max_iter`` sweeps
-    (callers may fall back to a full decomposition).
-    """
-    M = as_square_matrix(M)
-    scale = float(np.max(np.abs(M)))
-    if scale == 0.0:
-        return 0.0
-    A = M / scale                      # guard overflow in M^T M
-    G = A.T @ A
-    n = M.shape[0]
-    rng = np.random.default_rng(271828)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    r_prev = float(v @ (G @ v))
-    for _ in range(max_iter):
-        w = G @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            # v landed in the null space; restart from a fresh direction
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            r_prev = float(v @ (G @ v))
-            continue
-        v = w / nw
-        r = float(v @ (G @ v))
-        if abs(r - r_prev) <= rel_tol * max(r, 1e-300):
-            return scale * math.sqrt(r)
-        r_prev = r
-    raise NoConvergenceError(f"power iteration did not stabilise in {max_iter} sweeps")
 
 
 def spectral_norms(mats: np.ndarray) -> np.ndarray:

@@ -39,8 +39,8 @@ class SingularPointError(MonoliftError, ArithmeticError):
 
 
 class NoConvergenceError(MonoliftError, ArithmeticError):
-    """Iterative norm estimation failed to stabilise; caller may fall
-    back to a full decomposition."""
+    """An iterative computation failed to stabilise.  No current code path
+    raises it; it stays part of the public error hierarchy."""
 
 
 class ZeroMatrixError(MonoliftError, ValueError):

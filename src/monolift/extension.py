@@ -15,8 +15,6 @@ quadrature nodes this holds term by term, not just in the limit.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +23,6 @@ from .core import HalfSpacePoint, MapSpec, evaluate_map
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
-    MonoliftError,
     NonFiniteIntegrandError,
 )
 from .quadrature import QuadratureScheme, default_scheme, gaussian_expectation
@@ -48,8 +45,26 @@ __all__ = [
 BILIPSCHITZ = "bilipschitz"
 DELTA_MONOTONE = "delta_monotone"
 
-# cap on points-per-chunk * nodes, keeps the intermediate arrays in cache
-_TARGET_EVALS = 1 << 19
+# cap on points-per-chunk * nodes; keeps the intermediate arrays in cache.
+# It also keeps each row's value bitwise independent of its batch: numpy's
+# einsum reduces a one-row scalar integrand over the nodes in buffered blocks
+# of 2^13 pairs, but several rows node by node.  The two orders agree up to
+# 2^13 pairs, and under this cap only such schemes put several rows in a chunk.
+_TARGET_EVALS = 1 << 15
+
+
+def _chunks(rows: np.ndarray, nnodes: int):
+    """Split row indices into runs of about ``_TARGET_EVALS`` node evaluations."""
+    step = max(1, _TARGET_EVALS // nnodes)
+    return (rows[i:i + step] for i in range(0, rows.size, step))
+
+
+def _require_finite(values: np.ndarray, rows: np.ndarray, what: str) -> None:
+    """Raise naming the first of ``rows`` whose per-row ``values`` are not all finite."""
+    if not np.all(np.isfinite(values)):
+        ok = np.isfinite(values).reshape(rows.size, -1).all(axis=1)
+        raise NonFiniteIntegrandError(
+            f"row {rows[np.argmin(ok)]}: {what} overflowed at a quadrature node")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +99,9 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
 
     Heights of exactly 0 take the direct boundary path (f(x), 0); negative
     heights are computed at |t| and the vertical component is negated, so
-    the reflection symmetry is exact by construction.
+    the reflection symmetry is exact by construction.  Each row's result is
+    bitwise independent of the batch it is evaluated in.  An overflowing
+    map raises :class:`NonFiniteIntegrandError` naming the first bad row.
     """
     n = field.dim
     X = np.asarray(X, dtype=float)
@@ -93,8 +110,9 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
         raise DimensionMismatchError(f"expected base points of shape (m, {n}), got {X.shape}")
     if T.shape != (X.shape[0],):
         raise DimensionMismatchError(f"heights of shape {T.shape} for {X.shape[0]} base points")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(T))):
-        raise InvalidParameterError("points and heights must be finite")
+    bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(T))
+    if np.any(bad):
+        raise InvalidParameterError(f"row {np.argmax(bad)}: points and heights must be finite")
 
     nodes = field.scheme.nodes
     nnodes = nodes.shape[0]
@@ -105,15 +123,16 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
         out[boundary, :n] = evaluate_map(field.spec, X[boundary])
         out[boundary, n] = 0.0
 
-    rest = np.flatnonzero(~boundary)
-    chunk = max(1, _TARGET_EVALS // nnodes)
-    for sl in (rest[i:i + chunk] for i in range(0, rest.size, chunk)):
+    for sl in _chunks(np.flatnonzero(~boundary), nnodes):
         x = X[sl]
         t = np.abs(T[sl])
         pts = x[:, None, :] + t[:, None, None] * nodes[None, :, :]
-        fx = evaluate_map(field.spec, pts.reshape(-1, n)).reshape(sl.size, nnodes, n)
-        if not np.all(np.isfinite(fx)):
-            raise NonFiniteIntegrandError("map evaluation overflowed at a quadrature node")
+        try:
+            fx = evaluate_map(field.spec, pts.reshape(-1, n)).reshape(sl.size, nnodes, n)
+        except InvalidParameterError:
+            _require_finite(pts, sl, "x + t y")
+            raise
+        _require_finite(fx, sl, "map evaluation")
         horiz = gaussian_expectation(field.scheme, fx, axis=1)
         vert = gaussian_expectation(field.scheme, np.einsum("cnk,nk->cn", fx, nodes), axis=1)
         out[sl, :n] = horiz
@@ -176,12 +195,12 @@ class ExtensionTable:
         return np.concatenate([self.inputs, self.outputs], axis=1)
 
 
-def extend_grid(field: ExtensionField, points, threads: int = 1) -> ExtensionTable:
+def extend_grid(field: ExtensionField, points) -> ExtensionTable:
     """Lift a list of half-space points, preserving order.
 
-    Any evaluation error is re-raised with the offending row index
-    prefixed.  With ``threads > 1`` rows are evaluated in a thread pool;
-    results are bitwise independent of the thread count.
+    Rows are checked one by one for their dimension, then lifted in one
+    :func:`extend_points` batch.  Dimension, non-finite input and overflow
+    errors name the offending row index.
     """
     embedded = []
     for i, p in enumerate(points):
@@ -194,21 +213,7 @@ def extend_grid(field: ExtensionField, points, threads: int = 1) -> ExtensionTab
             raise DimensionMismatchError(f"row {i}: expected {field.dim} coordinates plus a height")
         embedded.append(v)
     inputs = np.array(embedded) if embedded else np.empty((0, field.dim + 1))
-
-    def one(i: int) -> np.ndarray:
-        try:
-            return extend_points(field, inputs[i:i + 1, :-1], inputs[i:i + 1, -1])[0]
-        except MonoliftError as exc:
-            raise type(exc)(f"row {i}: {exc}") from exc
-
-    m = inputs.shape[0]
-    if threads > 1 and m > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(m)))
-    else:
-        rows = [one(i) for i in range(m)]
-    outputs = np.array(rows) if rows else np.empty((0, field.dim + 1))
-    return ExtensionTable(inputs, outputs)
+    return ExtensionTable(inputs, extend_points(field, inputs[:, :-1], inputs[:, -1]))
 
 
 def compose_qcd_extension(factors, scheme: QuadratureScheme, p) -> np.ndarray:

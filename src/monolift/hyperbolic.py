@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .differential import extension_jacobian, operator_norm
+from .differential import extension_jacobians, spectral_norms
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
-    NoConvergenceError,
     NonpositiveHeightError,
     VanishingVerticalError,
 )
@@ -106,13 +105,7 @@ def vertical_comparison(field: ExtensionField, X, T) -> HyperbolicReport:
     verticals = out[:, -1]
     if np.any(verticals <= 1e-12):
         raise VanishingVerticalError("lift has (numerically) vanishing vertical part")
-    norms = np.empty(T.shape[0])
-    for i in range(T.shape[0]):
-        DF = extension_jacobian(field, (X[i], float(T[i])))
-        try:
-            norms[i] = operator_norm(DF)
-        except NoConvergenceError:
-            norms[i] = float(np.linalg.norm(DF, 2))
+    norms = spectral_norms(extension_jacobians(field, X, T))
     return HyperbolicReport(points=X, heights=T, norms=norms, verticals=verticals,
                             descriptor=field.descriptor())
 

@@ -9,7 +9,6 @@ floating point, not just up to rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ from .errors import (
     DimensionMismatchError,
     DimensionOverflowError,
     InvalidParameterError,
-    NonFiniteIntegrandError,
     ResolutionError,
 )
 
@@ -32,7 +30,6 @@ __all__ = [
     "default_scheme",
     "scheme_from_config",
     "gaussian_expectation",
-    "integrate_gaussian",
 ]
 
 TENSOR_HERMITE = "tensor_hermite"
@@ -43,11 +40,7 @@ _MAX_TENSOR_NODES = 10**8
 
 @dataclass(frozen=True, eq=False)
 class QuadratureScheme:
-    """Immutable node/weight set for the standard normal on R^dim.
-
-    ``coarse`` holds a half-resolution sibling used for the spread
-    diagnostic; it is one level deep (the coarse scheme has no coarse).
-    """
+    """Immutable node/weight set for the standard normal on R^dim."""
 
     dim: int
     method: str
@@ -55,7 +48,6 @@ class QuadratureScheme:
     seed: int
     nodes: np.ndarray
     weights: np.ndarray
-    coarse: "QuadratureScheme | None" = None
 
     def __post_init__(self):
         for name in ("nodes", "weights"):
@@ -82,8 +74,10 @@ class QuadratureScheme:
 
 def _hermite_1d(order: int):
     # probabilists' Gauss-Hermite, then exact symmetrisation: antisymmetrise
-    # the nodes and symmetrise the weights so reversal is a bitwise negation
-    x, w = np.polynomial.hermite_e.hermegauss(order)
+    # the nodes and symmetrise the weights so reversal is a bitwise negation;
+    # past order ~370 the weights overflow, which build_scheme reports
+    with np.errstate(all="ignore"):
+        x, w = np.polynomial.hermite_e.hermegauss(order)
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
     return x, w / w.sum()
@@ -120,30 +114,28 @@ def build_scheme(dim: int, method: str, resolution: int, seed: int = 0) -> Quadr
     ``tensor_hermite`` uses a per-axis Gauss-Hermite rule of order
     ``resolution`` (>= 2); ``quasi_random`` uses ``resolution`` (>= 16,
     rounded up to even) scrambled-Sobol points pushed through the normal
-    inverse CDF and symmetrised.
+    inverse CDF and symmetrised.  A resolution whose rule has non-finite
+    nodes or weights raises :class:`ResolutionError`.
     """
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InvalidParameterError(f"dim must be a positive integer, got {dim!r}")
-    return _build(dim, method, int(resolution), int(seed), with_coarse=True)
-
-
-def _build(dim, method, resolution, seed, with_coarse):
+    resolution, seed = int(resolution), int(seed)
     if method == TENSOR_HERMITE:
         if resolution < 2:
             raise ResolutionError(f"tensor_hermite needs resolution >= 2, got {resolution}")
         nodes, weights = _tensor_arrays(dim, resolution)
-        coarse_res = max(2, resolution // 2)
     elif method == QUASI_RANDOM:
         if resolution < 16:
             raise ResolutionError(f"quasi_random needs resolution >= 16, got {resolution}")
         resolution += resolution & 1  # node pairing requires an even count
         nodes, weights = _quasi_arrays(dim, resolution, seed)
-        coarse_res = max(16, resolution // 2)
     else:
         raise InvalidParameterError(f"unknown quadrature method {method!r}")
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+        raise ResolutionError(
+            f"{method} at resolution {resolution} gives non-finite nodes or weights")
     assert np.array_equal(nodes[::-1], -nodes), "node set lost reversal symmetry"
-    coarse = _build(dim, method, coarse_res, seed, with_coarse=False) if with_coarse else None
-    return QuadratureScheme(dim, method, resolution, seed, nodes, weights, coarse)
+    return QuadratureScheme(dim, method, resolution, seed, nodes, weights)
 
 
 def default_scheme(dim: int, seed: int = 0) -> QuadratureScheme:
@@ -175,33 +167,3 @@ def gaussian_expectation(scheme: QuadratureScheme, values, axis: int = 0):
     if n % 2:
         out = out + scheme.weights[half] * v[half]
     return out
-
-
-def integrate_gaussian(scheme: QuadratureScheme, g):
-    """Integrate ``g`` against the standard Gaussian density.
-
-    ``g`` must accept an ``(N, dim)`` array and return ``(N,)`` or
-    ``(N, k)`` values.  Returns ``(value, spread)`` where ``spread`` is
-    the max-abs difference between the full-resolution and half-resolution
-    estimates (``nan`` if the scheme carries no coarse sibling).
-    """
-    value = _integrate(scheme, g)
-    if scheme.coarse is None:
-        spread = math.nan
-    else:
-        coarse_value = _integrate(scheme.coarse, g)
-        spread = float(np.max(np.abs(np.asarray(value) - np.asarray(coarse_value))))
-    if np.ndim(value) == 0:
-        return float(value), spread
-    return value, spread
-
-
-def _integrate(scheme, g):
-    vals = np.asarray(g(scheme.nodes), dtype=float)
-    if vals.shape[:1] != (scheme.size,):
-        raise InvalidParameterError(
-            f"integrand returned shape {vals.shape}, expected leading axis of {scheme.size}"
-        )
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteIntegrandError("integrand produced non-finite values")
-    return gaussian_expectation(scheme, vals, axis=0)

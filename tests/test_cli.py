@@ -71,15 +71,6 @@ def test_extend_rerun_byte_identical(capsys, tmp_path):
     assert a.stat().st_size > 0
 
 
-def test_extend_threads_byte_identical(capsys, tmp_path):
-    a, b = tmp_path / "t1.csv", tmp_path / "t4.csv"
-    argv = ["extend", "--spec", POWER1, "--grid-nx", "4", "--heights", "1"]
-    assert main(argv + ["--threads", "1", "--out", str(a)]) == 0
-    assert main(argv + ["--threads", "4", "--out", str(b)]) == 0
-    capsys.readouterr()
-    assert filecmp.cmp(a, b, shallow=False)
-
-
 def test_jacobian_csv(capsys):
     code, out, _ = run(capsys, "jacobian", "--spec", IDENTITY2, "--x", "0,0", "--t", "1")
     assert code == 0
@@ -249,6 +240,9 @@ def test_demo_trivial_failure_unrefuted_exits_2(capsys):
     ["extend", "--spec", IDENTITY2, "--x", "0,0,0"],
     ["extend", "--spec", IDENTITY2, "--x", "zero,0"],
     ["jacobian", "--spec", IDENTITY2, "--x", "0,0", "--t", "0"],
+    # Gauss-Hermite weights of order 400 are not finite
+    ["extend", "--spec", '{"kind":"identity","dim":1}', "--x", "0.5", "--t", "1",
+     "--resolution", "400"],
 ])
 def test_input_errors_exit_1(capsys, argv):
     code = main(argv)
@@ -261,6 +255,7 @@ def test_input_errors_exit_1(capsys, argv):
     ["no-such-command"],
     ["extend"],                       # missing required --spec
     ["certify-delta", "--spec", IDENTITY2, "--lift", "sideways"],
+    ["extend", "--spec", IDENTITY2, "--threads", "2"],
 ])
 def test_usage_errors_exit_1(capsys, argv):
     with pytest.raises(SystemExit) as info:

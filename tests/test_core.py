@@ -236,19 +236,6 @@ def test_rotation_two_point_ratio_hypothesis(theta):
 
 # --- metadata ----------------------------------------------------------------
 
-def test_growth_exponents():
-    assert identity_map(2).growth_exponent == 1.0
-    assert linear_map(np.eye(2)).growth_exponent == 1.0
-    assert planar_rotation_map(0.3).growth_exponent == 1.0
-    assert translation_map([1.0]).growth_exponent == 1.0
-    assert power_radial_map(2, 1.0).growth_exponent == 2.0
-    assert power_radial_map(2, -0.5).growth_exponent == 0.5
-    assert convex_gradient_quartic_map(2, 1.0, 0.5).growth_exponent == 3.0
-    assert convex_gradient_quartic_map(2, 1.0, 0.0).growth_exponent == 1.0
-    comp = compose_maps(power_radial_map(2, 1.0), power_radial_map(2, 2.0))
-    assert comp.growth_exponent == 6.0
-
-
 def test_digest_is_content_addressed():
     a = power_radial_map(2, 1.0)
     b = power_radial_map(2, 1.0)

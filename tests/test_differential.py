@@ -1,4 +1,4 @@
-"""Lifted Jacobian, operator norms, and the unit-ball size functional."""
+"""Lifted Jacobian, spectral norms, and the unit-ball size functional."""
 
 import math
 
@@ -21,7 +21,6 @@ from monolift import (
     gaussian_extension,
     identity_map,
     linear_map,
-    operator_norm,
     planar_rotation_map,
     power_radial_map,
     sphere_points,
@@ -31,7 +30,6 @@ from monolift import (
 from monolift.errors import (
     DimensionMismatchError,
     InvalidParameterError,
-    NoConvergenceError,
     NonpositiveHeightError,
     SingularPointError,
 )
@@ -123,24 +121,11 @@ def test_jacobian_singular_node():
 
 
 def test_operator_norm_closed_forms():
-    assert operator_norm([[0.0, 3.0], [0.0, 0.0]]) == pytest.approx(3.0, abs=1e-9)
     theta = 0.7
     R = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-    assert operator_norm(R) == pytest.approx(1.0, abs=1e-9)
-    assert operator_norm(np.diag([1.0, 1.0, 2.0])) == pytest.approx(2.0, abs=1e-9)
-    assert operator_norm(np.zeros((2, 2))) == 0.0
-
-
-def test_operator_norm_matches_svd(rng):
-    for _ in range(50):
-        M = rng.standard_normal((4, 4))
-        assert operator_norm(M) == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-8)
-
-
-def test_operator_norm_no_convergence():
-    # nearly equal singular values stall the Rayleigh quotient
-    with pytest.raises(NoConvergenceError):
-        operator_norm(np.diag([3.0, 2.999999]), rel_tol=1e-15, max_iter=3)
+    mats = np.array([[[0.0, 3.0], [0.0, 0.0]], R, np.diag([1.0, 2.0]), np.zeros((2, 2))])
+    assert np.allclose(spectral_norms(mats), [3.0, 1.0, 2.0, 0.0], atol=1e-12)
+    assert spectral_norms(np.diag([1.0, 1.0, 2.0])) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_spectral_norms_matches_svd(rng):
@@ -186,7 +171,7 @@ def test_jacobian_alpha_comparability(spec):
     for p in ([0.6, 0.2, 0.5], [-1.5, 2.0, 1.0]):
         DF = extension_jacobian(field, (p[:2], p[2]))
         alpha = unit_ball_norm_average(field, (p[:2], p[2])).value
-        ratio = operator_norm(DF) / alpha
+        ratio = spectral_norms(DF) / alpha
         assert math.isfinite(ratio) and ratio > 0
         assert 1e-3 < ratio < 1e3
 

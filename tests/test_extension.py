@@ -9,11 +9,14 @@ from monolift import (
     build_scheme,
     compose_maps,
     compose_qcd_extension,
+    convex_gradient_quartic_map,
     default_scheme,
     evaluate_map,
     extend_grid,
     extend_point,
     extend_points,
+    extension_jacobian,
+    extension_jacobians,
     full_space_map,
     gaussian_extension,
     identity_map,
@@ -23,7 +26,8 @@ from monolift import (
     power_radial_map,
     translation_map,
 )
-from monolift.errors import DimensionMismatchError, InvalidParameterError
+from monolift import extension
+from monolift.errors import DimensionMismatchError, InvalidParameterError, NonFiniteIntegrandError
 
 from conftest import gallery_2d, gallery_3d, monotone_gallery_2d
 
@@ -187,14 +191,35 @@ def test_extend_grid_empty_and_row_errors():
         extend_grid(field, [([0.0, 0.0], 1.0), ([0.0, 0.0, 0.0], 1.0)])
 
 
-def test_extend_grid_threads_bitwise(rng):
-    spec = compose_maps(planar_rotation_map(0.3), power_radial_map(2, 1.0))
-    field = gaussian_extension(spec)
-    pts = [(row, t) for row, t in zip(rng.uniform(-2, 2, size=(64, 2)),
-                                      rng.uniform(-1.5, 1.5, size=64))]
-    a = extend_grid(field, pts, threads=1)
-    b = extend_grid(field, pts, threads=4)
-    assert np.array_equal(a.rows(), b.rows())
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_extend_grid_names_overflowing_row():
+    field = gaussian_extension(power_radial_map(2, 1.0))
+    with pytest.raises(NonFiniteIntegrandError, match="row 1"):
+        extend_grid(field, [([0.0, 0.0], 1.0), ([1e200, 0.0], 1.0)])
+    with pytest.raises(NonFiniteIntegrandError, match="row 1"):
+        extend_grid(field, [([0.0, 0.0], 1.0), ([1.7e308, 0.0], 1e308)])
+
+
+@pytest.mark.parametrize("scheme", [
+    build_scheme(2, "tensor_hermite", 20),
+    build_scheme(3, "tensor_hermite", 20),
+    build_scheme(4, "quasi_random", 1 << 16, seed=5),
+    build_scheme(4, "quasi_random", 1 << 15, seed=5),
+], ids=lambda s: s.descriptor())
+def test_batch_equals_rows_bitwise(scheme, rng):
+    # a batch spanning several chunks gives each row exactly the value it
+    # gets when lifted alone, for the lift and for its Jacobian
+    dim = scheme.dim
+    field = gaussian_extension(convex_gradient_quartic_map(dim, 1.0, 0.5), scheme)
+    m = 2 * max(1, extension._TARGET_EVALS // scheme.size) + 1
+    X = rng.uniform(-2.0, 2.0, size=(m, dim))
+    T = rng.uniform(0.2, 2.0, size=m)
+    lifted = extend_points(field, X, np.where(np.arange(m) % 3 == 0, -T, T))
+    jacobians = extension_jacobians(field, X, T)
+    for i in range(m):
+        t = -T[i] if i % 3 == 0 else T[i]
+        assert np.array_equal(lifted[i], extend_point(field, (X[i], t)))
+        assert np.array_equal(jacobians[i], extension_jacobian(field, (X[i], T[i])))
 
 
 def test_scheme_override_changes_resolution():

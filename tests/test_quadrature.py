@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import riemann_gaussian_moment_1d
-from monolift import build_scheme, default_scheme, gaussian_expectation, integrate_gaussian, scheme_from_config
+from monolift import build_scheme, default_scheme, gaussian_expectation, scheme_from_config
 from monolift.errors import (
     DimensionOverflowError,
     InvalidParameterError,
-    NonFiniteIntegrandError,
     ResolutionError,
 )
 
@@ -84,8 +83,8 @@ def test_odd_integrands_vanish_exactly(scheme):
     x = y[:, 0]
     for values in (x, x * (x * x), x * np.sum(y * y, axis=1)):
         assert gaussian_expectation(scheme, values) == 0.0
-    value, _ = integrate_gaussian(scheme, lambda y: y[:, 1] * (y[:, 1] * y[:, 1]))
-    assert value == 0.0
+    z = y[:, 1]
+    assert gaussian_expectation(scheme, z * (z * z)) == 0.0
 
 
 @given(coeffs=st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=4))
@@ -149,33 +148,13 @@ def test_default_scheme_switchover():
     assert default_scheme(4).method == "quasi_random"
 
 
-def test_coarse_sibling():
-    scheme = build_scheme(2, "tensor_hermite", 20)
-    assert scheme.coarse is not None
-    assert scheme.coarse.resolution == 10
-    assert scheme.coarse.coarse is None  # one level deep only
-
-
-def test_integrate_gaussian_value_and_spread():
-    scheme = build_scheme(2, "tensor_hermite", 20)
-    value, spread = integrate_gaussian(scheme, lambda y: np.ones(len(y)))
-    assert abs(value - 1.0) <= 1e-12
-    assert spread <= 1e-12
-    value, spread = integrate_gaussian(scheme, lambda y: np.sum(y * y, axis=1))
-    assert abs(value - 2.0) <= 1e-10
-
-
-def test_integrate_gaussian_nonfinite():
-    scheme = build_scheme(1, "tensor_hermite", 5)
-    with pytest.raises(NonFiniteIntegrandError):
-        integrate_gaussian(scheme, lambda y: np.full(len(y), np.inf))
-
-
 def test_build_errors():
     with pytest.raises(ResolutionError):
         build_scheme(1, "tensor_hermite", 1)
     with pytest.raises(ResolutionError):
         build_scheme(2, "quasi_random", 8)
+    with pytest.raises(ResolutionError, match="non-finite"):
+        build_scheme(1, "tensor_hermite", 400)
     with pytest.raises(DimensionOverflowError):
         build_scheme(5, "tensor_hermite", 50)
     with pytest.raises(InvalidParameterError):
