@@ -1,10 +1,9 @@
 """Analytic test maps on R^n: construction, evaluation, Jacobians.
 
-The map gallery is closed-world.  Every kind carries an explicit formula,
-an analytic Jacobian, and a declared polynomial growth exponent, so that
-Gaussian-weighted integrals of any gallery map are guaranteed to converge
-and so that certification runs can be reproduced from a small JSON
-description alone.
+The map gallery is closed-world.  Every kind carries an explicit formula
+and an analytic Jacobian, and grows at most polynomially, so that
+Gaussian-weighted integrals of any gallery map converge and certification
+runs can be reproduced from a small JSON description alone.
 
 Point-valued functions are shape-polymorphic in the numpy style: an input
 of shape ``(..., n)`` yields an output of shape ``(..., n)`` (Jacobians:
@@ -349,13 +348,21 @@ def _eval_linear(spec, X):
     return X @ spec._matrix.T
 
 
+def _radial_scale(p, r2):
+    # |x|^p from the squared norm r2 = |x|^2, with no gather or scatter.  For
+    # p >= 0 the power is exact at the origin (0, or 1 when p == 0).  For
+    # p < 0 the origin gets 0, where f vanishes, and a row whose r2 overflowed
+    # gets NaN, which the lift reports, rather than 0, which it would trust.
+    if p >= 0.0:
+        return r2 ** (0.5 * p)
+    s = np.power(r2, 0.5 * p, out=np.zeros_like(r2), where=r2 > 0.0)
+    np.copyto(s, np.nan, where=r2 == np.inf)
+    return s
+
+
 def _eval_power_radial(spec, X):
-    p = spec.params["p"]
-    r = np.linalg.norm(X, axis=1)
-    out = np.zeros_like(X)
-    nz = r > 0.0
-    out[nz] = (r[nz] ** p)[:, None] * X[nz]
-    return out
+    r2 = np.einsum("ki,ki->k", X, X)
+    return _radial_scale(spec.params["p"], r2)[:, None] * X
 
 
 def _eval_planar_rotation(spec, X):
@@ -399,23 +406,18 @@ def _jac_linear(spec, X):
 
 
 def _jac_power_radial(spec, X):
-    # Df(x) = |x|^p (I + p xhat xhat^T); limit at 0 is the zero matrix for
-    # p > 0, the identity for p == 0, and undefined for p < 0.
+    # Df(x) = |x|^p I + p |x|^p u u^T with u = x/|x|; the limit at 0 is the
+    # zero matrix for p > 0, the identity for p == 0, and undefined for p < 0.
+    # u_i u_j is formed before scaling, so each matrix is bitwise symmetric.
     p = spec.params["p"]
     n = spec.dim
-    r = np.linalg.norm(X, axis=1)
-    out = np.zeros((len(X), n, n))
-    nz = r > 0.0
-    if not np.all(nz):
-        if p < 0.0:
-            raise SingularPointError("power_radial has no differential at the origin for p < 0")
-        if p == 0.0:
-            out[~nz] = np.eye(n)
-    if np.any(nz):
-        u = X[nz] / r[nz, None]
-        out[nz] = (r[nz] ** p)[:, None, None] * (
-            np.eye(n)[None, :, :] + p * np.einsum("ki,kj->kij", u, u)
-        )
+    r2 = np.einsum("ki,ki->k", X, X)
+    if p < 0.0 and not np.all(r2 > 0.0):
+        raise SingularPointError("power_radial has no differential at the origin for p < 0")
+    s = _radial_scale(p, r2)
+    u = X * np.power(r2, -0.5, out=np.zeros_like(r2), where=r2 > 0.0)[:, None]
+    out = (p * s)[:, None, None] * np.einsum("ki,kj->kij", u, u)
+    out.reshape(len(X), n * n)[:, ::n + 1] += s[:, None]
     return out
 
 

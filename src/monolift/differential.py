@@ -27,6 +27,7 @@ from .errors import (
     InvalidParameterError,
     NonFiniteIntegrandError,
     NonpositiveHeightError,
+    SingularPointError,
 )
 from .extension import ExtensionField, _chunks, _require_finite
 from .quadrature import gaussian_expectation
@@ -70,8 +71,10 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
     """DF at a batch of points, rows of X with heights T > 0; shape (m, n+1, n+1).
 
     Each point's matrix is bitwise independent of the batch it is
-    evaluated in.  An overflowing base Jacobian raises
-    :class:`NonFiniteIntegrandError` naming the first bad row.
+    evaluated in.  An overflowing ``x + t y`` or base Jacobian raises
+    :class:`NonFiniteIntegrandError`, and a quadrature node at a point
+    where the base map has no differential :class:`SingularPointError`,
+    each naming the first bad row.
     """
     n = field.dim
     X = np.asarray(X, dtype=float)
@@ -89,8 +92,15 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
     DF = np.empty((X.shape[0], n + 1, n + 1))
     for sl in _chunks(np.arange(X.shape[0]), nnodes):
         pts = X[sl, None, :] + T[sl, None, None] * nodes[None, :, :]
-        A = evaluate_map_jacobian(field.spec, pts.reshape(-1, n)).reshape(sl.size, nnodes, n, n)
-        _require_finite(A, sl, "base Jacobian")
+        try:
+            A = evaluate_map_jacobian(field.spec, pts.reshape(-1, n)).reshape(sl.size, nnodes, n, n)
+        except InvalidParameterError:
+            _require_finite(pts, sl, "x + t y at a quadrature node")
+            raise
+        except SingularPointError as exc:
+            _name_singular_row(field, pts, sl, exc)
+            raise
+        _require_finite(A, sl, "base Jacobian at a quadrature node")
         Ay = np.einsum("ckij,kj->cki", A, nodes)
         yA = np.einsum("ki,ckij->ckj", nodes, A)
         yAy = np.einsum("ki,cki->ck", nodes, Ay)
@@ -99,6 +109,16 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
         DF[sl, n, :n] = gaussian_expectation(field.scheme, yA, axis=1)
         DF[sl, n, n] = gaussian_expectation(field.scheme, yAy, axis=1)
     return DF
+
+
+def _name_singular_row(field: ExtensionField, pts: np.ndarray, rows: np.ndarray,
+                       exc: SingularPointError) -> None:
+    """Re-raise ``exc`` naming the first of ``rows`` whose nodes ``pts`` hit it."""
+    for i, row_pts in zip(rows, pts):
+        try:
+            evaluate_map_jacobian(field.spec, row_pts)
+        except SingularPointError:
+            raise SingularPointError(f"row {i}: {exc}") from exc
 
 
 def extension_jacobian(field: ExtensionField, p) -> np.ndarray:

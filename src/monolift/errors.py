@@ -27,7 +27,7 @@ class ResolutionError(MonoliftError, ValueError):
 
 
 class DimensionOverflowError(MonoliftError, ValueError):
-    """Tensor-product node count would exceed the hard budget."""
+    """Tensor-product rule would exceed the hard memory budget."""
 
 
 class NonFiniteIntegrandError(MonoliftError, ArithmeticError):

@@ -64,7 +64,7 @@ def _require_finite(values: np.ndarray, rows: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
         ok = np.isfinite(values).reshape(rows.size, -1).all(axis=1)
         raise NonFiniteIntegrandError(
-            f"row {rows[np.argmin(ok)]}: {what} overflowed at a quadrature node")
+            f"row {rows[np.argmin(ok)]}: {what} overflowed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,21 +118,23 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
     nnodes = nodes.shape[0]
     out = np.empty((X.shape[0], n + 1))
 
-    boundary = T == 0.0
-    if np.any(boundary):
-        out[boundary, :n] = evaluate_map(field.spec, X[boundary])
+    boundary = np.flatnonzero(T == 0.0)
+    if boundary.size:
+        fx = evaluate_map(field.spec, X[boundary])
+        _require_finite(fx, boundary, "map evaluation at t = 0")
+        out[boundary, :n] = fx
         out[boundary, n] = 0.0
 
-    for sl in _chunks(np.flatnonzero(~boundary), nnodes):
+    for sl in _chunks(np.flatnonzero(T != 0.0), nnodes):
         x = X[sl]
         t = np.abs(T[sl])
         pts = x[:, None, :] + t[:, None, None] * nodes[None, :, :]
         try:
             fx = evaluate_map(field.spec, pts.reshape(-1, n)).reshape(sl.size, nnodes, n)
         except InvalidParameterError:
-            _require_finite(pts, sl, "x + t y")
+            _require_finite(pts, sl, "x + t y at a quadrature node")
             raise
-        _require_finite(fx, sl, "map evaluation")
+        _require_finite(fx, sl, "map evaluation at a quadrature node")
         horiz = gaussian_expectation(field.scheme, fx, axis=1)
         vert = gaussian_expectation(field.scheme, np.einsum("cnk,nk->cn", fx, nodes), axis=1)
         out[sl, :n] = horiz

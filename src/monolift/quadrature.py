@@ -9,6 +9,7 @@ floating point, not just up to rounding.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,8 @@ __all__ = [
 TENSOR_HERMITE = "tensor_hermite"
 QUASI_RANDOM = "quasi_random"
 
-_MAX_TENSOR_NODES = 10**8
+# bytes of a tensor rule's nodes plus weights, order**dim * (dim + 1) * 8
+_MAX_TENSOR_BYTES = 256 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,17 +86,18 @@ def _hermite_1d(order: int):
 
 
 def _tensor_arrays(dim: int, order: int):
-    if order**dim > _MAX_TENSOR_NODES:
+    nbytes = order**dim * (dim + 1) * 8
+    if nbytes > _MAX_TENSOR_BYTES:
         raise DimensionOverflowError(
-            f"tensor rule with {order}^{dim} nodes exceeds the {_MAX_TENSOR_NODES:.0e} node budget"
+            f"tensor rule with {order}^{dim} nodes needs {nbytes / 2**20:.0f} MiB of nodes and "
+            f"weights, over the {_MAX_TENSOR_BYTES >> 20} MiB budget"
         )
     x, w = _hermite_1d(order)
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
-    weights = np.ones(order**dim)
-    for wg in np.meshgrid(*([w] * dim), indexing="ij"):
-        weights = weights * wg.reshape(-1)
-    return nodes, weights / weights.sum()
+    # no full-size temporaries, so the peak stays near the budgeted bytes
+    nodes = np.stack(np.meshgrid(*([x] * dim), indexing="ij", copy=False), axis=-1).reshape(-1, dim)
+    weights = functools.reduce(np.multiply.outer, [w] * dim).reshape(-1)
+    weights /= weights.sum()
+    return nodes, weights
 
 
 def _quasi_arrays(dim: int, count: int, seed: int):

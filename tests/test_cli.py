@@ -243,6 +243,12 @@ def test_demo_trivial_failure_unrefuted_exits_2(capsys):
     # Gauss-Hermite weights of order 400 are not finite
     ["extend", "--spec", '{"kind":"identity","dim":1}', "--x", "0.5", "--t", "1",
      "--resolution", "400"],
+    # the boundary value f(x) at t = 0 overflows
+    pytest.param(["extend", "--spec", POWER1, "--x", "1e200,0", "--t", "0"],
+                 marks=pytest.mark.filterwarnings("ignore:invalid value encountered")),
+    # 300^3 tensor nodes break the memory budget
+    ["extend", "--spec", '{"kind":"identity","dim":3}', "--x", "0,0,0", "--t", "1",
+     "--resolution", "300"],
 ])
 def test_input_errors_exit_1(capsys, argv):
     code = main(argv)

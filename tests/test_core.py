@@ -177,6 +177,10 @@ def test_rotation_jacobian_is_rotation_matrix(rng):
     power_radial_map(2, 1.0),
     power_radial_map(2, 0.5),
     power_radial_map(3, 1.0),
+    power_radial_map(2, -0.5),
+    power_radial_map(3, 0.0),
+    power_radial_map(4, 0.5),
+    power_radial_map(4, -0.5),
     convex_gradient_quartic_map(2, 1.0, 0.5),
     convex_gradient_quartic_map(3, 1.0, 0.25),
 ], ids=spec_id)
@@ -187,13 +191,37 @@ def test_gradient_maps_have_exactly_symmetric_jacobians(spec, rng):
 
 
 def test_power_jacobian_at_zero():
-    n = 2
-    assert np.array_equal(evaluate_map_jacobian(power_radial_map(n, 1.0), [0.0, 0.0]),
-                          np.zeros((n, n)))
-    assert np.array_equal(evaluate_map_jacobian(power_radial_map(n, 0.0), [0.0, 0.0]),
-                          np.eye(n))
-    with pytest.raises(SingularPointError):
-        evaluate_map_jacobian(power_radial_map(n, -0.5), [0.0, 0.0])
+    # f(0) = 0 for every p > -1; Df(0) is 0 for p > 0, I for p == 0, and
+    # undefined for p < 0
+    for n in (1, 2, 3):
+        for p in (-0.5, 0.0, 0.5, 1.0):
+            spec = power_radial_map(n, p)
+            assert np.array_equal(evaluate_map(spec, np.zeros(n)), np.zeros(n))
+            if p < 0.0:
+                with pytest.raises(SingularPointError):
+                    evaluate_map_jacobian(spec, np.zeros(n))
+            else:
+                want = np.eye(n) if p == 0.0 else np.zeros((n, n))
+                assert np.array_equal(evaluate_map_jacobian(spec, np.zeros(n)), want)
+
+
+@pytest.mark.parametrize("p", [-0.5, 0.0, 0.5, 1.0])
+def test_power_radial_squared_norm_limits(p):
+    # the kernels work on |x|^2: below about 1e-162 it underflows to 0 and
+    # the point counts as the origin; above about 1.3e154 it overflows, and
+    # the value is inf or NaN (never a finite wrong value) unless p == 0
+    spec = power_radial_map(2, p)
+    assert np.array_equal(evaluate_map(spec, [1e-170, 0.0]), [0.0, 0.0] if p else [1e-170, 0.0])
+    with np.errstate(invalid="ignore"):
+        big = evaluate_map(spec, [1e200, 0.0])
+    if p == 0.0:
+        assert np.array_equal(big, [1e200, 0.0])
+    else:
+        assert not np.all(np.isfinite(big))
+    small = [1e-150, 0.0]  # r2 = 1e-300 is still normal: a plain evaluation
+    assert evaluate_map(spec, small)[0] == pytest.approx(1e-150 ** (1.0 + p), rel=1e-14)
+    J = evaluate_map_jacobian(spec, small)
+    assert np.allclose(J, (1e-150 ** p) * np.diag([1.0 + p, 1.0]), rtol=1e-14, atol=0.0)
 
 
 def test_composition_jacobian_chain_rule(rng):

@@ -14,8 +14,10 @@ from monolift import (
     ball_rule,
     block_matrix,
     build_scheme,
+    compose_maps,
     convex_gradient_quartic_map,
     extension_jacobian,
+    extension_jacobians,
     finite_difference_jacobian,
     full_space_map,
     gaussian_extension,
@@ -25,11 +27,14 @@ from monolift import (
     power_radial_map,
     sphere_points,
     spectral_norms,
+    translation_map,
     unit_ball_norm_average,
+    vertical_comparison,
 )
 from monolift.errors import (
     DimensionMismatchError,
     InvalidParameterError,
+    NonFiniteIntegrandError,
     NonpositiveHeightError,
     SingularPointError,
 )
@@ -118,6 +123,26 @@ def test_jacobian_singular_node():
     field = gaussian_extension(power_radial_map(2, -0.5), build_scheme(2, "tensor_hermite", 3))
     with pytest.raises(SingularPointError):
         extension_jacobian(field, ([0.0, 0.0], 1.0))
+
+
+def test_jacobian_singular_node_names_row():
+    field = gaussian_extension(power_radial_map(2, -0.5), build_scheme(2, "tensor_hermite", 3))
+    with pytest.raises(SingularPointError, match="row 1: power_radial has no differential"):
+        vertical_comparison(field, [[1.0, 1.0], [0.0, 0.0]], [1.0, 1.0])
+    # the origin is reached only through the inner map of a composition
+    inner = compose_maps(power_radial_map(2, -0.5), translation_map([1.0, 0.0]))
+    field = gaussian_extension(inner, build_scheme(2, "tensor_hermite", 3))
+    with pytest.raises(SingularPointError, match="row 2"):
+        extension_jacobians(field, [[0.0, 0.0], [1.0, 1.0], [-1.0, 0.0]], [1.0, 1.0, 1.0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_jacobian_names_overflowing_row():
+    field = gaussian_extension(power_radial_map(2, 1.0))
+    with pytest.raises(NonFiniteIntegrandError, match="row 1: x \\+ t y"):
+        extension_jacobians(field, [[0.0, 0.0], [1.7e308, 0.0]], [1.0, 1e308])
+    with pytest.raises(NonFiniteIntegrandError, match="row 1: base Jacobian"):
+        extension_jacobians(field, [[0.0, 0.0], [1e200, 0.0]], [1.0, 1.0])
 
 
 def test_operator_norm_closed_forms():

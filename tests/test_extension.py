@@ -200,6 +200,18 @@ def test_extend_grid_names_overflowing_row():
         extend_grid(field, [([0.0, 0.0], 1.0), ([1.7e308, 0.0], 1e308)])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("p", [1.0, 0.5, -0.5])
+def test_extend_points_names_row_of_huge_base(p):
+    # |x|^2 overflows at |x| = 1e200: for p > 0 the map value is inf, for
+    # p < 0 the kernel returns NaN rather than a wrong finite value
+    field = gaussian_extension(power_radial_map(2, p))
+    X = np.array([[0.0, 0.0], [1e200, 0.0], [1e200, 1.0]])
+    for t in (1.0, -1.0, 0.0):
+        with pytest.raises(NonFiniteIntegrandError, match="row 1: map evaluation"):
+            extend_points(field, X, np.full(3, t))
+
+
 @pytest.mark.parametrize("scheme", [
     build_scheme(2, "tensor_hermite", 20),
     build_scheme(3, "tensor_hermite", 20),

@@ -1,6 +1,7 @@
 """Gaussian quadrature schemes: moments, symmetry, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,14 @@ def test_build_errors():
         build_scheme(1, "tensor_hermite", 400)
     with pytest.raises(DimensionOverflowError):
         build_scheme(5, "tensor_hermite", 50)
+    # 300^3 nodes is 824 MiB of nodes and weights: rejected before allocating
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionOverflowError, match="256 MiB"):
+            build_scheme(3, "tensor_hermite", 300)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
     with pytest.raises(InvalidParameterError):
         build_scheme(2, "gauss_legendre", 10)
     with pytest.raises(InvalidParameterError):
