@@ -15,6 +15,11 @@ below by c(delta) ||A|| with
     c(delta) = (1/delta + 1 - sqrt((1/delta + 1)^2 - 1))^2,
 
 and ``claim_check`` brute-forces that bound over random matrices.
+
+Matrix constants of 1x1 and 2x2 matrices are exact (a closed form, see
+``_delta_2x2``).  For n >= 3 they come from a multi-start
+projected-gradient search on the sphere; every value it reports is
+attained by some direction, so it is an upper bound on delta.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ __all__ = [
     "composition_monotonicity_demo",
 ]
 
-_SWEEP_ANGLES = 4096       # dense half-circle sweep for 2x2 matrices
+_RANK1_RATIO = 1e-14       # 2x2 matrices with sigma_min/sigma_max below this are rank 1
 _PGD_RESTARTS = 64         # random restarts on the sphere for dim >= 3
 _PGD_SEED = 20151204
 _ROW_BUDGET = 1 << 19      # restart rows handled per vectorised chunk
@@ -211,46 +216,53 @@ def two_point_delta(F, cfg: PairConfig) -> DeltaCertificate:
 # ---------------------------------------------------------------------------
 # matrix constants
 
-def _ratio_on_directions(mats, V):
-    """Ratios v^T A v / |A v| for a stack of matrices on per-matrix directions.
+def _two_product(x, y):
+    """x * y as an unevaluated sum p + e, exact (Dekker's splitting)."""
+    p = x * y
+    xs, ys = 134217729.0 * x, 134217729.0 * y   # 2^27 + 1 splits 53 bits in halves
+    xh, yh = xs - (xs - x), ys - (ys - y)
+    xl, yl = x - xh, y - yh
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
-    ``mats`` is (M, n, n), ``V`` is (M, K, n) with unit rows; directions
-    with A v numerically zero are excluded by returning +inf there.
+
+def _delta_2x2(mats: np.ndarray) -> np.ndarray:
+    """Exact matrix constant of a stack of 2x2 matrices.
+
+    In complex notation A z = alpha z + beta conj(z), where |alpha| and
+    |beta| are the conformal and anticonformal parts: sigma_max is their
+    sum and det A = |alpha|^2 - |beta|^2.  For v = e^{i theta} the number
+    conj(v) A v = alpha + beta e^{-2 i theta} runs round the circle of
+    radius |beta| about alpha, and v^T A v / |A v| is the cosine of its
+    argument.  So delta is the least cosine of an argument on that circle:
+
+    * det A < 0: the circle winds round 0 and delta = -1;
+    * otherwise the arguments fill arg(alpha) +- asin(|beta| / |alpha|) and
+      delta = cos(|arg alpha| + asin(|beta| / |alpha|))
+            = (Re(alpha) sqrt(det A) - |Im(alpha)| |beta|) / |alpha|^2,
+      or -1 once that angle reaches pi (a negative real eigenvalue).
+
+    With sigma_min <= 1e-14 sigma_max the matrix counts as rank 1, u w^T:
+    the circle passes through 0, that direction (A v = 0) is excluded, and
+    the same formula at det A = 0 gives the infimum -sqrt(1 - c^2), or -1
+    once c <= 0, where c = u.w / (|u| |w|).  The determinant is formed from
+    exact products, so near-singular matrices keep full accuracy.
     """
-    AV = np.einsum("mij,mkj->mki", mats, V)
-    q = np.einsum("mki,mki->mk", AV, V)
-    r = np.sqrt(np.einsum("mki,mki->mk", AV, AV))
-    scale = np.max(np.abs(mats), axis=(1, 2))[:, None]
-    bad = r <= 1e-14 * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(bad, np.inf, q / np.where(bad, 1.0, r))
-    return h
-
-
-def _delta_sweep_2x2(mats: np.ndarray) -> np.ndarray:
-    """Dense angular sweep plus three grid-zoom refinements (dim 2 only)."""
-    M = mats.shape[0]
-    out = np.empty(M)
-    theta0 = np.pi * np.arange(_SWEEP_ANGLES) / _SWEEP_ANGLES  # v and -v agree
-    chunk = max(1, (1 << 21) // _SWEEP_ANGLES)
-    for s in range(0, M, chunk):
-        sub = mats[s:s + chunk]
-        angles = np.broadcast_to(theta0, (sub.shape[0], _SWEEP_ANGLES))
-        V = np.stack([np.cos(angles), np.sin(angles)], axis=2)
-        h = _ratio_on_directions(sub, V)
-        best = np.min(h, axis=1)
-        arg = theta0[np.argmin(h, axis=1)]
-        width = np.pi / _SWEEP_ANGLES
-        for _ in range(3):  # zoom: 65-point local grids, 32x finer each pass
-            offs = np.linspace(-width, width, 65)
-            angles = arg[:, None] + offs[None, :]
-            V = np.stack([np.cos(angles), np.sin(angles)], axis=2)
-            h = _ratio_on_directions(sub, V)
-            best = np.minimum(best, np.min(h, axis=1))
-            arg = angles[np.arange(sub.shape[0]), np.argmin(h, axis=1)]
-            width /= 32.0
-        out[s:s + chunk] = best
-    return out
+    # delta is scale-free: an exact power-of-two rescale keeps |alpha|^2 finite
+    A = np.ldexp(mats, -np.frexp(np.max(np.abs(mats), axis=(1, 2)))[1][:, None, None])
+    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+    (ad, ad_err), (bc, bc_err) = _two_product(a, d), _two_product(b, c)
+    det = (ad - bc) + (ad_err - bc_err)
+    re = 0.5 * (a + d)                       # Re alpha, and |Im alpha| below
+    im = np.abs(0.5 * (c - b))
+    conf = np.hypot(re, im)
+    anti = np.hypot(0.5 * (a - d), 0.5 * (b + c))
+    sigma_max = conf + anti
+    rank1 = np.abs(det) <= _RANK1_RATIO * sigma_max * sigma_max
+    sqrt_det = np.sqrt(np.where(rank1, 0.0, np.maximum(det, 0.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # conf = 0 has det < 0
+        delta = (re * sqrt_det - im * anti) / (conf * conf)
+    winds = ((det < 0.0) & ~rank1) | ((re <= 0.0) & (im <= anti))
+    return np.where(winds, -1.0, delta)
 
 
 def _delta_pgd(mats: np.ndarray, restarts: int = _PGD_RESTARTS, iters: int = 100) -> np.ndarray:
@@ -300,7 +312,10 @@ def _pgd_state(A, V):
 
 
 def matrix_delta(A) -> float:
-    """min over unit v of v^T A v / |A v| (directions with Av = 0 excluded)."""
+    """min over unit v of v^T A v / |A v| (directions with Av = 0 excluded).
+
+    Exact for n <= 2; for n >= 3 a searched upper bound (see the module docstring).
+    """
     return float(matrix_delta_many(as_square_matrix(A)[None, :, :])[0])
 
 
@@ -316,7 +331,7 @@ def matrix_delta_many(mats) -> np.ndarray:
     if arr.shape[1] == 1:
         return np.sign(arr[:, 0, 0])  # v^T A v / |A v| = sign(a) in dim 1
     if arr.shape[1] == 2:
-        return _delta_sweep_2x2(arr)
+        return _delta_2x2(arr)
     return _delta_pgd(arr)
 
 

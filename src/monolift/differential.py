@@ -67,14 +67,15 @@ def _split_point(p):
     return np.asarray(x, dtype=float), float(t)
 
 
+@np.errstate(all="ignore")  # _require_finite names the row; a numpy warning only repeats it
 def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
     """DF at a batch of points, rows of X with heights T > 0; shape (m, n+1, n+1).
 
     Each point's matrix is bitwise independent of the batch it is
-    evaluated in.  An overflowing ``x + t y`` or base Jacobian raises
-    :class:`NonFiniteIntegrandError`, and a quadrature node at a point
-    where the base map has no differential :class:`SingularPointError`,
-    each naming the first bad row.
+    evaluated in.  An overflowing ``x + t y``, base Jacobian or Gaussian
+    average raises :class:`NonFiniteIntegrandError`, and a quadrature node
+    at a point where the base map has no differential
+    :class:`SingularPointError`, each naming the first bad row.
     """
     n = field.dim
     X = np.asarray(X, dtype=float)
@@ -108,6 +109,7 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
         DF[sl, :n, n] = gaussian_expectation(field.scheme, Ay, axis=1)
         DF[sl, n, :n] = gaussian_expectation(field.scheme, yA, axis=1)
         DF[sl, n, n] = gaussian_expectation(field.scheme, yAy, axis=1)
+        _require_finite(DF[sl], sl, "Gaussian average")
     return DF
 
 

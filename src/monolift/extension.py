@@ -94,6 +94,7 @@ def gaussian_extension(spec: MapSpec, scheme: QuadratureScheme | None = None,
     return ExtensionField(spec, scheme if scheme is not None else default_scheme(spec.dim, seed))
 
 
+@np.errstate(all="ignore")  # _require_finite names the row; a numpy warning only repeats it
 def extend_points(field: ExtensionField, X, T) -> np.ndarray:
     """Lift a batch of half-space points; rows of X with heights T.
 
@@ -101,7 +102,8 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
     heights are computed at |t| and the vertical component is negated, so
     the reflection symmetry is exact by construction.  Each row's result is
     bitwise independent of the batch it is evaluated in.  An overflowing
-    map raises :class:`NonFiniteIntegrandError` naming the first bad row.
+    map or Gaussian average raises :class:`NonFiniteIntegrandError` naming
+    the first bad row.
     """
     n = field.dim
     X = np.asarray(X, dtype=float)
@@ -139,6 +141,7 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
         vert = gaussian_expectation(field.scheme, np.einsum("cnk,nk->cn", fx, nodes), axis=1)
         out[sl, :n] = horiz
         out[sl, n] = np.where(T[sl] < 0.0, -vert, vert)
+        _require_finite(out[sl], sl, "Gaussian average")
     return out
 
 

@@ -38,6 +38,7 @@ QUASI_RANDOM = "quasi_random"
 
 # bytes of a tensor rule's nodes plus weights, order**dim * (dim + 1) * 8
 _MAX_TENSOR_BYTES = 256 << 20
+_SYMMETRY_BLOCK = 1 << 16  # node rows per block of the reversal-symmetry check
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +138,21 @@ def build_scheme(dim: int, method: str, resolution: int, seed: int = 0) -> Quadr
     if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
         raise ResolutionError(
             f"{method} at resolution {resolution} gives non-finite nodes or weights")
-    assert np.array_equal(nodes[::-1], -nodes), "node set lost reversal symmetry"
+    _require_reversal_symmetry(nodes)
     return QuadratureScheme(dim, method, resolution, seed, nodes, weights)
+
+
+def _require_reversal_symmetry(nodes: np.ndarray) -> None:
+    """Raise unless ``nodes[::-1]`` is bitwise ``-nodes``, which the paired sum
+    in :func:`gaussian_expectation` relies on.  Checked block by block, with
+    no full-size temporary; for finite floats x + y == 0 exactly iff y == -x.
+    """
+    half = (nodes.shape[0] + 1) // 2
+    rev = nodes[::-1]
+    for s in range(0, half, _SYMMETRY_BLOCK):
+        e = min(s + _SYMMETRY_BLOCK, half)
+        if np.any(nodes[s:e] + rev[s:e]):
+            raise RuntimeError(f"quadrature node set lost reversal symmetry near node {s}")
 
 
 def default_scheme(dim: int, seed: int = 0) -> QuadratureScheme:

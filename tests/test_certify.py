@@ -1,5 +1,6 @@
 """Monotonicity constants, the singular-value claim, profiles, demos."""
 
+import decimal
 import math
 
 import numpy as np
@@ -98,6 +99,151 @@ def test_matrix_delta_errors():
         matrix_delta_many(np.zeros((3, 2)))
     with pytest.raises(DimensionMismatchError):
         matrix_delta(np.zeros((2, 3)))
+
+
+def dense_sweep_delta(A, angles=1 << 14, zoom=1 << 10):
+    """min of v^T A v / |A v| on a dense half-circle grid, then a finer grid
+    about the best angle; every value is attained, so it bounds delta above."""
+    A = np.asarray(A, float)
+
+    def ratios(theta):
+        V = np.stack([np.cos(theta), np.sin(theta)])
+        AV = A @ V
+        r = np.linalg.norm(AV, axis=0)
+        q = np.einsum("ik,ik->k", AV, V)
+        return np.where(r > 1e-14 * np.abs(A).max(), q / np.where(r > 0.0, r, 1.0), np.inf)
+
+    theta = np.pi * np.arange(angles) / angles
+    h = ratios(theta)
+    width = np.pi / angles
+    fine = theta[np.argmin(h)] + np.linspace(-width, width, zoom + 1)
+    return float(min(h.min(), ratios(fine).min()))
+
+
+@pytest.mark.parametrize("A, expected", [
+    (np.diag([1.0, 4.0]), 0.8),
+    ([[2.0, 1.0], [1.0, 2.0]], math.sqrt(3.0) / 2.0),
+    (np.diag([3.0, 3.0]), 1.0),
+])
+def test_matrix_delta_spd_closed_form(A, expected):
+    assert matrix_delta(A) == pytest.approx(expected, abs=1e-15)
+
+
+def test_matrix_delta_spd_eigenvalue_formula(rng):
+    # SPD: delta = 2 sqrt(l1 l2) / (l1 + l2) from the eigenvalues
+    for _ in range(50):
+        Q = rotation_matrix(rng.uniform(0.0, math.pi))
+        lam = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        A = Q @ np.diag(lam) @ Q.T
+        expected = 2.0 * math.sqrt(lam[0] * lam[1]) / (lam[0] + lam[1])
+        assert matrix_delta(A) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("s", [1e-200, 0.5, 1.0, 7.0, 1e200])
+@pytest.mark.parametrize("theta", [0.0, 0.3, -1.1, math.pi / 2, 2.0, -3.0, math.pi])
+def test_matrix_delta_conformal(s, theta):
+    # s R(theta) turns every v by theta: the ratio is cos(theta) everywhere
+    assert matrix_delta(s * rotation_matrix(theta)) == pytest.approx(math.cos(theta), abs=1e-14)
+
+
+def rank1_delta(u, w):
+    c = float(np.dot(u, w) / (np.linalg.norm(u) * np.linalg.norm(w)))
+    return -1.0 if c <= 0.0 else -math.sqrt(1.0 - c * c)
+
+
+def test_matrix_delta_rank_one(rng):
+    # A = u w^T: the infimum is the limit at the kernel direction w-perp
+    assert matrix_delta([[1.0, 1.0], [0.0, 0.0]]) == pytest.approx(-math.sqrt(0.5), abs=1e-15)
+    assert matrix_delta([[1.0, -1.0], [-1.0, 1.0]]) == 0.0      # u = w
+    assert matrix_delta([[-1.0, -1.0], [0.0, 0.0]]) == -1.0     # u.w < 0
+    assert matrix_delta([[0.0, 1.0], [0.0, 0.0]]) == -1.0       # u.w = 0
+    for _ in range(200):
+        u, w = rng.standard_normal(2), rng.standard_normal(2)
+        A = np.outer(u, w)
+        assert matrix_delta(A) == pytest.approx(rank1_delta(u, w), abs=1e-12)
+        assert matrix_delta(A) <= dense_sweep_delta(A) + 1e-12
+
+
+def test_matrix_delta_near_singular():
+    # sigma_min / sigma_max ~ 5e-10: the minimum sits in a turn of width
+    # ~1e-9 rad next to the kernel of the rank-1 part, just above its limit
+    eps = 2.0 ** -30
+    A = np.array([[1.0, 1.0], [0.0, eps]])
+    d = matrix_delta(A)
+    assert -math.sqrt(0.5) < d < -math.sqrt(0.5) + 1e-4
+    assert d <= dense_sweep_delta(A) + 1e-12
+    assert dense_sweep_delta(A) - d < 1e-9
+    assert matrix_delta([[1.0, 1.0], [0.0, 1e-9]]) <= dense_sweep_delta([[1.0, 1.0], [0.0, 1e-9]]) + 1e-12
+    # det < 0: the eigenvector (1, -1 - eps) of the eigenvalue -eps attains
+    # -1 (exactly representable here), which a grid misses
+    B = np.array([[1.0, 1.0], [0.0, -eps]])
+    v = np.array([1.0, -1.0 - eps])
+    assert np.array_equal(B @ v, -eps * v)
+    assert float(v @ (B @ v) / (np.linalg.norm(v) * np.linalg.norm(B @ v))) == pytest.approx(-1.0, abs=1e-15)
+    assert matrix_delta(B) == -1.0
+    assert dense_sweep_delta(B) > -0.8
+
+
+def decimal_delta_2x2(A):
+    """The 2x2 closed form evaluated in 40-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a, b, c, d = (decimal.Decimal(float(x)) for x in np.ravel(A))
+        det = a * d - b * c
+        re, im = (a + d) / 2, abs(c - b) / 2
+        anti = (((a - d) / 2) ** 2 + ((b + c) / 2) ** 2).sqrt()
+        if det < 0 or (re <= 0 and im <= anti):
+            return -1.0
+        return float((re * det.sqrt() - im * anti) / (re * re + im * im))
+
+
+def test_matrix_delta_near_singular_full_accuracy(rng):
+    # sigma_min / sigma_max from 1e-13 to 1e-3: a determinant formed in
+    # plain floating point would be off by ~1e-16 sigma_max^2, which moves
+    # delta by ~1e-16 / sqrt(sigma_min / sigma_max), up to 1e-10 here
+    for _ in range(300):
+        U = rotation_matrix(rng.uniform(0.0, 2.0 * math.pi))
+        V = rotation_matrix(rng.uniform(0.0, 2.0 * math.pi))
+        A = U @ np.diag([1.0, 10.0 ** rng.uniform(-13.0, -3.0)]) @ V.T
+        assert matrix_delta(A) == pytest.approx(decimal_delta_2x2(A), abs=2e-15)
+
+
+@pytest.mark.parametrize("A", [
+    np.diag([1.0, -1.0]),
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[math.cos(0.8), math.sin(0.8)], [math.sin(0.8), -math.cos(0.8)]],
+    3.0 * np.diag([-1.0, 1.0]),
+    np.diag([1.0, -1.0]) + 1e-13 * np.eye(2),   # almost no conformal part
+    -np.eye(2),
+    [[-1.0, 5.0], [0.0, -2.0]],                 # det > 0, negative eigenvalues
+])
+def test_matrix_delta_reflections_and_negative_eigenvalues(A):
+    assert matrix_delta(A) == -1.0
+
+
+def test_matrix_delta_scale_invariant(rng):
+    mats = rng.standard_normal((100, 2, 2))
+    base = matrix_delta_many(mats)
+    for s in (2.0 ** -900, 0.125, 2.0 ** 900):
+        assert np.array_equal(matrix_delta_many(s * mats), base)
+    assert np.allclose(matrix_delta_many(1e300 * mats), base, atol=1e-15)
+    assert np.allclose(matrix_delta_many(1e-300 * mats), base, atol=1e-15)
+
+
+def test_matrix_delta_2x2_never_above_dense_sweep(rng):
+    # every sweep value is attained, so the exact constant is never above
+    # it; on well-conditioned matrices the refined sweep is also tight
+    mats = np.concatenate([
+        rng.standard_normal((150, 2, 2)),
+        rng.standard_normal((150, 2, 2)) + rng.uniform(0.5, 3.0, 150)[:, None, None] * np.eye(2),
+    ])
+    deltas = matrix_delta_many(mats)
+    for A, d in zip(mats, deltas):
+        ref = dense_sweep_delta(A)
+        assert d <= ref + 1e-12
+        sv = np.linalg.svd(A, compute_uv=False)
+        if sv[0] <= 100.0 * sv[1]:
+            assert ref - d <= 1e-9
 
 
 def test_matrix_gamma_closed_forms():

@@ -136,13 +136,16 @@ def test_jacobian_singular_node_names_row():
         extension_jacobians(field, [[0.0, 0.0], [1.0, 1.0], [-1.0, 0.0]], [1.0, 1.0, 1.0])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_jacobian_names_overflowing_row():
     field = gaussian_extension(power_radial_map(2, 1.0))
     with pytest.raises(NonFiniteIntegrandError, match="row 1: x \\+ t y"):
         extension_jacobians(field, [[0.0, 0.0], [1.7e308, 0.0]], [1.0, 1e308])
     with pytest.raises(NonFiniteIntegrandError, match="row 1: base Jacobian"):
         extension_jacobians(field, [[0.0, 0.0], [1e200, 0.0]], [1.0, 1.0])
+    # a finite base Jacobian whose y-weighted Gaussian average overflows
+    field = gaussian_extension(linear_map([[1e308, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NonFiniteIntegrandError, match="row 0: Gaussian average"):
+        extension_jacobians(field, [[0.0, 0.0]], [1.0])
 
 
 def test_operator_norm_closed_forms():

@@ -191,7 +191,6 @@ def test_extend_grid_empty_and_row_errors():
         extend_grid(field, [([0.0, 0.0], 1.0), ([0.0, 0.0, 0.0], 1.0)])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_extend_grid_names_overflowing_row():
     field = gaussian_extension(power_radial_map(2, 1.0))
     with pytest.raises(NonFiniteIntegrandError, match="row 1"):
@@ -200,7 +199,6 @@ def test_extend_grid_names_overflowing_row():
         extend_grid(field, [([0.0, 0.0], 1.0), ([1.7e308, 0.0], 1e308)])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("p", [1.0, 0.5, -0.5])
 def test_extend_points_names_row_of_huge_base(p):
     # |x|^2 overflows at |x| = 1e200: for p > 0 the map value is inf, for
@@ -210,6 +208,16 @@ def test_extend_points_names_row_of_huge_base(p):
     for t in (1.0, -1.0, 0.0):
         with pytest.raises(NonFiniteIntegrandError, match="row 1: map evaluation"):
             extend_points(field, X, np.full(3, t))
+
+
+def test_extend_points_names_row_of_overflowing_average():
+    # |x| x at |x| = 1e154 is finite, but a pair sum of node values is not
+    field = gaussian_extension(power_radial_map(2, 1.0))
+    X = np.array([[0.0, 0.0], [1e154, 0.0]])
+    assert np.all(np.isfinite(extend_points(field, X, np.zeros(2))))
+    for t in (1.0, -1.0):
+        with pytest.raises(NonFiniteIntegrandError, match="row 1: Gaussian average"):
+            extend_points(field, X, np.full(2, t))
 
 
 @pytest.mark.parametrize("scheme", [

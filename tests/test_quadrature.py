@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import riemann_gaussian_moment_1d
 from monolift import build_scheme, default_scheme, gaussian_expectation, scheme_from_config
+from monolift.quadrature import _require_reversal_symmetry
 from monolift.errors import (
     DimensionOverflowError,
     InvalidParameterError,
@@ -147,6 +148,35 @@ def test_config_roundtrip():
 def test_default_scheme_switchover():
     assert default_scheme(3).method == "tensor_hermite"
     assert default_scheme(4).method == "quasi_random"
+
+
+def test_reversal_symmetry_check():
+    # a raised error, not an assert, so it also runs under python -O
+    nodes = build_scheme(4, "quasi_random", 1 << 18).nodes.copy()   # 2 check blocks
+    _require_reversal_symmetry(nodes)
+    for i in (0, (1 << 16) + 5, (1 << 17) + 5, (1 << 18) - 1):
+        broken = nodes.copy()
+        broken[i, 2] = np.nextafter(broken[i, 2], np.inf)
+        with pytest.raises(RuntimeError, match="reversal symmetry"):
+            _require_reversal_symmetry(broken)
+    odd = build_scheme(2, "tensor_hermite", 5).nodes.copy()        # centre node is 0
+    _require_reversal_symmetry(odd)
+    odd[12, 0] = 1e-300
+    with pytest.raises(RuntimeError, match="reversal symmetry"):
+        _require_reversal_symmetry(odd)
+
+
+def test_build_peak_memory():
+    # the symmetry check works block by block: an order-100 dim-3 rule
+    # (30.5 MiB of nodes and weights) peaks at 1.09x its arrays, where a
+    # full negated copy of the nodes took it to 1.85x
+    tracemalloc.start()
+    try:
+        scheme = build_scheme(3, "tensor_hermite", 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (scheme.nodes.nbytes + scheme.weights.nbytes)
 
 
 def test_build_errors():
