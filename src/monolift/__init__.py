@@ -24,7 +24,6 @@ from .certify import (
     matrix_delta,
     matrix_delta_many,
     matrix_gamma,
-    qc_distortion,
     quasisymmetry_profile,
     sample_pairs,
     trivial_extension_witness,
@@ -32,9 +31,7 @@ from .certify import (
 )
 from .core import (
     KINDS,
-    HalfSpacePoint,
     MapSpec,
-    Point,
     batch_map,
     compose_maps,
     convex_gradient_quartic_map,
@@ -50,8 +47,6 @@ from .core import (
     translation_map,
 )
 from .differential import (
-    AlphaAverage,
-    block_matrix,
     extension_jacobian,
     extension_jacobians,
     finite_difference_jacobian,
@@ -62,7 +57,6 @@ from .errors import MonoliftError
 from .extension import (
     ExtensionField,
     ExtensionTable,
-    compose_qcd_extension,
     extend_grid,
     extend_point,
     extend_points,
@@ -75,7 +69,6 @@ from .hyperbolic import (
     BilipschitzReport,
     HyperbolicReport,
     bilipschitz_sample,
-    hyperbolic_distance,
     hyperbolic_distances,
     sample_height_pairs,
     vertical_comparison,
@@ -83,7 +76,6 @@ from .hyperbolic import (
 from .measure import (
     DoublingReport,
     MomentRatio,
-    box_ratio,
     doubling_report,
     gaussian_moment_ratio,
     jacobian_norm_density,
@@ -94,5 +86,4 @@ from .quadrature import (
     build_scheme,
     default_scheme,
     gaussian_expectation,
-    scheme_from_config,
 )

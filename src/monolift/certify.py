@@ -25,7 +25,7 @@ attained by some direction, so it is an upper bound on delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .errors import (
     DegenerateTripleError,
     DimensionMismatchError,
     InvalidParameterError,
-    NonpositiveDeterminantError,
     ZeroMatrixError,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "TripleConfig",
     "EtaProfile",
     "quasisymmetry_profile",
-    "qc_distortion",
     "CompositionReport",
     "composition_monotonicity_demo",
 ]
@@ -416,8 +414,11 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
 
     For every sampled matrix with matrix constant >= ``delta_floor`` the
     check asserts sigma_min >= c(delta) sigma_max (up to 1e-12 relative
-    rounding slack) and reports the worst margin seen.
+    rounding slack) and reports the worst margin seen.  The floor must lie
+    in (0, 1], the domain of :func:`claim_constant`.
     """
+    if not 0.0 < delta_floor <= 1.0:
+        raise InvalidParameterError(f"delta_floor must lie in (0, 1], got {delta_floor}")
     stats = []
     for dim in dims:
         rng = np.random.default_rng([seed, dim])
@@ -524,18 +525,7 @@ def quasisymmetry_profile(spec: MapSpec, cfg: TripleConfig) -> EtaProfile:
 
 
 # ---------------------------------------------------------------------------
-# distortion and the composition demo
-
-def qc_distortion(A, n: int | None = None) -> float:
-    """Outer distortion ||A||^n / det A; requires det A > 0."""
-    A = as_square_matrix(A)
-    if n is None:
-        n = A.shape[0]
-    det = float(np.linalg.det(A))
-    if det <= 0.0:
-        raise NonpositiveDeterminantError(f"distortion needs det > 0, got {det}")
-    return float(np.linalg.norm(A, 2)) ** n / det
-
+# the composition demo
 
 @dataclass(frozen=True, eq=False)
 class CompositionReport:

@@ -43,7 +43,7 @@ from .measure import (
     jacobian_norm_density,
     lebesgue_density,
 )
-from .quadrature import build_scheme, default_scheme
+from .quadrature import default_scheme
 from .tableio import csv_line, write_csv, write_json
 
 __all__ = ["main"]
@@ -79,13 +79,15 @@ def _load_spec(value):
 
 
 def _scheme_for(args, dim):
-    if args.resolution is None and args.method is None:
-        return default_scheme(dim)
-    method = args.method or ("tensor_hermite" if dim <= 3 else "quasi_random")
-    resolution = args.resolution
-    if resolution is None:
-        resolution = 20 if method == "tensor_hermite" else 1 << 16
-    return build_scheme(dim, method, resolution, seed=args.scheme_seed)
+    return default_scheme(dim, args.scheme_seed, args.method, args.resolution)
+
+
+def _density_for(args):
+    """The ||Df|| density of ``--spec``, or Lebesgue measure in ``--dim``."""
+    if args.spec:
+        spec = _load_spec(args.spec)
+        return spec, jacobian_norm_density(spec), spec.dim
+    return None, lebesgue_density(args.dim), args.dim
 
 
 def _meta(args, spec=None, scheme=None, seed=None, **extra):
@@ -101,17 +103,11 @@ def _meta(args, spec=None, scheme=None, seed=None, **extra):
 
 
 def _emit_csv(args, columns, rows, meta):
-    if args.out:
-        write_csv(args.out, columns, rows, meta)
-    else:
-        write_csv(sys.stdout, columns, rows, meta)
+    write_csv(args.out or sys.stdout, columns, rows, meta)
 
 
 def _emit_json(args, payload):
-    if args.out:
-        write_json(args.out, payload)
-    else:
-        write_json(sys.stdout, payload)
+    write_json(args.out or sys.stdout, payload)
 
 
 def _emit_report(args, payload, columns=None, rows=None, meta=None):
@@ -241,14 +237,7 @@ def _parse_centers(text, dim):
 
 
 def _cmd_doubling(args):
-    if args.spec:
-        spec = _load_spec(args.spec)
-        density = jacobian_norm_density(spec)
-        dim = spec.dim
-    else:
-        spec = None
-        dim = args.dim
-        density = lebesgue_density(dim)
+    spec, density, dim = _density_for(args)
     centers = _parse_centers(args.centers, dim)
     radii = _floats(args.radii)
     report = doubling_report(density, centers, radii)
@@ -263,14 +252,7 @@ def _cmd_doubling(args):
 
 
 def _cmd_moments(args):
-    if args.spec:
-        spec = _load_spec(args.spec)
-        density = jacobian_norm_density(spec)
-        dim = spec.dim
-    else:
-        spec = None
-        dim = args.dim
-        density = lebesgue_density(dim)
+    spec, density, dim = _density_for(args)
     scheme = _scheme_for(args, dim)
     normal = _floats(args.halfspace) if args.halfspace else None
     ratio = gaussian_moment_ratio(density, args.p, dim, halfspace_normal=normal,

@@ -5,7 +5,7 @@ and an analytic Jacobian, and grows at most polynomially, so that
 Gaussian-weighted integrals of any gallery map converge and certification
 runs can be reproduced from a small JSON description alone.
 
-Point-valued functions are shape-polymorphic in the numpy style: an input
+Functions of points are shape-polymorphic in the numpy style: an input
 of shape ``(..., n)`` yields an output of shape ``(..., n)`` (Jacobians:
 ``(..., n, n)``).
 """
@@ -28,8 +28,6 @@ from .errors import (
 
 __all__ = [
     "KINDS",
-    "Point",
-    "HalfSpacePoint",
     "MapSpec",
     "parse_map_spec",
     "map_spec_from_dict",
@@ -79,63 +77,6 @@ def as_square_matrix(m, dim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidParameterError("matrix entries must be finite")
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Point:
-    """Point of R^n with finite coordinates."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        arr = _finite_vector(self.coords, "point").copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coords", arr)
-
-    @property
-    def dim(self) -> int:
-        return int(self.coords.shape[0])
-
-    def __repr__(self):
-        return f"Point({self.coords.tolist()})"
-
-
-@dataclass(frozen=True, eq=False)
-class HalfSpacePoint:
-    """Point (x, t) of R^{n+1} written as base x in R^n plus height t.
-
-    The height may be any real number; the reflection convention for
-    lifted maps makes negative heights meaningful.
-    """
-
-    base: Point
-    height: float
-
-    def __post_init__(self):
-        base = self.base if isinstance(self.base, Point) else Point(np.asarray(self.base, float))
-        h = float(self.height)
-        if not math.isfinite(h):
-            raise InvalidParameterError("height must be finite")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "height", h)
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def embedded(self) -> np.ndarray:
-        """Return the point as a plain (n+1)-vector, height last."""
-        return np.append(self.base.coords, self.height)
-
-    @classmethod
-    def from_embedded(cls, v) -> "HalfSpacePoint":
-        arr = _finite_vector(v, "embedded point")
-        if arr.size < 2:
-            raise DimensionMismatchError("embedded half-space point needs at least 2 coordinates")
-        return cls(Point(arr[:-1]), float(arr[-1]))
-
-    def __repr__(self):
-        return f"HalfSpacePoint({self.base.coords.tolist()}, {self.height})"
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
@@ -461,8 +402,6 @@ _JAC = {
 
 
 def _as_point_array(x, dim: int) -> np.ndarray:
-    if isinstance(x, Point):
-        x = x.coords
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0 or arr.shape[-1] != dim:
         raise DimensionMismatchError(f"expected points in R^{dim}, got array of shape {arr.shape}")

@@ -16,12 +16,11 @@ average that controls the size of DF.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ballrules import BallRule, ball_rule
-from .core import HalfSpacePoint, as_square_matrix, evaluate_map_jacobian
+from .core import evaluate_map_jacobian
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -29,42 +28,16 @@ from .errors import (
     NonpositiveHeightError,
     SingularPointError,
 )
-from .extension import ExtensionField, _chunks, _require_finite
+from .extension import ExtensionField, _batch, _chunks, _require_finite
 from .quadrature import gaussian_expectation
 
 __all__ = [
-    "block_matrix",
     "extension_jacobian",
     "extension_jacobians",
     "finite_difference_jacobian",
     "spectral_norms",
-    "AlphaAverage",
     "unit_ball_norm_average",
 ]
-
-
-def block_matrix(A, y) -> np.ndarray:
-    """Assemble B(A, y); exactly symmetric whenever A is."""
-    A = as_square_matrix(A)
-    y = np.asarray(y, dtype=float)
-    n = A.shape[0]
-    if y.shape != (n,):
-        raise DimensionMismatchError(f"vector of shape {y.shape} against a {n}x{n} matrix")
-    B = np.empty((n + 1, n + 1))
-    B[:n, :n] = A
-    B[:n, n] = A @ y
-    # materialised transpose runs through the same gemv kernel as A @ y,
-    # so a symmetric A yields a bitwise symmetric block
-    B[n, :n] = np.ascontiguousarray(A.T) @ y
-    B[n, n] = float(y @ (A @ y))
-    return B
-
-
-def _split_point(p):
-    if isinstance(p, HalfSpacePoint):
-        return p.base.coords, p.height
-    x, t = p
-    return np.asarray(x, dtype=float), float(t)
 
 
 @np.errstate(all="ignore")  # _require_finite names the row; a numpy warning only repeats it
@@ -78,12 +51,7 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
     :class:`SingularPointError`, each naming the first bad row.
     """
     n = field.dim
-    X = np.asarray(X, dtype=float)
-    T = np.asarray(T, dtype=float)
-    if X.ndim != 2 or X.shape[1] != n:
-        raise DimensionMismatchError(f"expected base points of shape (m, {n}), got {X.shape}")
-    if T.shape != (X.shape[0],):
-        raise DimensionMismatchError(f"heights of shape {T.shape} for {X.shape[0]} base points")
+    X, T = _batch(X, T, n)
     low = np.flatnonzero(T <= 0.0)
     if low.size:
         raise NonpositiveHeightError(
@@ -124,9 +92,9 @@ def _name_singular_row(field: ExtensionField, pts: np.ndarray, rows: np.ndarray,
 
 
 def extension_jacobian(field: ExtensionField, p) -> np.ndarray:
-    """DF(x, t) for t > 0; ``p`` is a HalfSpacePoint or an (x, t) pair."""
-    x, t = _split_point(p)
-    return extension_jacobians(field, x[None, :], np.array([t]))[0]
+    """DF(x, t) for t > 0, at a point given as an (x, t) pair."""
+    x, t = p
+    return extension_jacobians(field, np.asarray(x, dtype=float)[None, :], np.array([float(t)]))[0]
 
 
 def finite_difference_jacobian(F, p, h: float | None = None) -> np.ndarray:
@@ -156,31 +124,29 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.asarray(mats, dtype=float), compute_uv=False)[..., 0]
 
 
-@dataclass(frozen=True, eq=False)
-class AlphaAverage:
-    """Unit-ball integral of ||Df(x + t y)|| dy around one half-space point."""
-
-    value: float
-    center: HalfSpacePoint
-    rule: str
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise InvalidParameterError(f"norm average must be finite and >= 0, got {self.value}")
+def _base_jacobian_norms(spec, pts) -> np.ndarray:
+    """||Df|| at each of ``pts``, with a non-finite Jacobian reported, not
+    passed to the SVD (which fails to converge on it)."""
+    with np.errstate(all="ignore"):
+        jac = evaluate_map_jacobian(spec, pts)
+    if not np.all(np.isfinite(jac)):
+        raise NonFiniteIntegrandError("the map's Jacobian overflowed at an integration point")
+    return spectral_norms(jac)
 
 
-def unit_ball_norm_average(field: ExtensionField, p, rule: BallRule | None = None) -> AlphaAverage:
+def unit_ball_norm_average(field: ExtensionField, p, rule: BallRule | None = None) -> float:
     """The local size functional alpha = integral over the unit y-ball of
-    ||Df(x + t y)||; DF(x, t) is comparable to it above and below."""
-    x, t = _split_point(p)
+    ||Df(x + t y)|| at the point ``p = (x, t)``; DF(x, t) is comparable to
+    it above and below."""
+    x, t = np.asarray(p[0], dtype=float), float(p[1])
     if t <= 0.0:
         raise NonpositiveHeightError(f"norm average needs height > 0, got {t}")
     if rule is None:
         rule = ball_rule(field.dim)
     if rule.dim != field.dim:
         raise DimensionMismatchError(f"ball rule of dim {rule.dim} for a field of dim {field.dim}")
-    jac = evaluate_map_jacobian(field.spec, x[None, :] + t * rule.nodes)
-    norms = spectral_norms(jac)
+    norms = _base_jacobian_norms(field.spec, x[None, :] + t * rule.nodes)
     value = float(np.einsum("k,k->", rule.weights, norms))
-    center = p if isinstance(p, HalfSpacePoint) else HalfSpacePoint(x, t)
-    return AlphaAverage(value=value, center=center, rule=rule.descriptor())
+    if not math.isfinite(value):
+        raise NonFiniteIntegrandError(f"norm average overflowed: {value}")
+    return value

@@ -47,10 +47,6 @@ class ZeroMatrixError(MonoliftError, ValueError):
     """Matrix certification called on the zero matrix."""
 
 
-class NonpositiveDeterminantError(MonoliftError, ValueError):
-    """Distortion requested for a matrix with det <= 0."""
-
-
 class DegenerateMapError(MonoliftError, ArithmeticError):
     """Sampling collapsed: the map identified every sampled pair."""
 
@@ -61,10 +57,6 @@ class DegenerateTripleError(MonoliftError, ArithmeticError):
 
 class ZeroMassError(MonoliftError, ArithmeticError):
     """A ball carries (numerically) no mass under the given density."""
-
-
-class DegenerateImageError(MonoliftError, ArithmeticError):
-    """The image of a sampled ball has (numerically) zero diameter."""
 
 
 class NonpositiveHeightError(MonoliftError, ValueError):

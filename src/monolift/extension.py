@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HalfSpacePoint, MapSpec, evaluate_map
+from .core import MapSpec, evaluate_map
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -28,8 +28,6 @@ from .errors import (
 from .quadrature import QuadratureScheme, default_scheme, gaussian_expectation
 
 __all__ = [
-    "BILIPSCHITZ",
-    "DELTA_MONOTONE",
     "ExtensionField",
     "ExtensionTable",
     "gaussian_extension",
@@ -38,12 +36,8 @@ __all__ = [
     "extend_grid",
     "full_space_map",
     "trivial_lift_map",
-    "compose_qcd_extension",
     "lattice_points",
 ]
-
-BILIPSCHITZ = "bilipschitz"
-DELTA_MONOTONE = "delta_monotone"
 
 # cap on points-per-chunk * nodes; keeps the intermediate arrays in cache.
 # It also keeps each row's value bitwise independent of its batch: numpy's
@@ -65,6 +59,17 @@ def _require_finite(values: np.ndarray, rows: np.ndarray, what: str) -> None:
         ok = np.isfinite(values).reshape(rows.size, -1).all(axis=1)
         raise NonFiniteIntegrandError(
             f"row {rows[np.argmin(ok)]}: {what} overflowed")
+
+
+def _batch(X, T, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` and ``T`` as float arrays of shapes (m, n) and (m,), or raise."""
+    X = np.asarray(X, dtype=float)
+    T = np.asarray(T, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise DimensionMismatchError(f"expected base points of shape (m, {n}), got {X.shape}")
+    if T.shape != (X.shape[0],):
+        raise DimensionMismatchError(f"heights of shape {T.shape} for {X.shape[0]} base points")
+    return X, T
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,12 +111,7 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
     the first bad row.
     """
     n = field.dim
-    X = np.asarray(X, dtype=float)
-    T = np.asarray(T, dtype=float)
-    if X.ndim != 2 or X.shape[1] != n:
-        raise DimensionMismatchError(f"expected base points of shape (m, {n}), got {X.shape}")
-    if T.shape != (X.shape[0],):
-        raise DimensionMismatchError(f"heights of shape {T.shape} for {X.shape[0]} base points")
+    X, T = _batch(X, T, n)
     bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(T))
     if np.any(bad):
         raise InvalidParameterError(f"row {np.argmax(bad)}: points and heights must be finite")
@@ -146,13 +146,9 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
 
 
 def extend_point(field: ExtensionField, p) -> np.ndarray:
-    """Lift a single point; ``p`` is a HalfSpacePoint or an (x, t) pair."""
-    if isinstance(p, HalfSpacePoint):
-        x, t = p.base.coords, p.height
-    else:
-        x, t = p
-    x = np.asarray(x, dtype=float)
-    return extend_points(field, x[None, :], np.array([float(t)]))[0]
+    """Lift a single point given as an (x, t) pair."""
+    x, t = p
+    return extend_points(field, np.asarray(x, dtype=float)[None, :], np.array([float(t)]))[0]
 
 
 def full_space_map(field: ExtensionField):
@@ -201,55 +197,20 @@ class ExtensionTable:
 
 
 def extend_grid(field: ExtensionField, points) -> ExtensionTable:
-    """Lift a list of half-space points, preserving order.
+    """Lift a list of (x, t) pairs, preserving order.
 
     Rows are checked one by one for their dimension, then lifted in one
     :func:`extend_points` batch.  Dimension, non-finite input and overflow
     errors name the offending row index.
     """
     embedded = []
-    for i, p in enumerate(points):
-        if isinstance(p, HalfSpacePoint):
-            v = p.embedded()
-        else:
-            x, t = p
-            v = np.append(np.asarray(x, dtype=float), float(t))
+    for i, (x, t) in enumerate(points):
+        v = np.append(np.asarray(x, dtype=float), float(t))
         if v.size != field.dim + 1:
             raise DimensionMismatchError(f"row {i}: expected {field.dim} coordinates plus a height")
         embedded.append(v)
     inputs = np.array(embedded) if embedded else np.empty((0, field.dim + 1))
     return ExtensionTable(inputs, extend_points(field, inputs[:, :-1], inputs[:, -1]))
-
-
-def compose_qcd_extension(factors, scheme: QuadratureScheme, p) -> np.ndarray:
-    """Lift a word of tagged factors to R^{n+1}, applied right-to-left.
-
-    Each factor is a ``(tag, spec)`` pair.  ``delta_monotone`` factors get
-    the Gaussian lift; ``bilipschitz`` factors act trivially on the height,
-    (x, t) -> (g(x), t).  Restricted to t = 0 the result is the composed
-    base map with zero height.
-    """
-    factors = list(factors)
-    if not factors:
-        raise InvalidParameterError("need at least one factor")
-    if isinstance(p, HalfSpacePoint):
-        cur = p.embedded()
-    else:
-        cur = np.asarray(p, dtype=float).copy()
-    n = scheme.dim
-    if cur.shape != (n + 1,):
-        raise DimensionMismatchError(f"point of shape {cur.shape} for factors on R^{n}")
-    for tag, spec in reversed(factors):
-        if spec.dim != n:
-            raise DimensionMismatchError(f"factor of dim {spec.dim} in a dim {n} composition")
-        if tag == DELTA_MONOTONE:
-            field = ExtensionField(spec, scheme)
-            cur = extend_points(field, cur[None, :n], cur[n:n + 1])[0]
-        elif tag == BILIPSCHITZ:
-            cur = np.append(evaluate_map(spec, cur[:n]), cur[n])
-        else:
-            raise InvalidParameterError(f"unknown factor tag {tag!r}")
-    return cur
 
 
 def lattice_points(dim: int = 2, bounds: tuple[float, float] = (-2.0, 2.0), nx: int = 9,

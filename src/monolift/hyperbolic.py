@@ -23,7 +23,6 @@ from .errors import (
 from .extension import ExtensionField, extend_points
 
 __all__ = [
-    "hyperbolic_distance",
     "hyperbolic_distances",
     "HyperbolicReport",
     "vertical_comparison",
@@ -31,15 +30,6 @@ __all__ = [
     "BilipschitzReport",
     "bilipschitz_sample",
 ]
-
-
-def hyperbolic_distance(p, q) -> float:
-    """Distance in the upper half space between embedded points p, q."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise DimensionMismatchError(f"point shapes {p.shape} vs {q.shape}")
-    return float(hyperbolic_distances(p[None, :], q[None, :])[0])
 
 
 def hyperbolic_distances(P, Q) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "QuadratureScheme",
     "build_scheme",
     "default_scheme",
-    "scheme_from_config",
     "gaussian_expectation",
 ]
 
@@ -64,15 +63,6 @@ class QuadratureScheme:
 
     def descriptor(self) -> str:
         return f"{self.method}:r{self.resolution}:seed{self.seed}:dim{self.dim}"
-
-    def config_dict(self) -> dict:
-        """The scheme is fully regenerable from these four values."""
-        return {
-            "dim": self.dim,
-            "method": self.method,
-            "resolution": self.resolution,
-            "seed": self.seed,
-        }
 
 
 def _hermite_1d(order: int):
@@ -155,15 +145,15 @@ def _require_reversal_symmetry(nodes: np.ndarray) -> None:
             raise RuntimeError(f"quadrature node set lost reversal symmetry near node {s}")
 
 
-def default_scheme(dim: int, seed: int = 0) -> QuadratureScheme:
-    """Tensor rule of order 20 up to dim 3, quasi-random 2^16 beyond."""
-    if dim <= 3:
-        return build_scheme(dim, TENSOR_HERMITE, 20, seed)
-    return build_scheme(dim, QUASI_RANDOM, 2**16, seed)
-
-
-def scheme_from_config(config: dict) -> QuadratureScheme:
-    return build_scheme(config["dim"], config["method"], config["resolution"], config.get("seed", 0))
+def default_scheme(dim: int, seed: int = 0, method: str | None = None,
+                   resolution: int | None = None) -> QuadratureScheme:
+    """The scheme with the defaults filled in: the tensor rule up to dim 3
+    and the quasi-random rule beyond, of order 20 and 2^16 nodes."""
+    if method is None:
+        method = TENSOR_HERMITE if dim <= 3 else QUASI_RANDOM
+    if resolution is None:
+        resolution = 20 if method == TENSOR_HERMITE else 2**16
+    return build_scheme(dim, method, resolution, seed)
 
 
 def gaussian_expectation(scheme: QuadratureScheme, values, axis: int = 0):

@@ -23,7 +23,6 @@ from monolift import (
     matrix_gamma,
     planar_rotation_map,
     power_radial_map,
-    qc_distortion,
     quasisymmetry_profile,
     rotation_matrix,
     sample_pairs,
@@ -36,7 +35,6 @@ from monolift.errors import (
     DegenerateTripleError,
     DimensionMismatchError,
     InvalidParameterError,
-    NonpositiveDeterminantError,
     ZeroMatrixError,
 )
 
@@ -286,6 +284,12 @@ def test_claim_constant_domain(bad):
         claim_constant(bad)
 
 
+@pytest.mark.parametrize("floor", [0.0, -0.5, 1.0000001, math.nan, math.inf])
+def test_claim_check_floor_domain(floor):
+    with pytest.raises(InvalidParameterError):
+        claim_check(dims=(2,), count=10, delta_floor=floor)
+
+
 def test_claim_check_small_run():
     report = claim_check(dims=(2, 3), count=400, seed=3)
     assert report.total_violations == 0
@@ -414,16 +418,6 @@ def test_profile_csv_rows():
 
 # ---------------------------------------------------------------------------
 # distortion and the composition demo
-
-def test_qc_distortion():
-    assert qc_distortion(np.eye(2)) == pytest.approx(1.0, abs=1e-12)
-    assert qc_distortion(np.diag([2.0, 1.0])) == pytest.approx(2.0, abs=1e-10)
-    assert qc_distortion(np.diag([2.0, 2.0]), n=3) == pytest.approx(2.0, abs=1e-10)
-    with pytest.raises(NonpositiveDeterminantError):
-        qc_distortion(np.diag([1.0, -1.0]))
-    with pytest.raises(NonpositiveDeterminantError):
-        qc_distortion(np.diag([1.0, 0.0]))
-
 
 def test_composition_demo_flags_lost_monotonicity():
     report = composition_monotonicity_demo(math.pi / 3, math.pi / 3, pairs=2000, seed=1)

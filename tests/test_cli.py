@@ -233,6 +233,20 @@ def test_demo_trivial_failure_unrefuted_exits_2(capsys):
     assert payload["refuted"] is False
 
 
+def test_scheme_seed_alone_reseeds_the_default_scheme(capsys, tmp_path):
+    spec = '{"kind":"power_radial","dim":4,"params":{"p":1}}'
+    point = ["extend", "--spec", spec, "--x", "0.5,0,0,0", "--t", "1"]
+    code0, out0, _ = run(capsys, *point)
+    code3, out3, _ = run(capsys, *point, "--scheme-seed", "3", "--out", str(tmp_path / "s3.csv"))
+    assert code0 == code3 == 0
+    assert out3 != out0
+    assert "# scheme=quasi_random:r65536:seed3:dim4\n" in (tmp_path / "s3.csv").read_text()
+    # with all three flags the same scheme is built
+    code, out, _ = run(capsys, *point, "--method", "quasi_random", "--resolution", "65536",
+                       "--scheme-seed", "3")
+    assert code == 0 and out == out3
+
+
 @pytest.mark.parametrize("argv", [
     ["extend", "--spec", "no_such_file.json", "--x", "0,0"],
     ["extend", "--spec", '{"kind":"warp","dim":2}', "--x", "0,0"],
@@ -248,6 +262,11 @@ def test_demo_trivial_failure_unrefuted_exits_2(capsys):
     # 300^3 tensor nodes break the memory budget
     ["extend", "--spec", '{"kind":"identity","dim":3}', "--x", "0,0,0", "--t", "1",
      "--resolution", "300"],
+    # Gaussian moments that overflow, of Lebesgue measure and of a ||Df|| density
+    ["moments", "--dim", "2", "--p", "2000"],
+    ["moments", "--spec", POWER1, "--p", "1000"],
+    # a floor outside (0, 1], the domain of c(delta)
+    ["claim-check", "--matrices", "10", "--delta-floor", "nan"],
 ])
 def test_input_errors_exit_1(capsys, argv):
     code = main(argv)
@@ -270,16 +289,25 @@ def test_usage_errors_exit_1(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["extend", "--x", "1e200,0", "--t", "0"], "row 0: map evaluation at t = 0 overflowed"),
-    (["extend", "--x", "1e200,0", "--t", "1"], "row 0: map evaluation at a quadrature node overflowed"),
-    (["extend", "--x", "1e154,0", "--t", "1"], "row 0: Gaussian average overflowed"),
-    (["jacobian", "--x", "1e200,0", "--t", "1"], "row 0: base Jacobian at a quadrature node overflowed"),
+    (["extend", "--spec", POWER1, "--x", "1e200,0", "--t", "0"],
+     "row 0: map evaluation at t = 0 overflowed"),
+    (["extend", "--spec", POWER1, "--x", "1e200,0", "--t", "1"],
+     "row 0: map evaluation at a quadrature node overflowed"),
+    (["extend", "--spec", POWER1, "--x", "1e154,0", "--t", "1"],
+     "row 0: Gaussian average overflowed"),
+    (["jacobian", "--spec", POWER1, "--x", "1e200,0", "--t", "1"],
+     "row 0: base Jacobian at a quadrature node overflowed"),
+    # a non-finite Df must not reach the SVD, which fails to converge on it
+    (["doubling", "--spec", POWER1, "--centers", "0,0", "--radii", "1e200"],
+     "the map's Jacobian overflowed at an integration point"),
+    (["doubling", "--dim", "2", "--radii", "1e300"],
+     "ball masses must be finite and positive"),
 ])
 def test_overflow_error_is_the_only_stderr_line(argv, message):
-    # the lift's own finite check names the row; no numpy RuntimeWarning
-    # may precede it on the real stderr
+    # the program's own finite check reports the overflow; no numpy
+    # RuntimeWarning may precede it on the real stderr
     proc = subprocess.run(
-        [sys.executable, "-m", "monolift", *argv[:1], "--spec", POWER1, *argv[1:]],
+        [sys.executable, "-m", "monolift", *argv],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert proc.stdout == ""

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import batch_fd_jacobian, gallery_2d, gallery_3d, spec_id
 from monolift import (
-    HalfSpacePoint,
     MapSpec,
-    Point,
     compose_maps,
     convex_gradient_quartic_map,
     evaluate_map,
@@ -269,15 +267,3 @@ def test_digest_is_content_addressed():
     b = power_radial_map(2, 1.0)
     c = power_radial_map(2, 0.5)
     assert a.digest() == b.digest() != c.digest()
-
-
-def test_points_validate():
-    with pytest.raises(InvalidParameterError):
-        Point(np.array([1.0, np.inf]))
-    p = HalfSpacePoint([1.0, 2.0], -0.5)
-    assert p.dim == 2 and p.height == -0.5
-    assert np.array_equal(p.embedded(), [1.0, 2.0, -0.5])
-    q = HalfSpacePoint.from_embedded([1.0, 2.0, -0.5])
-    assert np.array_equal(q.base.coords, [1.0, 2.0]) and q.height == -0.5
-    with pytest.raises(InvalidParameterError):
-        HalfSpacePoint([1.0], math.nan)

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from monolift import (
-    HalfSpacePoint,
     MapSpec,
     build_scheme,
-    compose_maps,
-    compose_qcd_extension,
     convex_gradient_quartic_map,
-    default_scheme,
     evaluate_map,
     extend_grid,
     extend_point,
@@ -22,9 +18,7 @@ from monolift import (
     identity_map,
     lattice_points,
     linear_map,
-    planar_rotation_map,
     power_radial_map,
-    translation_map,
 )
 from monolift import extension
 from monolift.errors import DimensionMismatchError, InvalidParameterError, NonFiniteIntegrandError
@@ -152,8 +146,6 @@ def test_extend_point_shapes():
     out = extend_point(field, ([1.0, 0.0], 2.0))
     assert out.shape == (3,)
     assert np.allclose(out, [1.0, 0.0, 4.0], atol=1e-10)
-    hp = HalfSpacePoint([1.0, 0.0], 2.0)
-    assert np.array_equal(extend_point(field, hp), out)
     with pytest.raises(DimensionMismatchError):
         extend_points(field, np.zeros((2, 3)), np.ones(2))
     with pytest.raises(DimensionMismatchError):
@@ -258,43 +250,6 @@ def test_scheme_override_changes_resolution():
     assert np.max(np.abs(default - finer)) < np.max(np.abs(coarse - finer))
     with pytest.raises(DimensionMismatchError):
         gaussian_extension(spec, build_scheme(3, "tensor_hermite", 4))
-
-
-def test_compose_qcd_stack():
-    # bilipschitz shift below, monotone identity on top
-    scheme = default_scheme(2)
-    out = compose_qcd_extension(
-        [("delta_monotone", identity_map(2)), ("bilipschitz", translation_map([1.0, 0.0]))],
-        scheme, np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(out, [1.0, 0.0, 2.0], atol=1e-10)
-
-
-def test_compose_qcd_single_factor_matches_lift():
-    scheme = default_scheme(2)
-    spec = power_radial_map(2, 1.0)
-    G = full_space_map(gaussian_extension(spec, scheme))
-    for p in ([0.5, -0.5, 0.7], [1.0, 2.0, -0.3]):
-        got = compose_qcd_extension([("delta_monotone", spec)], scheme, np.array(p))
-        assert np.array_equal(got, G(np.array(p)))
-    with pytest.raises(InvalidParameterError):
-        compose_qcd_extension([("conformal", identity_map(2))], scheme, np.zeros(3))
-    with pytest.raises(InvalidParameterError):
-        compose_qcd_extension([], scheme, np.zeros(3))
-    with pytest.raises(DimensionMismatchError):
-        compose_qcd_extension([("bilipschitz", identity_map(3))], scheme, np.zeros(3))
-
-
-def test_compose_qcd_boundary_restriction():
-    # at t=0 the stack reduces to the composed base map with zero height
-    scheme = default_scheme(2)
-    factors = [("delta_monotone", power_radial_map(2, 1.0)),
-               ("bilipschitz", translation_map([0.5, -0.5]))]
-    x = np.array([0.3, 0.8])
-    out = compose_qcd_extension(factors, scheme, np.append(x, 0.0))
-    base = evaluate_map(power_radial_map(2, 1.0),
-                        evaluate_map(translation_map([0.5, -0.5]), x[None, :]))
-    assert np.allclose(out[:2], base[0], atol=1e-12)
-    assert out[2] == 0.0
 
 
 def test_full_space_map_shapes_and_reflection():

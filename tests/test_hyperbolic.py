@@ -8,7 +8,6 @@ import pytest
 from monolift import (
     bilipschitz_sample,
     gaussian_extension,
-    hyperbolic_distance,
     hyperbolic_distances,
     identity_map,
     linear_map,
@@ -27,9 +26,10 @@ from monolift.errors import (
 
 def test_vertical_segment_distances():
     # along a vertical line the metric is |log(t1 / t0)|
-    assert hyperbolic_distance([0.0, 0.0, 1.0], [0.0, 0.0, math.e]) == pytest.approx(1.0, abs=1e-12)
-    assert hyperbolic_distance([2.0, -1.0, 1.0], [2.0, -1.0, math.e**2]) == pytest.approx(2.0, abs=1e-12)
-    assert hyperbolic_distance([0.0, 1.0], [0.0, math.e]) == pytest.approx(1.0, abs=1e-12)
+    d = hyperbolic_distances([[0.0, 0.0, 1.0], [2.0, -1.0, 1.0]],
+                             [[0.0, 0.0, math.e], [2.0, -1.0, math.e**2]])
+    assert d == pytest.approx([1.0, 2.0], abs=1e-12)
+    assert hyperbolic_distances([[0.0, 1.0]], [[0.0, math.e]]) == pytest.approx([1.0], abs=1e-12)
 
 
 def test_distance_identity_and_symmetry(rng):
@@ -51,11 +51,11 @@ def test_triangle_inequality(rng):
 
 def test_distance_guards():
     with pytest.raises(NonpositiveHeightError):
-        hyperbolic_distance([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        hyperbolic_distances([[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]])
     with pytest.raises(NonpositiveHeightError):
-        hyperbolic_distance([0.0, 0.0, 1.0], [0.0, 0.0, -2.0])
+        hyperbolic_distances([[0.0, 0.0, 1.0]], [[0.0, 0.0, -2.0]])
     with pytest.raises(DimensionMismatchError):
-        hyperbolic_distance([0.0, 1.0], [0.0, 0.0, 1.0])
+        hyperbolic_distances([[0.0, 1.0]], [[0.0, 0.0, 1.0]])
 
 
 def test_vertical_comparison_identity():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import riemann_gaussian_moment_1d
-from monolift import build_scheme, default_scheme, gaussian_expectation, scheme_from_config
+from monolift import build_scheme, default_scheme, gaussian_expectation
 from monolift.quadrature import _require_reversal_symmetry
 from monolift.errors import (
     DimensionOverflowError,
@@ -134,15 +134,6 @@ def test_seed_changes_quasi_nodes():
     a = build_scheme(2, "quasi_random", 256, seed=0)
     b = build_scheme(2, "quasi_random", 256, seed=1)
     assert not np.array_equal(a.nodes, b.nodes)
-
-
-def test_config_roundtrip():
-    for scheme in (build_scheme(2, "tensor_hermite", 9),
-                   build_scheme(2, "quasi_random", 128, seed=4)):
-        clone = scheme_from_config(scheme.config_dict())
-        assert np.array_equal(clone.nodes, scheme.nodes)
-        assert np.array_equal(clone.weights, scheme.weights)
-        assert clone.descriptor() == scheme.descriptor()
 
 
 def test_default_scheme_switchover():
