@@ -10,7 +10,7 @@ against the hyperbolic geometry of the half space.
 
 __version__ = "0.1.0"
 
-from .ballrules import BallRule, ball_integral, ball_rule, sphere_points
+from .ballrules import BallRule, ball_integral, ball_rule
 from .certify import (
     ClaimReport,
     CompositionReport,

@@ -1,4 +1,4 @@
-"""Quadrature rules on the closed unit ball, plus sphere point sets.
+"""Quadrature rules on the closed unit ball.
 
 Dimension 2 gets a polar product rule (Gauss-Legendre radially, trapezoid
 in the angle, which is spectrally accurate on the circle).  Higher
@@ -15,7 +15,7 @@ from scipy.stats import qmc
 
 from .errors import InvalidParameterError
 
-__all__ = ["BallRule", "ball_rule", "ball_integral", "sphere_points"]
+__all__ = ["BallRule", "ball_rule", "ball_integral"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,19 +84,3 @@ def ball_integral(rule: BallRule, density, center, radius: float) -> float:
     vals = np.asarray(density(pts), dtype=float)
     return float(radius**rule.dim * np.einsum("k,k->", rule.weights, vals))
 
-
-def sphere_points(dim: int, count: int, seed: int = 0) -> np.ndarray:
-    """Deterministic, roughly equidistributed points on the unit sphere."""
-    if dim == 2:
-        theta = 2.0 * np.pi * np.arange(count) / count
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    if dim == 3:
-        # Fibonacci lattice
-        k = np.arange(count)
-        z = 1.0 - (2.0 * k + 1.0) / count
-        phi = np.pi * (1.0 + np.sqrt(5.0)) * k
-        rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((count, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)

@@ -17,9 +17,16 @@ below by c(delta) ||A|| with
 and ``claim_check`` brute-forces that bound over random matrices.
 
 Matrix constants of 1x1 and 2x2 matrices are exact (a closed form, see
-``_delta_2x2``).  For n >= 3 they come from a multi-start
-projected-gradient search on the sphere; every value it reports is
-attained by some direction, so it is an upper bound on delta.
+``_delta_2x2``).  For n >= 3 (``_delta_pencil``) let P = sym A,
+B_mu = (mu A^T A + I / mu) / 2 and c(mu) the least eigenvalue of the
+pencil (P, B_mu).  As |Av| |v| <= v^T B_mu v (AM-GM, with equality when
+mu |Av| = |v|), delta >= c(mu) for every mu when P is positive definite,
+and then delta = max c(mu) by Brickman's convexity theorem and the
+S-lemma; otherwise delta = min c(mu).  A search over log mu gives a
+certified lower bound (the best c less a rounding allowance, or -1 when
+P is not positive definite) and an upper bound attained by an explicit
+direction, which ``matrix_delta`` reports; when delta > 0 they agree to
+about 1e-12.  ``claim_check`` qualifies matrices on the lower bound.
 """
 
 from __future__ import annotations
@@ -65,10 +72,10 @@ __all__ = [
     "composition_monotonicity_demo",
 ]
 
-_RANK1_RATIO = 1e-14       # 2x2 matrices with sigma_min/sigma_max below this are rank 1
-_PGD_RESTARTS = 64         # random restarts on the sphere for dim >= 3
-_PGD_SEED = 20151204
-_ROW_BUDGET = 1 << 19      # restart rows handled per vectorised chunk
+_RANK_RATIO = 1e-14        # singular values below this fraction of sigma_max count as 0
+_PENCIL_GRID = 32          # evenly spaced log(mu) points per matrix before refinement
+_GOLDEN_STEPS = 60         # bracket shrinks by 0.618^60 ~ 3e-13
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +99,18 @@ class PairConfig:
     box: float = 10.0
     crossing_pairs: int = 0
     witness_radii: tuple[float, ...] = ()
+
+    def __post_init__(self):  # separations 10^u must be finite floats
+        _check_sampling(self.box, "log_radius_range", self.log_radius_range, -308.0, 308.0)
+
+
+def _check_sampling(box, name, bounds, lowest, highest):
+    """A finite positive box and lowest <= lo <= hi <= highest for ``bounds``."""
+    if not (math.isfinite(box) and box > 0.0):
+        raise InvalidParameterError(f"box must be finite and positive, got {box}")
+    if not lowest <= bounds[0] <= bounds[1] <= highest:
+        raise InvalidParameterError(
+            f"{name} must be ordered within [{lowest:.4g}, {highest:.4g}], got {tuple(bounds)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,23 +170,20 @@ def _witness_family(radii, dim):
     return pairs
 
 
+def _offset_pairs(rng, cfg: PairConfig, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m base points in the box and partners at log-uniform random offsets."""
+    base = rng.uniform(-cfg.box, cfg.box, (m, cfg.dim))
+    dirs = rng.standard_normal((m, cfg.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return base, base + 10.0 ** rng.uniform(*cfg.log_radius_range, m)[:, None] * dirs
+
+
 def sample_pairs(cfg: PairConfig) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(cfg.seed)
-    lo, hi = cfg.log_radius_range
-    base = rng.uniform(-cfg.box, cfg.box, (cfg.pairs, cfg.dim))
-    dirs = rng.standard_normal((cfg.pairs, cfg.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = 10.0 ** rng.uniform(lo, hi, cfg.pairs)
-    A = base
-    B = base + radii[:, None] * dirs
+    A, B = _offset_pairs(rng, cfg, cfg.pairs)
     if cfg.crossing_pairs:
         m = cfg.crossing_pairs
-        cbase = rng.uniform(-cfg.box, cfg.box, (m, cfg.dim))
-        cdirs = rng.standard_normal((m, cfg.dim))
-        cdirs /= np.linalg.norm(cdirs, axis=1, keepdims=True)
-        cradii = 10.0 ** rng.uniform(lo, hi, m)
-        CA = cbase.copy()
-        CB = cbase + cradii[:, None] * cdirs
+        CA, CB = _offset_pairs(rng, cfg, m)
         CA[:, -1] = 10.0 ** rng.uniform(-2.0, 0.3, m)    # strictly above
         CB[:, -1] = -(10.0 ** rng.uniform(-2.0, 0.3, m))  # strictly below
         A = np.concatenate([A, CA])
@@ -188,16 +204,20 @@ def two_point_delta(F, cfg: PairConfig) -> DeltaCertificate:
     A, B = sample_pairs(cfg)
     FA = np.asarray(F(A), dtype=float)
     FB = np.asarray(F(B), dtype=float)
-    dX = A - B
-    dF = FA - FB
-    nx = np.linalg.norm(dX, axis=1)
-    nf = np.linalg.norm(dF, axis=1)
-    den = nf * nx
+    with np.errstate(over="ignore", invalid="ignore"):
+        dX = A - B
+        dF = FA - FB
+        den = np.linalg.norm(dF, axis=1) * np.linalg.norm(dX, axis=1)
+        num = np.einsum("ki,ki->k", dF, dX)
+    overflow = ~(np.isfinite(den) & np.isfinite(num))
+    if np.any(overflow):
+        raise InvalidParameterError(
+            f"pair separations overflow: |F(a) - F(b)| |a - b| or <F(a) - F(b), a - b> "
+            f"is not finite for {int(overflow.sum())} of {A.shape[0]} pairs")
     keep = den > 1e-300
     skipped = int(A.shape[0] - keep.sum())
     if not np.any(keep):
         raise DegenerateMapError("every sampled pair was collapsed by the map")
-    num = np.einsum("ki,ki->k", dF, dX)
     ratios = num[keep] / den[keep]
     pos = int(np.argmin(ratios))
     idx = int(np.flatnonzero(keep)[pos])
@@ -223,6 +243,11 @@ def _two_product(x, y):
     return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
 
+def _pow2_rescaled(mats: np.ndarray) -> np.ndarray:
+    """Exact power-of-two rescale to max |entry| in [1/2, 1): delta is scale-free."""
+    return np.ldexp(mats, -np.frexp(np.max(np.abs(mats), axis=(1, 2)))[1][:, None, None])
+
+
 def _delta_2x2(mats: np.ndarray) -> np.ndarray:
     """Exact matrix constant of a stack of 2x2 matrices.
 
@@ -245,8 +270,7 @@ def _delta_2x2(mats: np.ndarray) -> np.ndarray:
     once c <= 0, where c = u.w / (|u| |w|).  The determinant is formed from
     exact products, so near-singular matrices keep full accuracy.
     """
-    # delta is scale-free: an exact power-of-two rescale keeps |alpha|^2 finite
-    A = np.ldexp(mats, -np.frexp(np.max(np.abs(mats), axis=(1, 2)))[1][:, None, None])
+    A = _pow2_rescaled(mats)
     a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
     (ad, ad_err), (bc, bc_err) = _two_product(a, d), _two_product(b, c)
     det = (ad - bc) + (ad_err - bc_err)
@@ -255,7 +279,7 @@ def _delta_2x2(mats: np.ndarray) -> np.ndarray:
     conf = np.hypot(re, im)
     anti = np.hypot(0.5 * (a - d), 0.5 * (b + c))
     sigma_max = conf + anti
-    rank1 = np.abs(det) <= _RANK1_RATIO * sigma_max * sigma_max
+    rank1 = np.abs(det) <= _RANK_RATIO * sigma_max * sigma_max
     sqrt_det = np.sqrt(np.where(rank1, 0.0, np.maximum(det, 0.0)))
     with np.errstate(divide="ignore", invalid="ignore"):  # conf = 0 has det < 0
         delta = (re * sqrt_det - im * anti) / (conf * conf)
@@ -263,56 +287,96 @@ def _delta_2x2(mats: np.ndarray) -> np.ndarray:
     return np.where(winds, -1.0, delta)
 
 
-def _delta_pgd(mats: np.ndarray, restarts: int = _PGD_RESTARTS, iters: int = 100) -> np.ndarray:
-    """Multi-start projected-gradient descent on the unit sphere (dim >= 3)."""
-    M, n, _ = mats.shape
-    rng = np.random.default_rng(_PGD_SEED)
-    V0 = rng.standard_normal((restarts, n))
-    V0 /= np.linalg.norm(V0, axis=1, keepdims=True)
-    out = np.empty(M)
-    chunk = max(1, _ROW_BUDGET // restarts)
-    for s in range(0, M, chunk):
-        A = mats[s:s + chunk]
-        mc = A.shape[0]
-        S = A + np.transpose(A, (0, 2, 1))
-        V = np.broadcast_to(V0, (mc, restarts, n)).copy()
-        step = np.full((mc, restarts), 0.25)
-        h, AV, q, r = _pgd_state(A, V)
-        for _ in range(iters):
-            grad = np.einsum("mij,mkj->mki", S, V) / r[:, :, None]
-            grad -= (q / r**3)[:, :, None] * np.einsum("mji,mkj->mki", A, AV)
-            grad -= np.einsum("mki,mki->mk", grad, V)[:, :, None] * V
-            Vt = V - step[:, :, None] * grad
-            Vt /= np.linalg.norm(Vt, axis=2, keepdims=True)
-            ht, AVt, qt, rt = _pgd_state(A, Vt)
-            better = ht < h
-            bexp = better[:, :, None]
-            V = np.where(bexp, Vt, V)
-            AV = np.where(bexp, AVt, AV)
-            q = np.where(better, qt, q)
-            r = np.where(better, rt, r)
-            h = np.where(better, ht, h)
-            step = np.where(better, np.minimum(step * 1.25, 1.0), step * 0.5)
-            if float(step.max()) < 1e-10:
-                break
-        out[s:s + chunk] = h.min(axis=1)
-    return out
+def _golden_max(objective, grid: np.ndarray):
+    """Best abscissa and value of ``objective`` per row: the best point of the
+    row's sorted ``grid``, refined by golden-section search between its neighbours."""
+    # a column at a time: small temporaries, which is faster and keeps the heap small
+    values = np.concatenate([objective(grid[:, j:j + 1]) for j in range(grid.shape[1])], axis=1)
+    x = np.take_along_axis(grid, np.argmax(values, axis=1)[:, None], axis=1)
+    a = np.max(np.where(grid < x, grid, grid[:, :1]), axis=1, keepdims=True)  # x at an end
+    b = np.min(np.where(grid > x, grid, grid[:, -1:]), axis=1, keepdims=True)
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = objective(x1), objective(x2)
+    for _ in range(_GOLDEN_STEPS):
+        right = f1 < f2
+        a, b = np.where(right, x1, a), np.where(right, b, x2)
+        xn = np.where(right, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
+        fn = objective(xn)
+        x1, x2 = np.where(right, x2, xn), np.where(right, xn, x1)
+        f1, f2 = np.where(right, f2, fn), np.where(right, fn, f1)
+    xs, fs = np.concatenate([grid, x1, x2], axis=1), np.concatenate([values, f1, f2], axis=1)
+    best = np.argmax(fs, axis=1)[:, None]
+    return np.take_along_axis(xs, best, axis=1)[:, 0], np.take_along_axis(fs, best, axis=1)[:, 0]
 
 
-def _pgd_state(A, V):
-    AV = np.einsum("mij,mkj->mki", A, V)
-    q = np.einsum("mki,mki->mk", AV, V)
-    r = np.sqrt(np.einsum("mki,mki->mk", AV, AV))
-    scale = np.max(np.abs(A), axis=(1, 2))[:, None]
-    r = np.maximum(r, 1e-14 * scale)  # keeps the gradient finite near kernels
-    h = q / r
-    return h, AV, q, r
+def _delta_pencil(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified lower bound and attained value of delta for n >= 3 (module docstring).
+
+    Works in the right singular basis: sym A = sym(W diag(sigma)), W = V^T U, and
+    |Av| = |diag(sigma) z|, so ratios stay accurate next to a kernel; singular values
+    below _RANK_RATIO sigma_max count as 0, as in _delta_2x2.  The log(mu) grid spans
+    [-log sigma_max, -log sigma_min] and adds -log |lambda| for each eigenvalue of A,
+    where c can dip narrowly (a real eigenvector with lambda < 0 attains -1).  The
+    attained value is the least ratio over the two lowest pencil eigenvectors at the
+    best mu and their combinations with mu |Av| = |v|, the minimiser when the lowest
+    eigenvalue is double (as for symmetric A); on a kernel it also takes the limit
+    of the ratio there, -||W[kernel, range]||, which no finite mu reaches when c is
+    flat (diag(1, 1, 0) has infimum 0).
+    """
+    A = _pow2_rescaled(mats)
+    U, sv, Vt = np.linalg.svd(A)
+    sv = np.where(sv > _RANK_RATIO * sv[:, :1], sv, 0.0)
+    W = Vt @ U
+    WS = W * sv[:, None, :]
+    P = 0.5 * (WS + np.swapaxes(WS, 1, 2))
+    sign = np.where(np.linalg.eigvalsh(P)[:, :1] > 0.0, 1.0, -1.0)  # maximise c, or minimise
+
+    def pencil(s):  # P scaled on both sides by d = diag B_mu^(-1/2), mu = e^s; and d
+        mu = np.exp(s)[..., None]
+        d = 1.0 / np.sqrt(0.5 * (mu * (sv * sv)[:, None, :] + 1.0 / mu))
+        return P[:, None] * d[..., :, None] * d[..., None, :], d
+
+    lam = np.linalg.eigvals(A)
+    lo, hi = -np.log(sv[:, :1]), -np.log(np.maximum(sv[:, -1:], _RANK_RATIO * sv[:, :1]))
+    with np.errstate(divide="ignore"):
+        grid = np.concatenate([lo + np.linspace(0.0, 1.0, _PENCIL_GRID) * (hi - lo),
+                               np.clip(-np.log(np.abs(lam)), lo, hi)], axis=1)
+    s, f = _golden_max(lambda s: sign * np.linalg.eigvalsh(pencil(s)[0])[..., 0],
+                       np.sort(grid, axis=1))
+
+    M, d = pencil(s[:, None])
+    Y = np.linalg.eigh(M[:, 0])[1] * d[:, 0, :, None]  # columns z = B_mu^(-1/2) y
+    y1, y2 = Y[:, :, 0], Y[:, :, 1]
+    h = np.exp(2.0 * s)[:, None] * sv * sv - 1.0   # z^T diag(h) z = mu^2 |Av|^2 - |v|^2
+    h11, h12, h22 = ((h * a * b).sum(axis=1)[:, None] for a, b in ((y1, y1), (y1, y2), (y2, y2)))
+    q = -(h12 + np.copysign(np.sqrt(np.maximum(h12 * h12 - h11 * h22, 0.0)), h12))
+    Z = np.stack([y1, y2, q * y1 + h11 * y2, h22 * y1 + q * y2], axis=1)
+    num = ((Z @ P) * Z).sum(axis=2)
+    den = np.sqrt(((Z * sv[:, None, :]) ** 2).sum(axis=2) * (Z * Z).sum(axis=2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        attained = np.min(np.where(den > 0.0, num / den, np.inf), axis=1)
+    kernel = sv == 0.0
+    limit = -np.linalg.svd(W * (kernel[:, :, None] & ~kernel[:, None, :]), compute_uv=False)[:, 0]
+    attained = np.where(kernel.any(axis=1), np.minimum(attained, limit), attained)
+    # each entry of the scaled pencil carries a few ulps of its size, eigvalsh about n
+    N = np.abs(WS) * d[:, 0, :, None] * d[:, 0, None, :]
+    rounding = 4 * A.shape[1] * np.finfo(float).eps * np.sqrt((N * N).sum(axis=(1, 2)))
+    return np.where(sign[:, 0] > 0.0, f - rounding, -1.0), np.clip(attained, -1.0, 1.0)
+
+
+def _delta_bounds(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(certified lower bound, attained value) of delta; equal, and exact, for n <= 2."""
+    if arr.shape[1] >= 3:
+        return _delta_pencil(arr)
+    d = np.sign(arr[:, 0, 0]) if arr.shape[1] == 1 else _delta_2x2(arr)  # sign(a) in dim 1
+    return d, d
 
 
 def matrix_delta(A) -> float:
     """min over unit v of v^T A v / |A v| (directions with Av = 0 excluded).
 
-    Exact for n <= 2; for n >= 3 a searched upper bound (see the module docstring).
+    Exact for n <= 2; for n >= 3 the least ratio attained in the pencil search
+    (see the module docstring), an upper bound on delta.
     """
     return float(matrix_delta_many(as_square_matrix(A)[None, :, :])[0])
 
@@ -326,11 +390,7 @@ def matrix_delta_many(mats) -> np.ndarray:
         raise InvalidParameterError("matrix entries must be finite")
     if np.any(np.max(np.abs(arr), axis=(1, 2)) == 0.0):
         raise ZeroMatrixError("matrix constant of the zero matrix is undefined")
-    if arr.shape[1] == 1:
-        return np.sign(arr[:, 0, 0])  # v^T A v / |A v| = sign(a) in dim 1
-    if arr.shape[1] == 2:
-        return _delta_2x2(arr)
-    return _delta_pgd(arr)
+    return _delta_bounds(arr)[1]
 
 
 def matrix_gamma(A) -> float:
@@ -412,10 +472,12 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
                 delta_floor: float = 0.05) -> ClaimReport:
     """Brute-force the singular-value claim over random matrices.
 
-    For every sampled matrix with matrix constant >= ``delta_floor`` the
-    check asserts sigma_min >= c(delta) sigma_max (up to 1e-12 relative
-    rounding slack) and reports the worst margin seen.  The floor must lie
-    in (0, 1], the domain of :func:`claim_constant`.
+    A sampled matrix qualifies when the certified lower bound on its
+    matrix constant (exact for n <= 2, see the module docstring) is
+    >= ``delta_floor``; the matrix is then delta-monotone with delta that
+    bound, and the check asserts sigma_min >= c(delta) sigma_max (up to
+    1e-12 relative rounding slack) and reports the worst margin seen.  The
+    floor must lie in (0, 1], the domain of :func:`claim_constant`.
     """
     if not 0.0 < delta_floor <= 1.0:
         raise InvalidParameterError(f"delta_floor must lie in (0, 1], got {delta_floor}")
@@ -423,13 +485,13 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
     for dim in dims:
         rng = np.random.default_rng([seed, dim])
         mats = _random_test_matrices(dim, count, rng)
-        deltas = matrix_delta_many(mats)
-        qual = deltas >= delta_floor
+        lower = _delta_bounds(mats)[0]
+        qual = lower >= delta_floor
         nqual = int(qual.sum())
         if nqual:
             sv = np.linalg.svd(mats[qual], compute_uv=False)
             smax, smin = sv[:, 0], sv[:, -1]
-            c = claim_constant(np.minimum(deltas[qual], 1.0))
+            c = claim_constant(np.minimum(lower[qual], 1.0))
             gap = (smin - c * smax) / smax
             violations = int(np.sum(gap < -1e-12))
             worst = float(gap.min())
@@ -452,6 +514,10 @@ class TripleConfig:
     box: float = 10.0
     s_range: tuple[float, float] = (1e-2, 1e2)
     buckets: int = 40
+
+    def __post_init__(self):
+        _check_sampling(self.box, "s_range", self.s_range,
+                        np.finfo(float).tiny, np.finfo(float).max)
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,6 +30,7 @@ from monolift import (
     trivial_lift_map,
     two_point_delta,
 )
+from monolift.certify import _delta_bounds
 from monolift.errors import (
     DegenerateMapError,
     DegenerateTripleError,
@@ -68,7 +69,7 @@ def test_matrix_delta_special_cases():
 
 
 def test_matrix_delta_dim3_embedded_rotation():
-    # block rotation in a 3x3 frame exercises the projected-gradient path
+    # block rotation in a 3x3 frame exercises the eigenvalue-pencil path
     theta = math.pi / 5
     A = np.eye(3)
     A[:2, :2] = rotation_matrix(theta)
@@ -265,6 +266,136 @@ def test_delta_gamma_claim_chain(rng):
         assert g >= d * claim_constant(min(d, 1.0)) - 1e-9
 
 
+def fibonacci_sphere(count):
+    """Fibonacci lattice on the unit sphere in R^3."""
+    k = np.arange(count)
+    z = 1.0 - (2.0 * k + 1.0) / count
+    phi = np.pi * (1.0 + np.sqrt(5.0)) * k
+    rho = np.sqrt(1.0 - z * z)
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+
+
+def dense_sphere_delta(mats, points, keep=16, steps=300):
+    """Least v^T A v / (|Av| |v|) over ``points`` on the unit sphere, then
+    projected-gradient polish from the ``keep`` best points of each matrix.
+
+    Every value is attained, so it bounds delta above.  Directions with
+    |Av| < 1e-3 ||A|| are skipped: there the ratio's rounding error, about
+    n eps ||A|| / |Av|, could exceed the 1e-12 tolerance it is compared with.
+    """
+    mats = np.asarray(mats, float)
+    floor = 1e-3 * np.linalg.norm(mats, 2, axis=(1, 2))[:, None]
+
+    def ratio(A, V, floor):
+        AV = np.einsum("mij,mkj->mki", A, V)
+        r = np.linalg.norm(AV, axis=2)
+        ok = r >= floor
+        return np.where(ok, np.einsum("mki,mki->mk", AV, V) / np.where(ok, r, 1.0), np.inf)
+
+    best = np.empty((len(mats), keep, mats.shape[1]))
+    for s in range(0, len(mats), 32):
+        A = mats[s:s + 32]
+        h = ratio(A, np.broadcast_to(points, (len(A),) + points.shape), floor[s:s + 32])
+        best[s:s + 32] = points[np.argsort(h, axis=1)[:, :keep]]
+    V, h = best, ratio(mats, best, floor)
+    S = mats + np.swapaxes(mats, 1, 2)
+    step = np.full(h.shape, 0.05)
+    for _ in range(steps):
+        AV = np.einsum("mij,mkj->mki", mats, V)
+        q = np.einsum("mki,mki->mk", AV, V)
+        r = np.maximum(np.linalg.norm(AV, axis=2), floor)
+        g = np.einsum("mij,mkj->mki", S, V) / r[:, :, None]
+        g -= (q / r**3)[:, :, None] * np.einsum("mji,mkj->mki", mats, AV)
+        g -= np.einsum("mki,mki->mk", g, V)[:, :, None] * V
+        W = V - step[:, :, None] * g
+        W /= np.linalg.norm(W, axis=2, keepdims=True)
+        hw = ratio(mats, W, floor)
+        better = hw < h
+        V = np.where(better[:, :, None], W, V)
+        h = np.where(better, hw, h)
+        step = np.where(better, np.minimum(1.25 * step, 1.0), 0.5 * step)
+    return h.min(axis=1)
+
+
+def oracle_matrices(n, rng, each=60):
+    """Gaussian, shifted-Gaussian, near-symmetric, near-singular and
+    rank-deficient n x n matrices."""
+    def orthogonal():
+        return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+    gauss = rng.standard_normal((each, n, n))
+    shifted = rng.standard_normal((each, n, n)) + rng.uniform(0.5, 3.0, each)[:, None, None] * np.eye(n)
+    near_symmetric, near_singular, rank_deficient = [], [], []
+    for _ in range(each):
+        Q, lam = orthogonal(), 10.0 ** rng.uniform(-2.0, 2.0, n)
+        K = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8.0, -1.0) * lam.max()
+        near_symmetric.append(Q @ np.diag(lam) @ Q.T + K - K.T)
+        s = np.sort(10.0 ** rng.uniform(-3.0, 0.0, n))[::-1]
+        s[-1] = 10.0 ** rng.uniform(-13.0, -6.0)
+        near_singular.append(orthogonal() @ np.diag(s) @ orthogonal().T)
+        r = int(rng.integers(1, n))
+        rank_deficient.append(rng.standard_normal((n, r)) @ rng.standard_normal((r, n)))
+    return np.concatenate([gauss, shifted, np.array(near_symmetric),
+                           np.array(near_singular), np.array(rank_deficient)])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_matrix_delta_bounds_against_dense_reference(n):
+    rng = np.random.default_rng([2026, n])
+    mats = oracle_matrices(n, rng)
+    if n == 3:
+        points = fibonacci_sphere(16384)
+    else:
+        points = rng.standard_normal((16384, n))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+    lower, upper = _delta_bounds(mats)
+    assert np.array_equal(upper, matrix_delta_many(mats))
+    assert np.all(upper <= dense_sphere_delta(mats, points) + 1e-12)
+    assert np.all(lower <= upper)
+    tight = upper >= 0.05
+    assert tight.sum() >= 60
+    assert np.all(upper[tight] - lower[tight] <= 1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_matrix_delta_spd_eigenvalue_formula_higher_dims(n, rng):
+    # SPD: delta = 2 sqrt(l_min l_max) / (l_min + l_max), attained by a mix
+    # of the two extreme eigenvectors (the pencil's lowest eigenvalue is double)
+    for _ in range(50):
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        lam = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        A = Q @ np.diag(lam) @ Q.T
+        expected = 2.0 * math.sqrt(lam.min() * lam.max()) / (lam.min() + lam.max())
+        lower, upper = _delta_bounds(A[None])
+        assert upper[0] == pytest.approx(expected, abs=1e-12)
+        assert lower[0] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_matrix_delta_block_rotations_higher_dims(n):
+    for theta in np.linspace(0.0, math.pi, 13):
+        A = np.eye(n)
+        A[:2, :2] = rotation_matrix(theta)
+        assert matrix_delta(A) == pytest.approx(math.cos(theta), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_matrix_delta_kernel_limits_higher_dims(n, rng):
+    # A = u w^T: the infimum is the limit at the kernel w-perp, as for n = 2
+    for _ in range(100):
+        u, w = rng.standard_normal(n), rng.standard_normal(n)
+        assert matrix_delta(np.outer(u, w)) == pytest.approx(rank1_delta(u, w), abs=1e-12)
+    # diag(1, ..., 1, 0): every attained ratio is positive, the infimum 0 sits at e_n
+    assert matrix_delta(np.diag([1.0] * (n - 1) + [0.0])) == 0.0
+
+
+def test_matrix_delta_many_dim3_bitwise_equals_single_calls(rng):
+    mats = np.concatenate([rng.standard_normal((30, 3, 3)),
+                           rng.standard_normal((30, 3, 3)) + 2.0 * np.eye(3)])
+    many = matrix_delta_many(mats)
+    assert np.array_equal(many, [matrix_delta(m) for m in mats])
+
+
 # ---------------------------------------------------------------------------
 # the claim constant and the brute-force check
 
@@ -303,6 +434,28 @@ def test_claim_check_small_run():
 
 # ---------------------------------------------------------------------------
 # two-point certificates
+
+@pytest.mark.parametrize("make", [
+    lambda: PairConfig(dim=2, box=math.nan),
+    lambda: PairConfig(dim=2, box=0.0),
+    lambda: PairConfig(dim=2, log_radius_range=(1.0, -1.0)),
+    lambda: PairConfig(dim=2, log_radius_range=(-math.inf, 0.0)),
+    lambda: PairConfig(dim=2, log_radius_range=(0.0, 309.0)),
+    lambda: TripleConfig(dim=2, box=math.inf),
+    lambda: TripleConfig(dim=2, s_range=(0.0, 1.0)),
+    lambda: TripleConfig(dim=2, s_range=(2.0, 1.0)),
+    lambda: TripleConfig(dim=2, s_range=(1.0, math.inf)),
+])
+def test_sampling_configs_reject_bad_ranges(make):
+    with pytest.raises(InvalidParameterError):
+        make()
+
+
+def test_two_point_overflowing_separations_are_named():
+    cfg = PairConfig(dim=2, pairs=50, seed=0, log_radius_range=(300.0, 301.0))
+    with pytest.raises(InvalidParameterError, match="pair separations overflow"):
+        two_point_delta(batch_map(identity_map(2)), cfg)
+
 
 def test_two_point_identity():
     cert = two_point_delta(batch_map(identity_map(2)), PairConfig(dim=2, pairs=2000, seed=1))

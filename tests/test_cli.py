@@ -267,6 +267,9 @@ def test_scheme_seed_alone_reseeds_the_default_scheme(capsys, tmp_path):
     ["moments", "--spec", POWER1, "--p", "1000"],
     # a floor outside (0, 1], the domain of c(delta)
     ["claim-check", "--matrices", "10", "--delta-floor", "nan"],
+    # a separation range that is reversed, or whose radii 10^u overflow
+    ["certify-delta", "--spec", IDENTITY2, "--log-radius", "3", "-3"],
+    ["certify-delta", "--spec", IDENTITY2, "--log-radius", "0", "400"],
 ])
 def test_input_errors_exit_1(capsys, argv):
     code = main(argv)
@@ -302,6 +305,15 @@ def test_usage_errors_exit_1(capsys, argv):
      "the map's Jacobian overflowed at an integration point"),
     (["doubling", "--dim", "2", "--radii", "1e300"],
      "ball masses must be finite and positive"),
+    # sampling ranges are checked before any sampling
+    (["certify-delta", "--spec", IDENTITY2, "--box", "nan"],
+     "box must be finite and positive, got nan"),
+    (["certify-qs", "--spec", IDENTITY2, "--box", "inf"],
+     "box must be finite and positive, got inf"),
+    # separations near 1e300 square past the float range
+    (["certify-delta", "--spec", IDENTITY2, "--pairs", "100", "--log-radius", "300", "301"],
+     "pair separations overflow: |F(a) - F(b)| |a - b| or <F(a) - F(b), a - b> "
+     "is not finite for 100 of 100 pairs"),
 ])
 def test_overflow_error_is_the_only_stderr_line(argv, message):
     # the program's own finite check reports the overflow; no numpy

@@ -18,7 +18,6 @@ from monolift import (
     identity_map,
     linear_map,
     power_radial_map,
-    sphere_points,
     spectral_norms,
     translation_map,
     unit_ball_norm_average,
@@ -189,15 +188,11 @@ def test_jacobian_quadratic_form_lower_bound(spec, rng):
     assert np.min(quad) / alpha > 1e-3
 
 
-def test_ball_rule_and_sphere_points(rng):
+def test_ball_rule_and_integral():
     r2 = ball_rule(2)
     assert np.sum(r2.weights) == pytest.approx(math.pi, abs=1e-12)
     assert np.max(np.linalg.norm(r2.nodes, axis=1)) <= 1.0
     assert ball_integral(r2, lambda p: np.ones(len(p)), [5.0, 5.0], 2.0) == pytest.approx(
         4.0 * math.pi, abs=1e-10)
-    for dim in (2, 3, 4):
-        S = sphere_points(dim, 500, seed=2)
-        assert S.shape == (500, dim)
-        assert np.allclose(np.linalg.norm(S, axis=1), 1.0, atol=1e-12)
     with pytest.raises(InvalidParameterError):
         ball_rule(0)
