@@ -102,6 +102,7 @@ class PairConfig:
 
     def __post_init__(self):  # separations 10^u must be finite floats
         _check_sampling(self.box, "log_radius_range", self.log_radius_range, -308.0, 308.0)
+        _check_resolution(self.box, 10.0 ** self.log_radius_range[0])
 
 
 def _check_sampling(box, name, bounds, lowest, highest):
@@ -111,6 +112,22 @@ def _check_sampling(box, name, bounds, lowest, highest):
     if not lowest <= bounds[0] <= bounds[1] <= highest:
         raise InvalidParameterError(
             f"{name} must be ordered within [{lowest:.4g}, {highest:.4g}], got {tuple(bounds)}")
+
+
+# A sampled point a + r d is rounded to the spacing of the box's floats, so
+# the separation r carries an error of up to one such ulp, relative ulp / r.
+# Below 2^26 ulps it keeps fewer than half of its 53 bits, and below half
+# an ulp it rounds to zero and the pair collapses.
+_MIN_SEPARATION_ULPS = 2.0**26
+
+
+def _check_resolution(box, smallest):
+    """Raise unless ``smallest`` separation is many ulps of the box's floats."""
+    ulp = float(np.spacing(box))
+    if smallest < _MIN_SEPARATION_ULPS * ulp:
+        raise InvalidParameterError(
+            f"box {box:.4g} is too large for separations down to {smallest:.4g}: "
+            f"its ulp {ulp:.4g} must be at most 2^-26 of the smallest separation")
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,6 +521,9 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
 # ---------------------------------------------------------------------------
 # quasisymmetry profile
 
+_LOG_Y_OFFSET = (-1.0, 1.0)  # log10 range of the triple offsets |y - z|
+
+
 @dataclass(frozen=True)
 class TripleConfig:
     """Sampling plan for quasisymmetry triples (x, y, z)."""
@@ -518,6 +538,8 @@ class TripleConfig:
     def __post_init__(self):
         _check_sampling(self.box, "s_range", self.s_range,
                         np.finfo(float).tiny, np.finfo(float).max)
+        # |y - z| >= 10^lo and |x - z| >= s 10^lo, lo the low end of _LOG_Y_OFFSET
+        _check_resolution(self.box, 10.0 ** _LOG_Y_OFFSET[0] * min(1.0, self.s_range[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -561,7 +583,7 @@ def quasisymmetry_profile(spec: MapSpec, cfg: TripleConfig) -> EtaProfile:
     dx /= np.linalg.norm(dx, axis=1, keepdims=True)
     dy = rng.standard_normal((m, cfg.dim))
     dy /= np.linalg.norm(dy, axis=1, keepdims=True)
-    ry = 10.0 ** rng.uniform(-1.0, 1.0, m)
+    ry = 10.0 ** rng.uniform(*_LOG_Y_OFFSET, m)
     s_target = 10.0 ** rng.uniform(math.log10(cfg.s_range[0]), math.log10(cfg.s_range[1]), m)
     rx = s_target * ry
     x = z + rx[:, None] * dx

@@ -6,11 +6,17 @@ integrand built from the base Jacobian A = Df(x + t y):
     B(A, y) = [[ A,      A y   ],
                [ y^T A,  y^T A y ]]        ((n+1) x (n+1)),
 
-so DF(x, t) = E[ B(Df(x + t y), y) ].  This module assembles that average
-for a batch of points with the same chunking and paired-node accumulation
-the lift itself uses, and provides a central-difference Jacobian as the
-independent cross-check, batched spectral norms, and the unit-ball norm
-average that controls the size of DF.
+so DF(x, t) = E[ B(Df(x + t y), y) ].  Like the lift, this module
+evaluates Df once at x + t y and x - t y for the first half of the
+reflection-paired nodes.  Under y -> -y the A and y^T A y blocks are even
+and the A y and y^T A blocks odd, so with S = Df(x+ty) + Df(x-ty) and
+D = Df(x+ty) - Df(x-ty) the weighted pair sums give
+
+    E[A] from S,   E[A y] from D y,   E[y^T A] from y^T D,   E[y^T A y] from y^T S y.
+
+It also provides a central-difference Jacobian as the independent
+cross-check, batched spectral norms, and the unit-ball norm average that
+controls the size of DF.
 """
 
 from __future__ import annotations
@@ -28,8 +34,14 @@ from .errors import (
     NonpositiveHeightError,
     SingularPointError,
 )
-from .extension import ExtensionField, _batch, _chunks, _require_finite
-from .quadrature import gaussian_expectation
+from .extension import (
+    ExtensionField,
+    _batch,
+    _chunks,
+    _pair_average,
+    _paired_points,
+    _require_finite,
+)
 
 __all__ = [
     "extension_jacobian",
@@ -56,13 +68,15 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
     if low.size:
         raise NonpositiveHeightError(
             f"row {low[0]}: lifted Jacobian needs height > 0, got {T[low[0]]}")
-    nodes = field.scheme.nodes
-    nnodes = nodes.shape[0]
+    scheme = field.scheme
+    half, odd = divmod(scheme.size, 2)
+    y, w = scheme.nodes[:half + odd], scheme.weights[:half]
+    yh = y[:half]
     DF = np.empty((X.shape[0], n + 1, n + 1))
-    for sl in _chunks(np.arange(X.shape[0]), nnodes):
-        pts = X[sl, None, :] + T[sl, None, None] * nodes[None, :, :]
+    for sl in _chunks(np.arange(X.shape[0]), scheme.size):
+        pts = _paired_points(X[sl], T[sl], y)
         try:
-            A = evaluate_map_jacobian(field.spec, pts.reshape(-1, n)).reshape(sl.size, nnodes, n, n)
+            A = evaluate_map_jacobian(field.spec, pts.reshape(-1, n)).reshape(pts.shape + (n,))
         except InvalidParameterError:
             _require_finite(pts, sl, "x + t y at a quadrature node")
             raise
@@ -70,13 +84,15 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
             _name_singular_row(field, pts, sl, exc)
             raise
         _require_finite(A, sl, "base Jacobian at a quadrature node")
-        Ay = np.einsum("ckij,kj->cki", A, nodes)
-        yA = np.einsum("ki,ckij->ckj", nodes, A)
-        yAy = np.einsum("ki,cki->ck", nodes, Ay)
-        DF[sl, :n, :n] = gaussian_expectation(field.scheme, A, axis=1)
-        DF[sl, :n, n] = gaussian_expectation(field.scheme, Ay, axis=1)
-        DF[sl, n, :n] = gaussian_expectation(field.scheme, yA, axis=1)
-        DF[sl, n, n] = gaussian_expectation(field.scheme, yAy, axis=1)
+        plus, minus = A[:, 0, :half], A[:, 1, :half]
+        S, D = plus + minus, plus - minus
+        DF[sl, :n, :n] = _pair_average(S, w)
+        if odd:  # the centre node y = 0 pairs with itself
+            DF[sl, :n, :n] += scheme.weights[half] * A[:, 0, half]
+        DF[sl, :n, n] = _pair_average(np.einsum("ckij,kj->cki", D, yh), w)
+        DF[sl, n, :n] = _pair_average(np.einsum("ki,ckij->ckj", yh, D), w)
+        DF[sl, n, n] = _pair_average(
+            np.einsum("ki,cki->ck", yh, np.einsum("ckij,kj->cki", S, yh)), w)
         _require_finite(DF[sl], sl, "Gaussian average")
     return DF
 
@@ -86,7 +102,7 @@ def _name_singular_row(field: ExtensionField, pts: np.ndarray, rows: np.ndarray,
     """Re-raise ``exc`` naming the first of ``rows`` whose nodes ``pts`` hit it."""
     for i, row_pts in zip(rows, pts):
         try:
-            evaluate_map_jacobian(field.spec, row_pts)
+            evaluate_map_jacobian(field.spec, row_pts.reshape(-1, field.dim))
         except SingularPointError:
             raise SingularPointError(f"row {i}: {exc}") from exc
 

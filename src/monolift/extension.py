@@ -8,9 +8,15 @@ averaging f against the standard Gaussian at scale t,
 
 where y is standard normal on R^n.  On the boundary the lift restricts to
 F(x, 0) = (f(x), 0), and it propagates to negative heights by reflection:
-the horizontal components are even in t, the vertical one is odd.  When f
-is monotone the vertical component is nonnegative for t > 0; with paired
-quadrature nodes this holds term by term, not just in the limit.
+the horizontal components are even in t, the vertical one is odd.
+
+The quadrature nodes come in reflected pairs (y, -y), so f is evaluated
+once, in one batch, at x + t y and x - t y for the first half of the nodes.
+The weighted pair sums f(x + t y) + f(x - t y) give the horizontal part;
+the pair differences, contracted with y as <f(x + t y) - f(x - t y), y>,
+give the vertical part.  When f is monotone each such term is nonnegative,
+so the vertical component is nonnegative for t > 0 term by term, not just
+in the limit.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .errors import (
     InvalidParameterError,
     NonFiniteIntegrandError,
 )
-from .quadrature import QuadratureScheme, default_scheme, gaussian_expectation
+from .quadrature import QuadratureScheme, default_scheme
 
 __all__ = [
     "ExtensionField",
@@ -44,6 +50,10 @@ __all__ = [
 # einsum reduces a one-row scalar integrand over the nodes in buffered blocks
 # of 2^13 pairs, but several rows node by node.  The two orders agree up to
 # 2^13 pairs, and under this cap only such schemes put several rows in a chunk.
+# Measured with the paired reduction: at 2^16 or 2^17, rows of the 2^15- and
+# 2^16-node QMC rules share a chunk, and their scalar integrands (F_vert and
+# y^T A y) then differ in the last bits from the same rows lifted alone.
+# Caps of 2^18 and 2^20 made the dim-2 and dim-3 lifts no faster.
 _TARGET_EVALS = 1 << 15
 
 
@@ -51,6 +61,30 @@ def _chunks(rows: np.ndarray, nnodes: int):
     """Split row indices into runs of about ``_TARGET_EVALS`` node evaluations."""
     step = max(1, _TARGET_EVALS // nnodes)
     return (rows[i:i + step] for i in range(0, rows.size, step))
+
+
+def _paired_points(x: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x + t y`` and ``x - t y`` for rows ``x``, heights ``t`` and the first
+    half ``y`` of a node set, as one (c, 2, h, n) buffer.  ``x - t y`` is
+    bitwise ``x + t (-y)``, the point at the reflected node."""
+    c, (h, n) = x.shape[0], y.shape
+    buf = np.empty((c, 2, h, n))
+    np.multiply(t[:, None, None], y, out=buf[:, 1])
+    # x repeated per node: broadcasting x itself would run numpy's inner
+    # loop over only the n coordinates, 4-5x slower at n = 2
+    xs = np.tile(x, (1, h)).reshape(c, h, n)
+    np.add(xs, buf[:, 1], out=buf[:, 0])
+    np.subtract(xs, buf[:, 1], out=buf[:, 1])
+    return buf
+
+
+def _pair_average(terms: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Contract (c, h, ...) per-pair terms with the half weights ``w``.
+
+    The einsum sees the same strides as the one in
+    :func:`~monolift.quadrature.gaussian_expectation`, so a pair sum
+    reduces to the same bits there and here."""
+    return np.einsum("n...,n->...", np.moveaxis(terms, 1, 0), w)
 
 
 def _require_finite(values: np.ndarray, rows: np.ndarray, what: str) -> None:
@@ -116,8 +150,9 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
     if np.any(bad):
         raise InvalidParameterError(f"row {np.argmax(bad)}: points and heights must be finite")
 
-    nodes = field.scheme.nodes
-    nnodes = nodes.shape[0]
+    scheme = field.scheme
+    half, odd = divmod(scheme.size, 2)
+    y, w = scheme.nodes[:half + odd], scheme.weights[:half]
     out = np.empty((X.shape[0], n + 1))
 
     boundary = np.flatnonzero(T == 0.0)
@@ -127,18 +162,19 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
         out[boundary, :n] = fx
         out[boundary, n] = 0.0
 
-    for sl in _chunks(np.flatnonzero(T != 0.0), nnodes):
-        x = X[sl]
-        t = np.abs(T[sl])
-        pts = x[:, None, :] + t[:, None, None] * nodes[None, :, :]
+    for sl in _chunks(np.flatnonzero(T != 0.0), scheme.size):
+        pts = _paired_points(X[sl], np.abs(T[sl]), y)
         try:
-            fx = evaluate_map(field.spec, pts.reshape(-1, n)).reshape(sl.size, nnodes, n)
+            fx = evaluate_map(field.spec, pts.reshape(-1, n)).reshape(pts.shape)
         except InvalidParameterError:
             _require_finite(pts, sl, "x + t y at a quadrature node")
             raise
         _require_finite(fx, sl, "map evaluation at a quadrature node")
-        horiz = gaussian_expectation(field.scheme, fx, axis=1)
-        vert = gaussian_expectation(field.scheme, np.einsum("cnk,nk->cn", fx, nodes), axis=1)
+        plus, minus = fx[:, 0, :half], fx[:, 1, :half]
+        horiz = _pair_average(plus + minus, w)
+        if odd:  # the centre node y = 0 pairs with itself
+            horiz = horiz + scheme.weights[half] * fx[:, 0, half]
+        vert = _pair_average(np.einsum("cnk,nk->cn", plus - minus, y[:half]), w)
         out[sl, :n] = horiz
         out[sl, n] = np.where(T[sl] < 0.0, -vert, vert)
         _require_finite(out[sl], sl, "Gaussian average")

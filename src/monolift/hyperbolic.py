@@ -9,6 +9,7 @@ spread over a grid is the certified comparison constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,24 @@ def hyperbolic_distances(P, Q) -> np.ndarray:
     return np.arccosh(arg)
 
 
+def _vanishing_verticals(images: np.ndarray) -> np.ndarray:
+    """Rows of lifted points (m, n+1) whose vertical part is within the
+    rounding bound of the paired vertical sum.
+
+    That sum is sum_i w_i <f(x + t y_i) - f(x - t y_i), y_i> over the first
+    half of the nodes.  If each map value is within 2 eps |f| of its exact
+    value (a few roundings in the map kernels), a pair term is off by up to
+    2 eps (|f(x + t y)| + |f(x - t y)|) |y|, and the sum by up to
+    2 eps E[|f(x + t y)| |y|], which tends to 2 eps |f(x)| E|y|
+    <= 2 sqrt(n) eps |F_h| as t -> 0.  The subtraction and the dot product
+    add rounding relative to |f(x + t y) - f(x - t y)|, which is O(t).  A
+    vertical part at or below that bound cannot be told from zero.
+    """
+    n = images.shape[1] - 1
+    horizontal = np.linalg.norm(images[:, :n], axis=1)
+    return images[:, n] <= 2.0 * math.sqrt(n) * np.finfo(float).eps * horizontal
+
+
 @dataclass(frozen=True, eq=False)
 class HyperbolicReport:
     """Pointwise vertical-comparison ratios over a grid.
@@ -58,12 +77,16 @@ class HyperbolicReport:
     points: np.ndarray    # (m, n) bases
     heights: np.ndarray   # (m,)
     norms: np.ndarray     # ||DF|| per point
-    verticals: np.ndarray  # F_vert per point
+    images: np.ndarray    # (m, n+1) lifted points F(x, t)
     descriptor: str
 
     def __post_init__(self):
-        if np.any(self.verticals <= 0.0):
+        if np.any(_vanishing_verticals(self.images)):
             raise VanishingVerticalError("vertical component must be positive off the boundary")
+
+    @property
+    def verticals(self) -> np.ndarray:
+        return self.images[:, -1]
 
     @property
     def ratios(self) -> np.ndarray:
@@ -91,12 +114,11 @@ def vertical_comparison(field: ExtensionField, X, T) -> HyperbolicReport:
         raise DimensionMismatchError(f"{X.shape[0]} bases vs {T.shape[0]} heights")
     if np.any(T <= 0.0):
         raise NonpositiveHeightError("comparison ratios need strictly positive heights")
-    out = extend_points(field, X, T)
-    verticals = out[:, -1]
-    if np.any(verticals <= 1e-12):
+    images = extend_points(field, X, T)
+    if np.any(_vanishing_verticals(images)):  # before the costlier Jacobians
         raise VanishingVerticalError("lift has (numerically) vanishing vertical part")
     norms = spectral_norms(extension_jacobians(field, X, T))
-    return HyperbolicReport(points=X, heights=T, norms=norms, verticals=verticals,
+    return HyperbolicReport(points=X, heights=T, norms=norms, images=images,
                             descriptor=field.descriptor())
 
 
@@ -150,13 +172,14 @@ def bilipschitz_sample(field: ExtensionField, P, Q) -> BilipschitzReport:
     """Compare d(F(p), F(q)) with d(p, q) over embedded point pairs.
 
     Pairs at zero source distance are skipped and counted; image heights
-    must stay positive, otherwise :class:`VanishingVerticalError`.
+    must stay above the rounding bound of :func:`_vanishing_verticals`, otherwise
+    :class:`VanishingVerticalError`.
     """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     FP = extend_points(field, P[:, :-1], P[:, -1])
     FQ = extend_points(field, Q[:, :-1], Q[:, -1])
-    if np.any(FP[:, -1] <= 0.0) or np.any(FQ[:, -1] <= 0.0):
+    if np.any(_vanishing_verticals(FP)) or np.any(_vanishing_verticals(FQ)):
         raise VanishingVerticalError("lift left the upper half space")
     ds = hyperbolic_distances(P, Q)
     di = hyperbolic_distances(FP, FQ)

@@ -4,7 +4,12 @@ Node sets are built once per scheme, are exactly symmetric under
 ``y -> -y`` (the second half of the node array is the bitwise negation of
 the first half, reversed), and carry probability weights.  Expectations
 are accumulated over (+y, -y) pairs, so odd integrands cancel exactly in
-floating point, not just up to rounding.
+floating point, not just up to rounding.  The lift and its Jacobian rely
+on the same pairing: they evaluate the map only at x + t y and x - t y for
+the first half of the nodes (x - t y is bitwise the point at the reflected
+node), contract the pair sums for the even parts of the integrand and the
+pair differences for the odd parts, and weight both with the first half of
+the weights, as :func:`gaussian_expectation` does.
 """
 
 from __future__ import annotations

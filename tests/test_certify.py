@@ -445,6 +445,11 @@ def test_claim_check_small_run():
     lambda: TripleConfig(dim=2, s_range=(0.0, 1.0)),
     lambda: TripleConfig(dim=2, s_range=(2.0, 1.0)),
     lambda: TripleConfig(dim=2, s_range=(1.0, math.inf)),
+    # boxes whose float spacing is not far below the smallest separation
+    lambda: PairConfig(dim=2, box=1e17),
+    lambda: PairConfig(dim=2, box=1e3, log_radius_range=(-8.0, 0.0)),
+    lambda: TripleConfig(dim=2, box=1e17),
+    lambda: TripleConfig(dim=2, s_range=(1e-9, 1.0)),
 ])
 def test_sampling_configs_reject_bad_ranges(make):
     with pytest.raises(InvalidParameterError):

@@ -314,6 +314,13 @@ def test_usage_errors_exit_1(capsys, argv):
     (["certify-delta", "--spec", IDENTITY2, "--pairs", "100", "--log-radius", "300", "301"],
      "pair separations overflow: |F(a) - F(b)| |a - b| or <F(a) - F(b), a - b> "
      "is not finite for 100 of 100 pairs"),
+    # offsets of 10^-3 would round away against base points near 1e17
+    (["certify-delta", "--spec", IDENTITY2, "--box", "1e17", "--pairs", "100"],
+     "box 1e+17 is too large for separations down to 0.001: "
+     "its ulp 16 must be at most 2^-26 of the smallest separation"),
+    (["certify-qs", "--spec", IDENTITY2, "--box", "1e17"],
+     "box 1e+17 is too large for separations down to 0.001: "
+     "its ulp 16 must be at most 2^-26 of the smallest separation"),
 ])
 def test_overflow_error_is_the_only_stderr_line(argv, message):
     # the program's own finite check reports the overflow; no numpy

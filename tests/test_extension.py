@@ -7,13 +7,16 @@ from monolift import (
     MapSpec,
     build_scheme,
     convex_gradient_quartic_map,
+    default_scheme,
     evaluate_map,
+    evaluate_map_jacobian,
     extend_grid,
     extend_point,
     extend_points,
     extension_jacobian,
     extension_jacobians,
     full_space_map,
+    gaussian_expectation,
     gaussian_extension,
     identity_map,
     lattice_points,
@@ -232,6 +235,56 @@ def test_batch_equals_rows_bitwise(scheme, rng):
         t = -T[i] if i % 3 == 0 else T[i]
         assert np.array_equal(lifted[i], extend_point(field, (X[i], t)))
         assert np.array_equal(jacobians[i], extension_jacobian(field, (X[i], T[i])))
+
+
+def full_node_sums(field, x, t):
+    """Lift and Jacobian of one point from every node separately: each
+    integrand evaluated at all N nodes and reduced by gaussian_expectation,
+    plus the magnitudes E[sum |products|] that bound each entry's rounding."""
+    y, ay = field.scheme.nodes, np.abs(field.scheme.nodes)
+
+    def mean(v):
+        return gaussian_expectation(field.scheme, v)
+
+    f = evaluate_map(field.spec, x + t * y)
+    A = evaluate_map_jacobian(field.spec, x + t * y)
+    Ay = np.einsum("kij,kj->ki", A, y)
+    aAy = np.einsum("kij,kj->ki", np.abs(A), ay)
+    sums = {"horizontal": mean(f), "vertical": mean(np.einsum("ki,ki->k", f, y)), "A": mean(A),
+            "Ay": mean(Ay), "yA": mean(np.einsum("ki,kij->kj", y, A)),
+            "yAy": mean(np.einsum("ki,ki->k", y, Ay))}
+    mags = {"vertical": mean(np.einsum("ki,ki->k", np.abs(f), ay)), "Ay": mean(aAy),
+            "yA": mean(np.einsum("ki,kij->kj", ay, np.abs(A))),
+            "yAy": mean(np.einsum("ki,ki->k", ay, aAy))}
+    return sums, mags
+
+
+@pytest.mark.parametrize("scheme", [default_scheme(n) for n in (1, 2, 3, 4)]
+                         + [build_scheme(2, "tensor_hermite", 7)],
+                         ids=lambda s: s.descriptor())
+def test_paired_reduction_matches_full_node_sums(scheme, rng):
+    # The lift evaluates f at x +- t y over the first half of the nodes.  Pair
+    # sums give the same bits as the full node set (horizontal part, A block);
+    # pair differences (f(x+ty) - f(x-ty)) y replace f(x+ty) y + f(x-ty) (-y).
+    # Each form of a pair term is within gamma_k M of the exact one, M the
+    # entry's magnitude and k = n + 1 (2n + 1 for y^T A y) its rounding steps,
+    # so the two differ by at most 2k ulps of M; measured: at most 2.
+    n = scheme.dim
+    ulps = {"vertical": 2 * (n + 1), "Ay": 2 * (n + 1), "yA": 2 * (n + 1), "yAy": 2 * (2 * n + 1)}
+    for spec in (power_radial_map(n, 0.5), convex_gradient_quartic_map(n, 1.0, 0.5)):
+        field = gaussian_extension(spec, scheme)
+        X = rng.uniform(-2.0, 2.0, size=(3, n))
+        T = rng.uniform(0.1, 2.0, size=3)
+        lifted = extend_points(field, X, T)
+        DF = extension_jacobians(field, X, T)
+        for i in range(3):
+            sums, mags = full_node_sums(field, X[i], T[i])
+            assert np.array_equal(lifted[i, :n], sums["horizontal"])
+            assert np.array_equal(DF[i, :n, :n], sums["A"])
+            paired = {"vertical": lifted[i, n], "Ay": DF[i, :n, n], "yA": DF[i, n, :n],
+                      "yAy": DF[i, n, n]}
+            for key, value in paired.items():
+                assert np.all(np.abs(value - sums[key]) <= ulps[key] * np.spacing(mags[key])), key
 
 
 def test_scheme_override_changes_resolution():

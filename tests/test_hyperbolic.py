@@ -159,3 +159,20 @@ def test_bilipschitz_rejects_boundary_images():
     P, Q = sample_height_pairs(2, 20, seed=8)
     with pytest.raises(VanishingVerticalError):
         bilipschitz_sample(degenerate, P, Q)
+
+
+def test_small_vertical_parts_are_kept():
+    # only a vertical part within rounding of the image point counts as
+    # vanishing: F_vert = n t of the identity at t = 1e-8, and the 2e-14 t
+    # of a map scaled down to 1e-14, are real and must pass
+    X = np.array([[1.0, 0.5], [-3.0, 2.0]])
+    T = np.full(2, 1e-8)
+    identity = gaussian_extension(identity_map(2))
+    report = vertical_comparison(identity, X, T)
+    assert np.allclose(report.verticals, 2.0 * T, rtol=1e-6)
+    assert np.allclose(report.ratios, 1.0, rtol=1e-6)
+    pairs = bilipschitz_sample(identity, np.column_stack([X, T]), np.column_stack([X, 4.0 * T]))
+    assert np.allclose(pairs.ratios, 1.0, rtol=1e-6)
+    tiny = gaussian_extension(linear_map(1e-14 * np.eye(2)))
+    report = vertical_comparison(tiny, X, np.ones(2))
+    assert np.allclose(report.ratios, 1.0, rtol=1e-6)
