@@ -34,14 +34,8 @@ from .errors import (
     NonpositiveHeightError,
     SingularPointError,
 )
-from .extension import (
-    ExtensionField,
-    _batch,
-    _chunks,
-    _pair_average,
-    _paired_points,
-    _require_finite,
-)
+from .extension import ExtensionField, _batch, _chunks, _paired_points, _require_finite
+from .quadrature import pair_expectation, paired_nodes
 
 __all__ = [
     "extension_jacobian",
@@ -69,9 +63,7 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
         raise NonpositiveHeightError(
             f"row {low[0]}: lifted Jacobian needs height > 0, got {T[low[0]]}")
     scheme = field.scheme
-    half, odd = divmod(scheme.size, 2)
-    y, w = scheme.nodes[:half + odd], scheme.weights[:half]
-    yh = y[:half]
+    y = paired_nodes(scheme)
     DF = np.empty((X.shape[0], n + 1, n + 1))
     for sl in _chunks(np.arange(X.shape[0]), scheme.size):
         pts = _paired_points(X[sl], T[sl], y)
@@ -84,15 +76,12 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
             _name_singular_row(field, pts, sl, exc)
             raise
         _require_finite(A, sl, "base Jacobian at a quadrature node")
-        plus, minus = A[:, 0, :half], A[:, 1, :half]
-        S, D = plus + minus, plus - minus
-        DF[sl, :n, :n] = _pair_average(S, w)
-        if odd:  # the centre node y = 0 pairs with itself
-            DF[sl, :n, :n] += scheme.weights[half] * A[:, 0, half]
-        DF[sl, :n, n] = _pair_average(np.einsum("ckij,kj->cki", D, yh), w)
-        DF[sl, n, :n] = _pair_average(np.einsum("ki,ckij->ckj", yh, D), w)
-        DF[sl, n, n] = _pair_average(
-            np.einsum("ki,cki->ck", yh, np.einsum("ckij,kj->cki", S, yh)), w)
+        S, D = A[:, 0] + A[:, 1], A[:, 0] - A[:, 1]
+        DF[sl, :n, :n] = pair_expectation(scheme, S, axis=1)
+        DF[sl, :n, n] = pair_expectation(scheme, np.einsum("ckij,kj->cki", D, y), axis=1)
+        DF[sl, n, :n] = pair_expectation(scheme, np.einsum("ki,ckij->ckj", y, D), axis=1)
+        DF[sl, n, n] = pair_expectation(
+            scheme, np.einsum("ki,cki->ck", y, np.einsum("ckij,kj->cki", S, y)), axis=1)
         _require_finite(DF[sl], sl, "Gaussian average")
     return DF
 

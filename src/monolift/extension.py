@@ -31,7 +31,7 @@ from .errors import (
     InvalidParameterError,
     NonFiniteIntegrandError,
 )
-from .quadrature import QuadratureScheme, default_scheme
+from .quadrature import QuadratureScheme, default_scheme, pair_expectation, paired_nodes
 
 __all__ = [
     "ExtensionField",
@@ -64,8 +64,8 @@ def _chunks(rows: np.ndarray, nnodes: int):
 
 
 def _paired_points(x: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x + t y`` and ``x - t y`` for rows ``x``, heights ``t`` and the first
-    half ``y`` of a node set, as one (c, 2, h, n) buffer.  ``x - t y`` is
+    """``x + t y`` and ``x - t y`` for rows ``x``, heights ``t`` and the
+    paired nodes ``y`` of a scheme, as one (c, 2, h, n) buffer.  ``x - t y`` is
     bitwise ``x + t (-y)``, the point at the reflected node."""
     c, (h, n) = x.shape[0], y.shape
     buf = np.empty((c, 2, h, n))
@@ -76,15 +76,6 @@ def _paired_points(x: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
     np.add(xs, buf[:, 1], out=buf[:, 0])
     np.subtract(xs, buf[:, 1], out=buf[:, 1])
     return buf
-
-
-def _pair_average(terms: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Contract (c, h, ...) per-pair terms with the half weights ``w``.
-
-    The einsum sees the same strides as the one in
-    :func:`~monolift.quadrature.gaussian_expectation`, so a pair sum
-    reduces to the same bits there and here."""
-    return np.einsum("n...,n->...", np.moveaxis(terms, 1, 0), w)
 
 
 def _require_finite(values: np.ndarray, rows: np.ndarray, what: str) -> None:
@@ -151,8 +142,7 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
         raise InvalidParameterError(f"row {np.argmax(bad)}: points and heights must be finite")
 
     scheme = field.scheme
-    half, odd = divmod(scheme.size, 2)
-    y, w = scheme.nodes[:half + odd], scheme.weights[:half]
+    y = paired_nodes(scheme)
     out = np.empty((X.shape[0], n + 1))
 
     boundary = np.flatnonzero(T == 0.0)
@@ -170,12 +160,9 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
             _require_finite(pts, sl, "x + t y at a quadrature node")
             raise
         _require_finite(fx, sl, "map evaluation at a quadrature node")
-        plus, minus = fx[:, 0, :half], fx[:, 1, :half]
-        horiz = _pair_average(plus + minus, w)
-        if odd:  # the centre node y = 0 pairs with itself
-            horiz = horiz + scheme.weights[half] * fx[:, 0, half]
-        vert = _pair_average(np.einsum("cnk,nk->cn", plus - minus, y[:half]), w)
-        out[sl, :n] = horiz
+        plus, minus = fx[:, 0], fx[:, 1]
+        vert = pair_expectation(scheme, np.einsum("cnk,nk->cn", plus - minus, y), axis=1)
+        out[sl, :n] = pair_expectation(scheme, plus + minus, axis=1)
         out[sl, n] = np.where(T[sl] < 0.0, -vert, vert)
         _require_finite(out[sl], sl, "Gaussian average")
     return out

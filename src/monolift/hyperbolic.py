@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import evaluate_map_jacobian
 from .differential import extension_jacobians, spectral_norms
 from .errors import (
     DimensionMismatchError,
@@ -48,22 +49,44 @@ def hyperbolic_distances(P, Q) -> np.ndarray:
     return np.arccosh(arg)
 
 
-def _vanishing_verticals(images: np.ndarray) -> np.ndarray:
-    """Rows of lifted points (m, n+1) whose vertical part is within the
-    rounding bound of the paired vertical sum.
+def _vanishing_verticals(field: ExtensionField, X: np.ndarray, T: np.ndarray,
+                         images: np.ndarray) -> np.ndarray:
+    """Rows of the lifted points ``images`` of (X, T) whose vertical part is
+    not above the rounding bound of the paired vertical sum.
 
     That sum is sum_i w_i <f(x + t y_i) - f(x - t y_i), y_i> over the first
-    half of the nodes.  If each map value is within 2 eps |f| of its exact
-    value (a few roundings in the map kernels), a pair term is off by up to
-    2 eps (|f(x + t y)| + |f(x - t y)|) |y|, and the sum by up to
-    2 eps E[|f(x + t y)| |y|], which tends to 2 eps |f(x)| E|y|
-    <= 2 sqrt(n) eps |F_h| as t -> 0.  The subtraction and the dot product
-    add rounding relative to |f(x + t y) - f(x - t y)|, which is O(t).  A
-    vertical part at or below that bound cannot be told from zero.
+    half of the nodes.  With L = E||Df(x + t y)||, E|y| <= sqrt(n) and
+    E|y|^2 = n, the rounding of a pair term adds up to
+
+    * eps L (sqrt(n) |x| + 2 n t) from the points x +- t y, each within
+      eps (|x| + 2 t |y|) of its exact value;
+    * (n + 2) eps (sqrt(n) |F_h| + 2 n t L) from the map values, each within
+      (n + 2) eps |f| (a squared norm or n-term dot product, a power, a
+      product), as |f(x + t y)| <= |F_h| + t L (|y| + sqrt(n));
+    * (n + 1) n eps t L from the difference, of size <= 2 t L |y|, and the
+      n-term dot product with y.
+
+    So a vertical part at or below eps ((n + 2) sqrt(n) |F_h| + sqrt(n) L |x|
+    + (3n + 7) n t L) cannot be told from zero.  The weighted sum over the
+    pairs adds rounding relative to sum_i w_i |pair term|, which for a
+    monotone map is the vertical part itself.
+
+    L is estimated by the degree-3 Gaussian rule, weight 1/(2n) on each of
+    y = +-sqrt(n) e_k, from Frobenius norms (>= the operator norm): 2n base
+    Jacobians per row, where the averaged DF would cost the whole node set
+    and understate L wherever Df turns.
     """
-    n = images.shape[1] - 1
-    horizontal = np.linalg.norm(images[:, :n], axis=1)
-    return images[:, n] <= 2.0 * math.sqrt(n) * np.finfo(float).eps * horizontal
+    n = field.dim
+    rn = math.sqrt(n)
+    steps = rn * np.abs(T)[:, None, None] * np.eye(n)
+    pts = np.concatenate([X[:, None, :] + steps, X[:, None, :] - steps], axis=1)
+    with np.errstate(all="ignore"):  # an overflowing Jacobian makes the bound infinite
+        J = evaluate_map_jacobian(field.spec, pts.reshape(-1, n))
+    slope = np.sqrt(np.einsum("kij,kij->k", J, J)).reshape(-1, 2 * n).mean(axis=1)
+    bound = np.finfo(float).eps * (
+        (n + 2) * rn * np.linalg.norm(images[:, :n], axis=1)
+        + slope * (rn * np.linalg.norm(X, axis=1) + (3 * n + 7) * n * np.abs(T)))
+    return ~(images[:, n] > bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,16 +100,8 @@ class HyperbolicReport:
     points: np.ndarray    # (m, n) bases
     heights: np.ndarray   # (m,)
     norms: np.ndarray     # ||DF|| per point
-    images: np.ndarray    # (m, n+1) lifted points F(x, t)
+    verticals: np.ndarray  # F_vert per point
     descriptor: str
-
-    def __post_init__(self):
-        if np.any(_vanishing_verticals(self.images)):
-            raise VanishingVerticalError("vertical component must be positive off the boundary")
-
-    @property
-    def verticals(self) -> np.ndarray:
-        return self.images[:, -1]
 
     @property
     def ratios(self) -> np.ndarray:
@@ -115,10 +130,10 @@ def vertical_comparison(field: ExtensionField, X, T) -> HyperbolicReport:
     if np.any(T <= 0.0):
         raise NonpositiveHeightError("comparison ratios need strictly positive heights")
     images = extend_points(field, X, T)
-    if np.any(_vanishing_verticals(images)):  # before the costlier Jacobians
+    if np.any(_vanishing_verticals(field, X, T, images)):  # before the costlier Jacobians
         raise VanishingVerticalError("lift has (numerically) vanishing vertical part")
     norms = spectral_norms(extension_jacobians(field, X, T))
-    return HyperbolicReport(points=X, heights=T, norms=norms, images=images,
+    return HyperbolicReport(points=X, heights=T, norms=norms, verticals=images[:, -1],
                             descriptor=field.descriptor())
 
 
@@ -179,7 +194,8 @@ def bilipschitz_sample(field: ExtensionField, P, Q) -> BilipschitzReport:
     Q = np.asarray(Q, dtype=float)
     FP = extend_points(field, P[:, :-1], P[:, -1])
     FQ = extend_points(field, Q[:, :-1], Q[:, -1])
-    if np.any(_vanishing_verticals(FP)) or np.any(_vanishing_verticals(FQ)):
+    if (np.any(_vanishing_verticals(field, P[:, :-1], P[:, -1], FP))
+            or np.any(_vanishing_verticals(field, Q[:, :-1], Q[:, -1], FQ))):
         raise VanishingVerticalError("lift left the upper half space")
     ds = hyperbolic_distances(P, Q)
     di = hyperbolic_distances(FP, FQ)

@@ -4,12 +4,14 @@ Node sets are built once per scheme, are exactly symmetric under
 ``y -> -y`` (the second half of the node array is the bitwise negation of
 the first half, reversed), and carry probability weights.  Expectations
 are accumulated over (+y, -y) pairs, so odd integrands cancel exactly in
-floating point, not just up to rounding.  The lift and its Jacobian rely
-on the same pairing: they evaluate the map only at x + t y and x - t y for
-the first half of the nodes (x - t y is bitwise the point at the reflected
-node), contract the pair sums for the even parts of the integrand and the
-pair differences for the odd parts, and weight both with the first half of
-the weights, as :func:`gaussian_expectation` does.
+floating point, not just up to rounding.  The pairing rule lives here:
+:func:`paired_nodes` gives one node of each pair (and the centre node of an
+odd count), and :func:`pair_expectation` weights the pair sums
+g(y) + g(-y) at them.  :func:`gaussian_expectation` forms those sums from
+values at all N nodes; the lift and its Jacobian form them from the map
+evaluated only at x + t y and x - t y (x - t y is bitwise the point at the
+reflected node): f(x+ty) + f(x-ty) for the even parts of the integrand and
+<f(x+ty) - f(x-ty), y> for the odd ones.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
     "build_scheme",
     "default_scheme",
     "gaussian_expectation",
+    "pair_expectation",
+    "paired_nodes",
 ]
 
 TENSOR_HERMITE = "tensor_hermite"
@@ -161,21 +165,38 @@ def default_scheme(dim: int, seed: int = 0, method: str | None = None,
     return build_scheme(dim, method, resolution, seed)
 
 
+def paired_nodes(scheme: QuadratureScheme) -> np.ndarray:
+    """One node of each reflected pair: ``nodes[:N//2]``, then the centre
+    node y = 0 when the node count N is odd."""
+    return scheme.nodes[:(scheme.size + 1) // 2]
+
+
+def pair_expectation(scheme: QuadratureScheme, pair_sums, axis: int = 0):
+    """E[g] from the pair sums ``g(y) + g(-y)`` at the :func:`paired_nodes`.
+
+    ``pair_sums`` holds them along ``axis``; at the centre node the pair
+    sum is 2 g(0), weighted with half the centre weight.  Each pair is
+    weighted once, with the weight of its first node.
+    """
+    s = np.moveaxis(pair_sums, axis, 0)
+    half = scheme.size // 2
+    out = np.einsum("n...,n->...", s[:half], scheme.weights[:half])
+    if scheme.size % 2:
+        out = out + (0.5 * scheme.weights[half]) * s[half]
+    return out
+
+
 def gaussian_expectation(scheme: QuadratureScheme, values, axis: int = 0):
     """Weighted node sum, accumulated over (+y, -y) pairs.
 
     ``values`` holds per-node evaluations along ``axis``.  Because node
     ``i`` pairs with node ``N-1-i`` (its exact negation) and the pair sum
-    is formed before weighting, any integrand with ``g(-y) == -g(y)``
-    bitwise sums to exactly zero.
+    is formed before weighting (:func:`pair_expectation`), any integrand
+    with ``g(-y) == -g(y)`` bitwise sums to exactly zero.
     """
     v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
     n = scheme.size
     if v.shape[0] != n:
         raise DimensionMismatchError(f"got {v.shape[0]} node values for a scheme of size {n}")
-    half = n // 2
-    paired = v[:half] + v[::-1][:half]
-    out = np.einsum("n...,n->...", paired, scheme.weights[:half])
-    if n % 2:
-        out = out + scheme.weights[half] * v[half]
-    return out
+    k = (n + 1) // 2
+    return pair_expectation(scheme, v[:k] + v[::-1][:k])

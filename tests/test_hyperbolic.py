@@ -161,6 +161,18 @@ def test_bilipschitz_rejects_boundary_images():
         bilipschitz_sample(degenerate, P, Q)
 
 
+def test_quarter_turn_rejected_where_its_image_is_small():
+    # near x = 0 the horizontal part cancels, and at t = 10 it is small next
+    # to t ||Df||: only the t-dependent part of the rounding bound tells the
+    # quarter turn's F_vert (rounding noise of order eps t) from a real one
+    degenerate = gaussian_extension(planar_rotation_map(math.pi / 2))
+    for x, t in [((0.0, 0.0), 1.0), ((1e-6, 0.0), 1.0), ((0.5, 0.0), 10.0)]:
+        with pytest.raises(VanishingVerticalError):
+            vertical_comparison(degenerate, [x], [t])
+        with pytest.raises(VanishingVerticalError):
+            bilipschitz_sample(degenerate, [[*x, t]], [[*x, 2.0 * t]])
+
+
 def test_small_vertical_parts_are_kept():
     # only a vertical part within rounding of the image point counts as
     # vanishing: F_vert = n t of the identity at t = 1e-8, and the 2e-14 t

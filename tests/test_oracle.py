@@ -52,10 +52,11 @@ LINEAR_JACOBIAN_MEASURED = {
 # Power-radial maps on the default schemes, against a central difference
 # (step 1e-5) of the closed form; steps 1e-5 and 1e-4 agree to 5e-8, so the
 # figures are the quadrature error of DF.  |x|^{-1/2} x has a singular Df at
-# 0, which the low-dimensional tensor rules do not resolve.
+# 0, which the order-20 tensor rules of dims 1 and 2 do not resolve (measured
+# 1.8 and 1.6e-1, too loose to catch a wrong block), so those two are left out.
 JACOBIAN_MEASURED = {
-    (1, 1.0): 1.8e-2, (1, 0.5): 5.4e-2, (1, -0.5): 1.8,
-    (2, 1.0): 1.7e-3, (2, 0.5): 4.7e-3, (2, -0.5): 1.6e-1,
+    (1, 1.0): 1.8e-2, (1, 0.5): 5.4e-2,
+    (2, 1.0): 1.7e-3, (2, 0.5): 4.7e-3,
     (3, 1.0): 1.8e-4, (3, 0.5): 4.6e-4, (3, -0.5): 1.3e-2,
     (4, 1.0): 4.0e-5, (4, 0.5): 3.3e-5, (4, -0.5): 1.2e-4,
 }
