@@ -46,13 +46,7 @@ from .core import (
     rotation_matrix,
     translation_map,
 )
-from .differential import (
-    extension_jacobian,
-    extension_jacobians,
-    finite_difference_jacobian,
-    spectral_norms,
-    unit_ball_norm_average,
-)
+from .differential import finite_difference_jacobian, spectral_norms
 from .errors import MonoliftError
 from .extension import (
     ExtensionField,
@@ -60,6 +54,8 @@ from .extension import (
     extend_grid,
     extend_point,
     extend_points,
+    extension_jacobian,
+    extension_jacobians,
     full_space_map,
     gaussian_extension,
     lattice_points,
@@ -80,6 +76,7 @@ from .measure import (
     gaussian_moment_ratio,
     jacobian_norm_density,
     lebesgue_density,
+    unit_ball_norm_average,
 )
 from .quadrature import (
     QuadratureScheme,

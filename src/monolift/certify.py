@@ -32,7 +32,7 @@ about 1e-12.  ``claim_check`` qualifies matrices on the lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -100,7 +100,16 @@ class PairConfig:
     crossing_pairs: int = 0
     witness_radii: tuple[float, ...] = ()
 
-    def __post_init__(self):  # separations 10^u must be finite floats
+    def __post_init__(self):
+        if self.pairs < 0 or self.crossing_pairs < 0:
+            raise InvalidParameterError(
+                f"pair counts must be nonnegative, got {self.pairs} and {self.crossing_pairs}")
+        if self.pairs + self.crossing_pairs == 0 and not self.witness_radii:
+            raise InvalidParameterError("at least one pair must be sampled")
+        if not all(math.isfinite(R) and R > 0.0 for R in self.witness_radii):
+            raise InvalidParameterError(
+                f"witness radii must be finite and positive, got {self.witness_radii}")
+        # separations 10^u must be finite floats
         _check_sampling(self.box, "log_radius_range", self.log_radius_range, -308.0, 308.0)
         _check_resolution(self.box, 10.0 ** self.log_radius_range[0])
 
@@ -443,16 +452,9 @@ class ClaimDimStats:
     sampled: int
     qualified: int
     violations: int
-    worst_gap: float  # min over qualified of (sigma_min - c * sigma_max) / sigma_max
-
-    def json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "sampled": self.sampled,
-            "qualified": self.qualified,
-            "violations": self.violations,
-            "worst_gap": self.worst_gap,
-        }
+    # min over qualified of (sigma_min - c * sigma_max) / sigma_max; None
+    # when no matrix qualified, which JSON writes as null
+    worst_gap: float | None
 
 
 @dataclass(frozen=True)
@@ -471,7 +473,7 @@ class ClaimReport:
             "count": self.count,
             "seed": self.seed,
             "delta_floor": self.delta_floor,
-            "dims": [s.json_dict() for s in self.stats],
+            "dims": [asdict(s) for s in self.stats],
             "total_violations": self.total_violations,
         }
 
@@ -493,11 +495,16 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
     matrix constant (exact for n <= 2, see the module docstring) is
     >= ``delta_floor``; the matrix is then delta-monotone with delta that
     bound, and the check asserts sigma_min >= c(delta) sigma_max (up to
-    1e-12 relative rounding slack) and reports the worst margin seen.  The
-    floor must lie in (0, 1], the domain of :func:`claim_constant`.
+    1e-12 relative rounding slack) and reports the worst margin seen, or
+    None when no matrix qualifies.  The floor must lie in (0, 1], the
+    domain of :func:`claim_constant`.
     """
     if not 0.0 < delta_floor <= 1.0:
         raise InvalidParameterError(f"delta_floor must lie in (0, 1], got {delta_floor}")
+    if count < 1:
+        raise InvalidParameterError(f"matrix count must be at least 1, got {count}")
+    if not dims or min(dims) < 1:
+        raise InvalidParameterError(f"dims must be one or more positive integers, got {dims}")
     stats = []
     for dim in dims:
         rng = np.random.default_rng([seed, dim])
@@ -513,7 +520,7 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
             violations = int(np.sum(gap < -1e-12))
             worst = float(gap.min())
         else:
-            violations, worst = 0, math.inf
+            violations, worst = 0, None
         stats.append(ClaimDimStats(int(dim), count, nqual, violations, worst))
     return ClaimReport(tuple(stats), count, seed, delta_floor)
 
@@ -536,6 +543,9 @@ class TripleConfig:
     buckets: int = 40
 
     def __post_init__(self):
+        if self.triples < 1 or self.buckets < 1:
+            raise InvalidParameterError(
+                f"triples and buckets must be at least 1, got {self.triples} and {self.buckets}")
         _check_sampling(self.box, "s_range", self.s_range,
                         np.finfo(float).tiny, np.finfo(float).max)
         # |y - z| >= 10^lo and |x - z| >= s 10^lo, lo the low end of _LOG_Y_OFFSET

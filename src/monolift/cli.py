@@ -26,12 +26,12 @@ from .certify import (
     two_point_delta,
 )
 from .core import batch_map, parse_map_spec, power_radial_map
-from .differential import extension_jacobian
 from .errors import MonoliftError
 from .extension import (
     ExtensionTable,
     extend_grid,
     extend_points,
+    extension_jacobian,
     gaussian_extension,
     lattice_points,
     trivial_lift_map,

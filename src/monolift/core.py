@@ -306,10 +306,6 @@ def _eval_power_radial(spec, X):
     return _radial_scale(spec.params["p"], r2)[:, None] * X
 
 
-def _eval_planar_rotation(spec, X):
-    return X @ spec._matrix.T
-
-
 def _eval_convex_gradient_quartic(spec, X):
     a, b = spec.params["a"], spec.params["b"]
     r2 = np.einsum("ki,ki->k", X, X)
@@ -331,7 +327,7 @@ _EVAL = {
     "identity": _eval_identity,
     "linear": _eval_linear,
     "power_radial": _eval_power_radial,
-    "planar_rotation": _eval_planar_rotation,
+    "planar_rotation": _eval_linear,
     "convex_gradient_quartic": _eval_convex_gradient_quartic,
     "translation": _eval_translation,
     "composition": _eval_composition,
@@ -362,10 +358,6 @@ def _jac_power_radial(spec, X):
     return out
 
 
-def _jac_planar_rotation(spec, X):
-    return np.broadcast_to(spec._matrix, (len(X), 2, 2)).copy()
-
-
 def _jac_convex_gradient_quartic(spec, X):
     a, b = spec.params["a"], spec.params["b"]
     n = spec.dim
@@ -373,10 +365,6 @@ def _jac_convex_gradient_quartic(spec, X):
     out = (a + b * r2)[:, None, None] * np.eye(n)[None, :, :]
     out += 2.0 * b * np.einsum("ki,kj->kij", X, X)
     return out
-
-
-def _jac_translation(spec, X):
-    return np.broadcast_to(np.eye(spec.dim), (len(X), spec.dim, spec.dim)).copy()
 
 
 def _jac_composition(spec, X):
@@ -394,9 +382,9 @@ _JAC = {
     "identity": _jac_identity,
     "linear": _jac_linear,
     "power_radial": _jac_power_radial,
-    "planar_rotation": _jac_planar_rotation,
+    "planar_rotation": _jac_linear,
     "convex_gradient_quartic": _jac_convex_gradient_quartic,
-    "translation": _jac_translation,
+    "translation": _jac_identity,
     "composition": _jac_composition,
 }
 

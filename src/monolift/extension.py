@@ -17,6 +17,24 @@ the pair differences, contracted with y as <f(x + t y) - f(x - t y), y>,
 give the vertical part.  When f is monotone each such term is nonnegative,
 so the vertical component is nonnegative for t > 0 term by term, not just
 in the limit.
+
+The Jacobian of the lift is the Gaussian average of a block integrand built
+from the base Jacobian A = Df(x + t y):
+
+    B(A, y) = [[ A,      A y   ],
+               [ y^T A,  y^T A y ]]        ((n+1) x (n+1)),
+
+so DF(x, t) = E[ B(Df(x + t y), y) ].  It is computed the same way: Df is
+evaluated once at x + t y and x - t y for the first half of the nodes.
+Under y -> -y the A and y^T A y blocks are even and the A y and y^T A
+blocks odd, so with S = Df(x+ty) + Df(x-ty) and D = Df(x+ty) - Df(x-ty)
+the weighted pair sums give
+
+    E[A] from S,   E[A y] from D y,   E[y^T A] from y^T D,   E[y^T A y] from y^T S y.
+
+One private generator, ``_paired_values``, builds the points x +- t y in
+chunks and evaluates f (for ``extend_points``) or Df (for
+``extension_jacobians``) there; each caller keeps only its contraction.
 """
 
 from __future__ import annotations
@@ -25,11 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MapSpec, evaluate_map
+from .core import MapSpec, evaluate_map, evaluate_map_jacobian
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
     NonFiniteIntegrandError,
+    NonpositiveHeightError,
+    SingularPointError,
 )
 from .quadrature import QuadratureScheme, default_scheme, pair_expectation, paired_nodes
 
@@ -39,6 +59,8 @@ __all__ = [
     "gaussian_extension",
     "extend_point",
     "extend_points",
+    "extension_jacobian",
+    "extension_jacobians",
     "extend_grid",
     "full_space_map",
     "trivial_lift_map",
@@ -57,27 +79,6 @@ __all__ = [
 _TARGET_EVALS = 1 << 15
 
 
-def _chunks(rows: np.ndarray, nnodes: int):
-    """Split row indices into runs of about ``_TARGET_EVALS`` node evaluations."""
-    step = max(1, _TARGET_EVALS // nnodes)
-    return (rows[i:i + step] for i in range(0, rows.size, step))
-
-
-def _paired_points(x: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x + t y`` and ``x - t y`` for rows ``x``, heights ``t`` and the
-    paired nodes ``y`` of a scheme, as one (c, 2, h, n) buffer.  ``x - t y`` is
-    bitwise ``x + t (-y)``, the point at the reflected node."""
-    c, (h, n) = x.shape[0], y.shape
-    buf = np.empty((c, 2, h, n))
-    np.multiply(t[:, None, None], y, out=buf[:, 1])
-    # x repeated per node: broadcasting x itself would run numpy's inner
-    # loop over only the n coordinates, 4-5x slower at n = 2
-    xs = np.tile(x, (1, h)).reshape(c, h, n)
-    np.add(xs, buf[:, 1], out=buf[:, 0])
-    np.subtract(xs, buf[:, 1], out=buf[:, 1])
-    return buf
-
-
 def _require_finite(values: np.ndarray, rows: np.ndarray, what: str) -> None:
     """Raise naming the first of ``rows`` whose per-row ``values`` are not all finite."""
     if not np.all(np.isfinite(values)):
@@ -87,14 +88,60 @@ def _require_finite(values: np.ndarray, rows: np.ndarray, what: str) -> None:
 
 
 def _batch(X, T, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``X`` and ``T`` as float arrays of shapes (m, n) and (m,), or raise."""
+    """``X`` and ``T`` as finite float arrays of shapes (m, n) and (m,), or raise."""
     X = np.asarray(X, dtype=float)
     T = np.asarray(T, dtype=float)
     if X.ndim != 2 or X.shape[1] != n:
         raise DimensionMismatchError(f"expected base points of shape (m, {n}), got {X.shape}")
     if T.shape != (X.shape[0],):
         raise DimensionMismatchError(f"heights of shape {T.shape} for {X.shape[0]} base points")
+    bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(T))
+    if np.any(bad):
+        raise InvalidParameterError(f"row {np.argmax(bad)}: points and heights must be finite")
     return X, T
+
+
+def _paired_values(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
+                   rows: np.ndarray, what: str):
+    """Evaluate ``kernel`` (``evaluate_map`` or ``evaluate_map_jacobian``) at
+    x + |t| y and x - |t| y for ``rows`` of (X, T) and the paired nodes y.
+
+    Yields ``(chunk, plus, minus)`` per run of rows of about
+    ``_TARGET_EVALS`` node evaluations; ``plus`` and ``minus`` are views of
+    the values at the two points, of shape (c, h, ...) for h paired nodes.
+    x - t y is bitwise x + t (-y), the point at the reflected node.  An
+    overflowing x + t y or kernel value (named by ``what``) raises
+    :class:`NonFiniteIntegrandError`, and a node where the kernel is
+    undefined :class:`SingularPointError`, each naming the first bad row.
+    """
+    n = field.dim
+    y = paired_nodes(field.scheme)
+    h = y.shape[0]
+    step = max(1, _TARGET_EVALS // field.scheme.size)
+    for i in range(0, rows.size, step):
+        sl = rows[i:i + step]
+        pts = np.empty((sl.size, 2, h, n))
+        np.multiply(np.abs(T[sl])[:, None, None], y, out=pts[:, 1])
+        # x repeated per node: broadcasting x itself would run numpy's inner
+        # loop over only the n coordinates, 4-5x slower at n = 2
+        xs = np.tile(X[sl], (1, h)).reshape(sl.size, h, n)
+        np.add(xs, pts[:, 1], out=pts[:, 0])
+        np.subtract(xs, pts[:, 1], out=pts[:, 1])
+        del xs  # the generator's frame would hold it through the kernel call and the yield
+        try:
+            values = kernel(field.spec, pts)
+        except InvalidParameterError:
+            _require_finite(pts, sl, "x + t y at a quadrature node")
+            raise
+        except SingularPointError as exc:
+            for row, row_pts in zip(sl, pts):
+                try:
+                    kernel(field.spec, row_pts)
+                except SingularPointError:
+                    raise SingularPointError(f"row {row}: {exc}") from exc
+            raise
+        _require_finite(values, sl, f"{what} at a quadrature node")
+        yield sl, values[:, 0], values[:, 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,10 +184,6 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
     """
     n = field.dim
     X, T = _batch(X, T, n)
-    bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(T))
-    if np.any(bad):
-        raise InvalidParameterError(f"row {np.argmax(bad)}: points and heights must be finite")
-
     scheme = field.scheme
     y = paired_nodes(scheme)
     out = np.empty((X.shape[0], n + 1))
@@ -152,15 +195,8 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
         out[boundary, :n] = fx
         out[boundary, n] = 0.0
 
-    for sl in _chunks(np.flatnonzero(T != 0.0), scheme.size):
-        pts = _paired_points(X[sl], np.abs(T[sl]), y)
-        try:
-            fx = evaluate_map(field.spec, pts.reshape(-1, n)).reshape(pts.shape)
-        except InvalidParameterError:
-            _require_finite(pts, sl, "x + t y at a quadrature node")
-            raise
-        _require_finite(fx, sl, "map evaluation at a quadrature node")
-        plus, minus = fx[:, 0], fx[:, 1]
+    rows = np.flatnonzero(T != 0.0)
+    for sl, plus, minus in _paired_values(field, evaluate_map, X, T, rows, "map evaluation"):
         vert = pair_expectation(scheme, np.einsum("cnk,nk->cn", plus - minus, y), axis=1)
         out[sl, :n] = pair_expectation(scheme, plus + minus, axis=1)
         out[sl, n] = np.where(T[sl] < 0.0, -vert, vert)
@@ -172,6 +208,45 @@ def extend_point(field: ExtensionField, p) -> np.ndarray:
     """Lift a single point given as an (x, t) pair."""
     x, t = p
     return extend_points(field, np.asarray(x, dtype=float)[None, :], np.array([float(t)]))[0]
+
+
+@np.errstate(all="ignore")  # _require_finite names the row; a numpy warning only repeats it
+def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
+    """DF at a batch of points, rows of X with heights T > 0; shape (m, n+1, n+1).
+
+    DF(x, t) = E[B(Df(x + t y), y)] for the block integrand B of the
+    module docstring.  Each point's matrix is bitwise independent of the
+    batch it is evaluated in.  A non-finite point or height raises
+    :class:`InvalidParameterError`, an overflowing ``x + t y``, base
+    Jacobian or Gaussian average :class:`NonFiniteIntegrandError`, and a
+    quadrature node at a point where the base map has no differential
+    :class:`SingularPointError`, each naming the first bad row.
+    """
+    n = field.dim
+    X, T = _batch(X, T, n)
+    low = np.flatnonzero(T <= 0.0)
+    if low.size:
+        raise NonpositiveHeightError(
+            f"row {low[0]}: lifted Jacobian needs height > 0, got {T[low[0]]}")
+    scheme = field.scheme
+    y = paired_nodes(scheme)
+    DF = np.empty((X.shape[0], n + 1, n + 1))
+    for sl, plus, minus in _paired_values(field, evaluate_map_jacobian, X, T,
+                                          np.arange(X.shape[0]), "base Jacobian"):
+        S, D = plus + minus, plus - minus
+        DF[sl, :n, :n] = pair_expectation(scheme, S, axis=1)
+        DF[sl, :n, n] = pair_expectation(scheme, np.einsum("ckij,kj->cki", D, y), axis=1)
+        DF[sl, n, :n] = pair_expectation(scheme, np.einsum("ki,ckij->ckj", y, D), axis=1)
+        DF[sl, n, n] = pair_expectation(
+            scheme, np.einsum("ki,cki->ck", y, np.einsum("ckij,kj->cki", S, y)), axis=1)
+        _require_finite(DF[sl], sl, "Gaussian average")
+    return DF
+
+
+def extension_jacobian(field: ExtensionField, p) -> np.ndarray:
+    """DF(x, t) for t > 0, at a point given as an (x, t) pair."""
+    x, t = p
+    return extension_jacobians(field, np.asarray(x, dtype=float)[None, :], np.array([float(t)]))[0]
 
 
 def full_space_map(field: ExtensionField):
@@ -239,10 +314,13 @@ def extend_grid(field: ExtensionField, points) -> ExtensionTable:
 def lattice_points(dim: int = 2, bounds: tuple[float, float] = (-2.0, 2.0), nx: int = 9,
                    heights=(0.25, 0.5, 1.0, 2.0)) -> tuple[np.ndarray, np.ndarray]:
     """Default evaluation lattice: an nx^dim grid crossed with fixed heights."""
+    heights = np.asarray(heights, dtype=float)
+    if nx < 1 or heights.size == 0:
+        raise InvalidParameterError(
+            f"a lattice needs nx >= 1 and at least one height, got nx = {nx}")
     axis = np.linspace(bounds[0], bounds[1], nx)
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     base = np.stack([g.reshape(-1) for g in grids], axis=1)
-    heights = np.asarray(heights, dtype=float)
     X = np.repeat(base, heights.size, axis=0)
     T = np.tile(heights, base.shape[0])
     return X, T

@@ -4,7 +4,7 @@ d(p, q) = arccosh(1 + |p - q|^2 / (2 t_p t_q)) for points with positive
 height.  ``vertical_comparison`` measures how far the lifted map is from
 a hyperbolic isometry pointwise: the ratio ||DF(x, t)|| t / F_vert(x, t)
 equals 1 exactly for the identity and for diagonal linear maps, and its
-spread over a grid is the certified comparison constant.
+spread over a grid is the comparison constant.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import evaluate_map_jacobian
-from .differential import extension_jacobians, spectral_norms
+from .differential import spectral_norms
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
     NonpositiveHeightError,
     VanishingVerticalError,
 )
-from .extension import ExtensionField, extend_points
+from .extension import ExtensionField, extend_points, extension_jacobians
 
 __all__ = [
     "hyperbolic_distances",
@@ -141,6 +141,8 @@ def sample_height_pairs(dim: int, count: int, seed: int = 0,
                         height_range: tuple[float, float] = (0.1, 10.0),
                         box: float = 5.0) -> tuple[np.ndarray, np.ndarray]:
     """Random embedded point pairs with log-uniform positive heights."""
+    if count < 1:
+        raise InvalidParameterError(f"pair count must be at least 1, got {count}")
     if height_range[0] <= 0.0 or height_range[1] <= height_range[0]:
         raise InvalidParameterError(f"bad height range {height_range}")
     rng = np.random.default_rng(seed)

@@ -3,24 +3,30 @@
 The density of interest is ||Df(x)|| (operator norm of the differential),
 integrated over balls.  ``doubling_report`` tabulates mass(2B) / mass(B)
 over a grid of centers and radii, ``gaussian_moment_ratio`` compares
-moments of the measure against the mass of the unit ball.
+moments of the measure against the mass of the unit ball, and
+``unit_ball_norm_average`` integrates ||Df(x + t y)|| over the unit y-ball,
+the local size functional that DF(x, t) is comparable to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
 
 from .ballrules import BallRule, ball_integral, ball_rule
-from .core import MapSpec
-from .differential import _base_jacobian_norms
+from .core import MapSpec, evaluate_map_jacobian
+from .differential import spectral_norms
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
     NonFiniteIntegrandError,
+    NonpositiveHeightError,
     ZeroMassError,
 )
+from .extension import ExtensionField
 from .quadrature import QuadratureScheme, default_scheme, gaussian_expectation
 
 __all__ = [
@@ -30,6 +36,7 @@ __all__ = [
     "doubling_report",
     "MomentRatio",
     "gaussian_moment_ratio",
+    "unit_ball_norm_average",
 ]
 
 
@@ -42,6 +49,16 @@ def lebesgue_density(dim: int):
 
     density.dim = dim
     return density
+
+
+def _base_jacobian_norms(spec, pts) -> np.ndarray:
+    """||Df|| at each of ``pts``, with a non-finite Jacobian reported, not
+    passed to the SVD (which fails to converge on it)."""
+    with np.errstate(all="ignore"):
+        jac = evaluate_map_jacobian(spec, pts)
+    if not np.all(np.isfinite(jac)):
+        raise NonFiniteIntegrandError("the map's Jacobian overflowed at an integration point")
+    return spectral_norms(jac)
 
 
 def jacobian_norm_density(spec: MapSpec):
@@ -84,15 +101,9 @@ class DoublingReport:
 
     def rows(self):
         m, k = self.masses.shape
-        out = []
-        for i in range(m):
-            for j in range(k):
-                out.append(np.concatenate([
-                    self.centers[i],
-                    [self.radii[j], self.masses[i, j],
-                     self.masses_doubled[i, j], self.ratios[i, j]],
-                ]))
-        return np.array(out)
+        return np.column_stack([np.repeat(self.centers, k, axis=0), np.tile(self.radii, m),
+                                self.masses.ravel(), self.masses_doubled.ravel(),
+                                self.ratios.ravel()])
 
 
 @np.errstate(all="ignore")  # the mass check reports an overflow; a numpy warning only repeats it
@@ -104,6 +115,8 @@ def doubling_report(density, centers, radii, rule: BallRule | None = None) -> Do
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    if centers.size == 0 or radii.size == 0:
+        raise InvalidParameterError("doubling needs at least one center and one radius")
     if np.any(radii <= 0.0) or not np.all(np.isfinite(radii)):
         raise InvalidParameterError("radii must be positive and finite")
     dim = centers.shape[1]
@@ -169,3 +182,21 @@ def gaussian_moment_ratio(density, p: float, dim: int,
     if not (np.isfinite(mass) and mass > 0.0):
         raise ZeroMassError("unit-ball mass must be finite and positive")
     return MomentRatio(p=float(p), integral=integral, ball_mass=mass)
+
+
+def unit_ball_norm_average(field: ExtensionField, p, rule: BallRule | None = None) -> float:
+    """The local size functional alpha = integral over the unit y-ball of
+    ||Df(x + t y)|| at the point ``p = (x, t)``; DF(x, t) is comparable to
+    it above and below."""
+    x, t = np.asarray(p[0], dtype=float), float(p[1])
+    if t <= 0.0:
+        raise NonpositiveHeightError(f"norm average needs height > 0, got {t}")
+    if rule is None:
+        rule = ball_rule(field.dim)
+    if rule.dim != field.dim:
+        raise DimensionMismatchError(f"ball rule of dim {rule.dim} for a field of dim {field.dim}")
+    norms = _base_jacobian_norms(field.spec, x[None, :] + t * rule.nodes)
+    value = float(np.einsum("k,k->", rule.weights, norms))
+    if not math.isfinite(value):
+        raise NonFiniteIntegrandError(f"norm average overflowed: {value}")
+    return value

@@ -450,6 +450,14 @@ def test_claim_check_small_run():
     lambda: PairConfig(dim=2, box=1e3, log_radius_range=(-8.0, 0.0)),
     lambda: TripleConfig(dim=2, box=1e17),
     lambda: TripleConfig(dim=2, s_range=(1e-9, 1.0)),
+    # counts below one
+    lambda: PairConfig(dim=2, pairs=-1),
+    lambda: PairConfig(dim=2, pairs=0),
+    lambda: PairConfig(dim=2, pairs=10, crossing_pairs=-1),
+    lambda: TripleConfig(dim=2, triples=-1),
+    lambda: TripleConfig(dim=2, buckets=0),
+    lambda: PairConfig(dim=3, witness_radii=(25.0, -1.0)),
+    lambda: PairConfig(dim=3, witness_radii=(math.inf,)),
 ])
 def test_sampling_configs_reject_bad_ranges(make):
     with pytest.raises(InvalidParameterError):

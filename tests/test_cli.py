@@ -147,6 +147,20 @@ def test_claim_check_clean(capsys):
     assert [d["dim"] for d in payload["dims"]] == [2, 3]
 
 
+def test_claim_check_json_is_strict_when_nothing_qualifies(capsys):
+    # no random matrix reaches delta = 1, so no worst gap exists; strict JSON
+    # has no Infinity, and the gap is reported as null
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    code, out, _ = run(capsys, "claim-check", "--dims", "2", "--matrices", "10",
+                       "--delta-floor", "1")
+    assert code == 0
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["dims"] == [{"dim": 2, "sampled": 10, "qualified": 0, "violations": 0,
+                                "worst_gap": None}]
+
+
 def test_claim_check_rerun_byte_identical(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["claim-check", "--matrices", "200", "--dims", "2"]
@@ -270,6 +284,18 @@ def test_scheme_seed_alone_reseeds_the_default_scheme(capsys, tmp_path):
     # a separation range that is reversed, or whose radii 10^u overflow
     ["certify-delta", "--spec", IDENTITY2, "--log-radius", "3", "-3"],
     ["certify-delta", "--spec", IDENTITY2, "--log-radius", "0", "400"],
+    # counts below one and empty lists
+    ["claim-check", "--dims", "0"],
+    ["claim-check", "--matrices", "-5"],
+    ["hyperbolic", "--spec", IDENTITY2, "--grid-nx", "0"],
+    ["extend", "--spec", IDENTITY2, "--grid-nx", "0"],
+    ["hyperbolic", "--spec", IDENTITY2, "--pairs", "-3"],
+    ["certify-delta", "--spec", IDENTITY2, "--pairs", "-1"],
+    ["certify-qs", "--spec", IDENTITY2, "--triples", "-1"],
+    ["certify-qs", "--spec", IDENTITY2, "--buckets", "0"],
+    ["demo-composition", "--theta1", "0.1", "--theta2", "0.2", "--pairs", "-1"],
+    ["doubling", "--radii", ","],
+    ["demo-trivial-failure", "--witness-radii", "0"],
 ])
 def test_input_errors_exit_1(capsys, argv):
     code = main(argv)
@@ -321,6 +347,16 @@ def test_usage_errors_exit_1(capsys, argv):
     (["certify-qs", "--spec", IDENTITY2, "--box", "1e17"],
      "box 1e+17 is too large for separations down to 0.001: "
      "its ulp 16 must be at most 2^-26 of the smallest separation"),
+    # non-finite input is reported as such, not as an overflow at the nodes
+    (["jacobian", "--spec", IDENTITY2, "--x", "nan,0", "--t", "1"],
+     "row 0: points and heights must be finite"),
+    (["jacobian", "--spec", IDENTITY2, "--x", "inf,0", "--t", "1"],
+     "row 0: points and heights must be finite"),
+    (["jacobian", "--spec", IDENTITY2, "--x", "0,0", "--t", "nan"],
+     "row 0: points and heights must be finite"),
+    # no pairs at all is a bad count, not a map that collapses every pair
+    (["certify-delta", "--spec", IDENTITY2, "--pairs", "0"],
+     "at least one pair must be sampled"),
 ])
 def test_overflow_error_is_the_only_stderr_line(argv, message):
     # the program's own finite check reports the overflow; no numpy

@@ -20,3 +20,18 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    # a module's underscore names are its own; a sibling that needs one
+    # should get it public, or the code should move next to its caller
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [
+        f"{node.module}.{alias.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("monolift"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == [], f"{path.name} imports private names {private}"
