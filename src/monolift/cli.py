@@ -1,7 +1,8 @@
 """Command-line front door.
 
-Every artifact embeds the spec digest, scheme descriptor and seed, and a
-rerun of the same argv produces byte-identical output.  Exit codes: 0 on
+Every artifact embeds the spec digest, scheme descriptor and seed, and the
+numpy and scipy versions; a rerun of the same argv under the same versions
+produces byte-identical output.  Exit codes: 0 on
 success, 1 on usage or input errors, 2 when a certification property was
 violated (claim-check found a bad matrix, or the trivial-lift demo failed
 to find a refuting pair).
@@ -15,6 +16,7 @@ import os
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .certify import (
@@ -26,7 +28,7 @@ from .certify import (
     two_point_delta,
 )
 from .core import batch_map, parse_map_spec, power_radial_map
-from .errors import MonoliftError
+from .errors import InvalidParameterError, MonoliftError
 from .extension import (
     ExtensionTable,
     extend_grid,
@@ -65,7 +67,10 @@ def _floats(text):
 
 
 def _ints(text):
-    return [int(round(v)) for v in _floats(text)]
+    values = _floats(text)
+    if not all(float(v).is_integer() for v in values):
+        raise InvalidParameterError(f"expected a comma-separated integer list, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _load_spec(value):
@@ -91,7 +96,9 @@ def _density_for(args):
 
 
 def _meta(args, spec=None, scheme=None, seed=None, **extra):
-    meta = {"tool": f"monolift {__version__}", "subcommand": args.command}
+    # the library versions: rerun byte-identity holds only under the same ones
+    meta = {"tool": f"monolift {__version__}", "numpy": np.__version__,
+            "scipy": scipy.__version__, "subcommand": args.command}
     if spec is not None:
         meta["spec"] = spec.digest()
     if scheme is not None:
@@ -164,7 +171,7 @@ def _cmd_jacobian(args):
         return 0
     buf = io.StringIO()
     buf.write(f"# x={csv_line(x)} t={args.t} spec={spec.digest()} "
-              f"scheme={scheme.descriptor()}\n")
+              f"scheme={scheme.descriptor()} numpy={np.__version__} scipy={scipy.__version__}\n")
     for row in DF:
         buf.write(csv_line(row) + "\n")
     if args.out:
@@ -230,6 +237,8 @@ def _cmd_claim_check(args):
 
 def _parse_centers(text, dim):
     rows = [_floats(part) for part in text.split(";") if part]
+    if not rows:
+        raise InvalidParameterError(f"no center was given in {text!r}")
     centers = np.array(rows)
     if centers.ndim != 2 or centers.shape[1] != dim:
         raise MonoliftError(f"centers must each have {dim} coordinates")

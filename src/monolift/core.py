@@ -7,7 +7,10 @@ runs can be reproduced from a small JSON description alone.
 
 Functions of points are shape-polymorphic in the numpy style: an input
 of shape ``(..., n)`` yields an output of shape ``(..., n)`` (Jacobians:
-``(..., n, n)``).
+``(..., n, n)``).  The kernels work on one contiguous vector per
+coordinate (or per matrix entry) over the points, so they are fastest on
+coordinate-major input, the layout the lift passes them, and give the
+same bits in any layout.
 """
 
 from __future__ import annotations
@@ -281,12 +284,30 @@ def parse_map_spec(text: str) -> MapSpec:
 
 # evaluation ---------------------------------------------------------------
 
+def _combine(coeffs, columns, out):
+    # out = sum_k coeffs[k] * columns[k], accumulated in order of k
+    np.multiply(coeffs[0], columns[0], out=out)
+    for c, col in zip(coeffs[1:], columns[1:]):
+        out += c * col
+    return out
+
+
+def _sq_norm(X):
+    # |x|^2 per row, summed over the coordinate columns.  A row that
+    # overflows gets inf, which the callers report, not a warning.
+    with np.errstate(over="ignore", under="ignore"):
+        return _combine(X.T, X.T, np.empty(len(X)))
+
+
 def _eval_identity(spec, X):
-    return X.copy()
+    return X.copy(order="K")
 
 
 def _eval_linear(spec, X):
-    return X @ spec._matrix.T
+    out = np.empty((spec.dim, len(X)))
+    for row, coeffs in zip(out, spec._matrix):
+        _combine(coeffs, X.T, row)
+    return out.T
 
 
 def _radial_scale(p, r2):
@@ -302,14 +323,13 @@ def _radial_scale(p, r2):
 
 
 def _eval_power_radial(spec, X):
-    r2 = np.einsum("ki,ki->k", X, X)
+    r2 = _sq_norm(X)
     return _radial_scale(spec.params["p"], r2)[:, None] * X
 
 
 def _eval_convex_gradient_quartic(spec, X):
     a, b = spec.params["a"], spec.params["b"]
-    r2 = np.einsum("ki,ki->k", X, X)
-    return (a + b * r2)[:, None] * X
+    return (a + b * _sq_norm(X))[:, None] * X
 
 
 def _eval_translation(spec, X):
@@ -334,46 +354,69 @@ _EVAL = {
 }
 
 
+# Each Jacobian kernel fills an (n, n, M) array, one contiguous vector per
+# matrix entry, and returns its (M, n, n) view.
+
+def _jac_constant(mat, m):
+    out = np.empty(mat.shape + (m,))
+    out[...] = mat[:, :, None]
+    return out.transpose(2, 0, 1)
+
+
 def _jac_identity(spec, X):
-    return np.broadcast_to(np.eye(spec.dim), (len(X), spec.dim, spec.dim)).copy()
+    return _jac_constant(np.eye(spec.dim), len(X))
 
 
 def _jac_linear(spec, X):
-    return np.broadcast_to(spec._matrix, (len(X), spec.dim, spec.dim)).copy()
+    return _jac_constant(spec._matrix, len(X))
+
+
+def _symmetric(n, m, entry, diag):
+    # entry(i, j) + diag [i == j], formed for i <= j and mirrored, so each
+    # matrix is bitwise symmetric
+    out = np.empty((n, n, m))
+    for i in range(n):
+        for j in range(i, n):
+            out[i, j] = entry(i, j)
+            out[j, i] = out[i, j]
+        out[i, i] += diag
+    return out.transpose(2, 0, 1)
 
 
 def _jac_power_radial(spec, X):
     # Df(x) = |x|^p I + p |x|^p u u^T with u = x/|x|; the limit at 0 is the
     # zero matrix for p > 0, the identity for p == 0, and undefined for p < 0.
-    # u_i u_j is formed before scaling, so each matrix is bitwise symmetric.
     p = spec.params["p"]
-    n = spec.dim
-    r2 = np.einsum("ki,ki->k", X, X)
+    r2 = _sq_norm(X)
     if p < 0.0 and not np.all(r2 > 0.0):
         raise SingularPointError("power_radial has no differential at the origin for p < 0")
     s = _radial_scale(p, r2)
-    u = X * np.power(r2, -0.5, out=np.zeros_like(r2), where=r2 > 0.0)[:, None]
-    out = (p * s)[:, None, None] * np.einsum("ki,kj->kij", u, u)
-    out.reshape(len(X), n * n)[:, ::n + 1] += s[:, None]
-    return out
+    ps = p * s
+    u = (X * np.power(r2, -0.5, out=np.zeros_like(r2), where=r2 > 0.0)[:, None]).T
+    return _symmetric(spec.dim, len(X), lambda i, j: ps * (u[i] * u[j]), s)
 
 
 def _jac_convex_gradient_quartic(spec, X):
     a, b = spec.params["a"], spec.params["b"]
-    n = spec.dim
-    r2 = np.einsum("ki,ki->k", X, X)
-    out = (a + b * r2)[:, None, None] * np.eye(n)[None, :, :]
-    out += 2.0 * b * np.einsum("ki,kj->kij", X, X)
-    return out
+    tb = 2.0 * b
+    return _symmetric(spec.dim, len(X), lambda i, j: tb * (X[:, i] * X[:, j]),
+                      a + b * _sq_norm(X))
 
 
 def _jac_composition(spec, X):
     # chain rule along the right-to-left evaluation order
+    n = spec.dim
     cur = X
     mats = None
     for child in reversed(spec.children):
         J = _JAC[child.kind](child, cur)
-        mats = J if mats is None else np.einsum("kij,kjl->kil", J, mats)
+        if mats is not None:
+            prod = np.empty((n, n, len(X)))
+            for i in range(n):
+                for k in range(n):
+                    _combine(J[:, i].T, mats[:, :, k].T, prod[i, k])
+            J = prod.transpose(2, 0, 1)
+        mats = J
         cur = _EVAL[child.kind](child, cur)
     return mats
 

@@ -35,6 +35,14 @@ the weighted pair sums give
 One private generator, ``_paired_values``, builds the points x +- t y in
 chunks and evaluates f (for ``extend_points``) or Df (for
 ``extension_jacobians``) there; each caller keeps only its contraction.
+
+Every array of the hot loop is coordinate-major: the points x +- t y sit
+in an (n, c, 2, h) buffer for c rows and h paired nodes, the kernels fill
+one contiguous vector over the nodes per coordinate (or matrix entry),
+the contractions with y are n multiply-adds of such vectors, and each
+caller writes its integrands into (c, ..., h) arrays that
+:func:`~monolift.quadrature.pair_expectation` reduces over the last axis
+with no copy: one for the vector integrands and one for the scalar.
 """
 
 from __future__ import annotations
@@ -69,12 +77,16 @@ __all__ = [
 
 # cap on points-per-chunk * nodes; keeps the intermediate arrays in cache.
 # It also keeps each row's value bitwise independent of its batch: numpy's
-# einsum reduces a one-row scalar integrand over the nodes in buffered blocks
-# of 2^13 pairs, but several rows node by node.  The two orders agree up to
-# 2^13 pairs, and under this cap only such schemes put several rows in a chunk.
-# Measured with the paired reduction: at 2^16 or 2^17, rows of the 2^15- and
-# 2^16-node QMC rules share a chunk, and their scalar integrands (F_vert and
-# y^T A y) then differ in the last bits from the same rows lifted alone.
+# einsum reduces a lone output over the (contiguous, last) node axis in
+# buffered blocks of 2^13 pairs, but several outputs each over the whole axis.
+# The vector integrands (f's pair sums, the S rows, D y and y^T D) always
+# have several outputs per row; the scalar ones (F_vert and y^T S y) have one
+# per row, so one row alone and rows in a chunk take different orders beyond
+# 2^13 pairs.  Under this cap only schemes of at most 2^13 pairs put several
+# rows in a chunk.  Re-measured with the node axis last (numpy 2.4.6): at a
+# cap of 2^17, rows of the 2^15- and 2^16-node QMC rules share a chunk, and
+# their F_vert and y^T S y differ in the last bits from the same rows lifted
+# alone, while every vector integrand stays equal.
 # Caps of 2^18 and 2^20 made the dim-2 and dim-3 lifts no faster.
 _TARGET_EVALS = 1 << 15
 
@@ -101,6 +113,15 @@ def _batch(X, T, n: int) -> tuple[np.ndarray, np.ndarray]:
     return X, T
 
 
+def _contract_nodes(A: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = sum_k A[..., k] * y[:, k]`` for A of shape (c, h, n): n
+    multiply-adds over contiguous node vectors, summed in order of k."""
+    np.multiply(A[..., 0], y[:, 0], out=out)
+    for k in range(1, A.shape[-1]):
+        out += A[..., k] * y[:, k]
+    return out
+
+
 def _paired_values(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
                    rows: np.ndarray, what: str):
     """Evaluate ``kernel`` (``evaluate_map`` or ``evaluate_map_jacobian``) at
@@ -108,7 +129,10 @@ def _paired_values(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
 
     Yields ``(chunk, plus, minus)`` per run of rows of about
     ``_TARGET_EVALS`` node evaluations; ``plus`` and ``minus`` are views of
-    the values at the two points, of shape (c, h, ...) for h paired nodes.
+    the values at the two points, of shape (c, h, ...) for h paired nodes,
+    with one contiguous vector over the nodes per coordinate (or entry).
+    Callers drop them before the next chunk, so that only one chunk's
+    points or values are held at a time.
     x - t y is bitwise x + t (-y), the point at the reflected node.  An
     overflowing x + t y or kernel value (named by ``what``) raises
     :class:`NonFiniteIntegrandError`, and a node where the kernel is
@@ -120,14 +144,12 @@ def _paired_values(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
     step = max(1, _TARGET_EVALS // field.scheme.size)
     for i in range(0, rows.size, step):
         sl = rows[i:i + step]
-        pts = np.empty((sl.size, 2, h, n))
-        np.multiply(np.abs(T[sl])[:, None, None], y, out=pts[:, 1])
-        # x repeated per node: broadcasting x itself would run numpy's inner
-        # loop over only the n coordinates, 4-5x slower at n = 2
-        xs = np.tile(X[sl], (1, h)).reshape(sl.size, h, n)
-        np.add(xs, pts[:, 1], out=pts[:, 0])
-        np.subtract(xs, pts[:, 1], out=pts[:, 1])
-        del xs  # the generator's frame would hold it through the kernel call and the yield
+        buf = np.empty((n, sl.size, 2, h))
+        xs, ty = X[sl].T[:, :, None], buf[:, :, 1]
+        np.multiply(np.abs(T[sl])[:, None], y.T[:, None, :], out=ty)
+        np.add(xs, ty, out=buf[:, :, 0])
+        np.subtract(xs, ty, out=ty)
+        pts = buf.transpose(1, 2, 3, 0)
         try:
             values = kernel(field.spec, pts)
         except InvalidParameterError:
@@ -140,8 +162,10 @@ def _paired_values(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
                 except SingularPointError:
                     raise SingularPointError(f"row {row}: {exc}") from exc
             raise
+        del buf, ty, pts  # the generator's frame would hold the points through the yield
         _require_finite(values, sl, f"{what} at a quadrature node")
         yield sl, values[:, 0], values[:, 1]
+        del values
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +210,7 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
     X, T = _batch(X, T, n)
     scheme = field.scheme
     y = paired_nodes(scheme)
+    h = y.shape[0]
     out = np.empty((X.shape[0], n + 1))
 
     boundary = np.flatnonzero(T == 0.0)
@@ -197,10 +222,14 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
 
     rows = np.flatnonzero(T != 0.0)
     for sl, plus, minus in _paired_values(field, evaluate_map, X, T, rows, "map evaluation"):
-        vert = pair_expectation(scheme, np.einsum("cnk,nk->cn", plus - minus, y), axis=1)
-        out[sl, :n] = pair_expectation(scheme, plus + minus, axis=1)
+        # pair sums <f(x+ty) - f(x-ty), y> and f(x+ty) + f(x-ty), node axis last
+        vert = pair_expectation(scheme, _contract_nodes(plus - minus, y, np.empty((sl.size, h))),
+                                axis=1)
         out[sl, n] = np.where(T[sl] < 0.0, -vert, vert)
+        out[sl, :n] = pair_expectation(
+            scheme, np.add(plus, minus, out=np.empty((sl.size, n, h)).transpose(0, 2, 1)), axis=1)
         _require_finite(out[sl], sl, "Gaussian average")
+        del plus, minus  # see _paired_values
     return out
 
 
@@ -230,16 +259,26 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
             f"row {low[0]}: lifted Jacobian needs height > 0, got {T[low[0]]}")
     scheme = field.scheme
     y = paired_nodes(scheme)
+    h = y.shape[0]
     DF = np.empty((X.shape[0], n + 1, n + 1))
     for sl, plus, minus in _paired_values(field, evaluate_map_jacobian, X, T,
                                           np.arange(X.shape[0]), "base Jacobian"):
-        S, D = plus + minus, plus - minus
-        DF[sl, :n, :n] = pair_expectation(scheme, S, axis=1)
-        DF[sl, :n, n] = pair_expectation(scheme, np.einsum("ckij,kj->cki", D, y), axis=1)
-        DF[sl, n, :n] = pair_expectation(scheme, np.einsum("ki,ckij->ckj", y, D), axis=1)
+        # pair sums of the block integrand, node axis last: the rows of S,
+        # then D y and y^T D in one array, and the scalar y^T S y
+        blocks = np.empty((sl.size, n + 2, n, h))
+        S = np.add(plus, minus, out=blocks[:, :n].transpose(0, 3, 1, 2))
+        D = plus - minus
+        Sy = np.empty((sl.size, n, h))
+        for i in range(n):
+            _contract_nodes(D[..., i, :], y, blocks[:, n, i])
+            _contract_nodes(D[..., i], y, blocks[:, n + 1, i])
+            _contract_nodes(S[..., i, :], y, Sy[:, i])
+        E = pair_expectation(scheme, blocks, axis=-1)
+        DF[sl, :n, :n], DF[sl, :n, n], DF[sl, n, :n] = E[:, :n], E[:, n], E[:, n + 1]
         DF[sl, n, n] = pair_expectation(
-            scheme, np.einsum("ki,cki->ck", y, np.einsum("ckij,kj->cki", S, y)), axis=1)
+            scheme, _contract_nodes(Sy.transpose(0, 2, 1), y, np.empty((sl.size, h))), axis=-1)
         _require_finite(DF[sl], sl, "Gaussian average")
+        del plus, minus  # see _paired_values
     return DF
 
 

@@ -12,6 +12,12 @@ values at all N nodes; the lift and its Jacobian form them from the map
 evaluated only at x + t y and x - t y (x - t y is bitwise the point at the
 reflected node): f(x+ty) + f(x-ty) for the even parts of the integrand and
 <f(x+ty) - f(x-ty), y> for the odd ones.
+
+The nodes are stored coordinate-major: ``scheme.nodes`` has shape (N, n)
+but contiguous columns, so each coordinate of the :func:`paired_nodes` is
+one contiguous vector over the nodes.  :func:`pair_expectation` reduces
+along a contiguous last (node) axis, so its bits do not depend on the
+layout a caller holds its values in.
 """
 
 from __future__ import annotations
@@ -93,11 +99,14 @@ def _tensor_arrays(dim: int, order: int):
             f"weights, over the {_MAX_TENSOR_BYTES >> 20} MiB budget"
         )
     x, w = _hermite_1d(order)
+    # coordinate-major, written axis by axis from the grid's broadcast views:
     # no full-size temporaries, so the peak stays near the budgeted bytes
-    nodes = np.stack(np.meshgrid(*([x] * dim), indexing="ij", copy=False), axis=-1).reshape(-1, dim)
+    nodes = np.empty((dim, order**dim))
+    for row, axis in zip(nodes, np.meshgrid(*([x] * dim), indexing="ij", copy=False)):
+        row.reshape(axis.shape)[...] = axis
     weights = functools.reduce(np.multiply.outer, [w] * dim).reshape(-1)
     weights /= weights.sum()
-    return nodes, weights
+    return nodes.T, weights
 
 
 def _quasi_arrays(dim: int, count: int, seed: int):
@@ -105,10 +114,12 @@ def _quasi_arrays(dim: int, count: int, seed: int):
     engine = qmc.Sobol(d=dim, scramble=True, seed=seed)
     u = engine.random(half)
     u = np.clip(u, 1e-16, 1.0 - 1e-16)
-    z = ndtri(u)
-    nodes = np.concatenate([z, -z[::-1]], axis=0)
+    z = ndtri(u).T
+    nodes = np.empty((dim, count))  # coordinate-major
+    nodes[:, :half] = z
+    np.negative(z[:, ::-1], out=nodes[:, half:])
     weights = np.full(count, 1.0 / count)
-    return nodes, weights
+    return nodes.T, weights
 
 
 def build_scheme(dim: int, method: str, resolution: int, seed: int = 0) -> QuadratureScheme:
@@ -176,13 +187,15 @@ def pair_expectation(scheme: QuadratureScheme, pair_sums, axis: int = 0):
 
     ``pair_sums`` holds them along ``axis``; at the centre node the pair
     sum is 2 g(0), weighted with half the centre weight.  Each pair is
-    weighted once, with the weight of its first node.
+    weighted once, with the weight of its first node.  The node axis is
+    moved last and made contiguous (no copy when the caller built it so),
+    so the result does not depend on the caller's layout.
     """
-    s = np.moveaxis(pair_sums, axis, 0)
+    s = np.ascontiguousarray(np.moveaxis(pair_sums, axis, -1))
     half = scheme.size // 2
-    out = np.einsum("n...,n->...", s[:half], scheme.weights[:half])
+    out = np.einsum("...n,n->...", s[..., :half], scheme.weights[:half])
     if scheme.size % 2:
-        out = out + (0.5 * scheme.weights[half]) * s[half]
+        out = out + (0.5 * scheme.weights[half]) * s[..., half]
     return out
 
 
@@ -194,9 +207,10 @@ def gaussian_expectation(scheme: QuadratureScheme, values, axis: int = 0):
     is formed before weighting (:func:`pair_expectation`), any integrand
     with ``g(-y) == -g(y)`` bitwise sums to exactly zero.
     """
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
     n = scheme.size
-    if v.shape[0] != n:
-        raise DimensionMismatchError(f"got {v.shape[0]} node values for a scheme of size {n}")
+    if v.shape[-1] != n:
+        raise DimensionMismatchError(f"got {v.shape[-1]} node values for a scheme of size {n}")
     k = (n + 1) // 2
-    return pair_expectation(scheme, v[:k] + v[::-1][:k])
+    sums = np.add(v[..., :k], v[..., ::-1][..., :k], out=np.empty(v.shape[:-1] + (k,)))
+    return pair_expectation(scheme, sums, axis=-1)

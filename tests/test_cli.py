@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from monolift.cli import main
 
@@ -43,12 +44,14 @@ def test_extend_grid_csv_metadata(capsys, tmp_path):
     assert code == 0
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# tool=monolift ")
-    assert lines[1] == "# subcommand=extend"
-    assert lines[2].startswith("# spec=")
-    assert lines[3].startswith("# scheme=tensor_hermite:")
-    assert lines[4].startswith("# seed=")
-    assert lines[5] == "x1,x2,t,F1,F2,Fn1"
-    assert len(lines) == 6 + 9
+    assert lines[1] == f"# numpy={np.__version__}"
+    assert lines[2] == f"# scipy={scipy.__version__}"
+    assert lines[3] == "# subcommand=extend"
+    assert lines[4].startswith("# spec=")
+    assert lines[5].startswith("# scheme=tensor_hermite:")
+    assert lines[6].startswith("# seed=")
+    assert lines[7] == "x1,x2,t,F1,F2,Fn1"
+    assert len(lines) == 8 + 9
 
 
 def test_extend_grid_json(capsys):
@@ -59,6 +62,27 @@ def test_extend_grid_json(capsys):
     assert payload["columns"] == ["x1", "x2", "t", "F1", "F2", "Fn1"]
     assert len(payload["rows"]) == 9
     assert payload["meta"]["subcommand"] == "extend"
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "--spec", IDENTITY2, "--grid-nx", "2", "--heights", "1", "--format", "json"],
+    ["jacobian", "--spec", IDENTITY2, "--x", "0,0", "--t", "1", "--format", "json"],
+    ["claim-check", "--dims", "2", "--matrices", "5"],
+    ["certify-delta", "--spec", IDENTITY2, "--pairs", "20"],
+    ["doubling", "--dim", "2", "--radii", "1", "--format", "json"],
+])
+def test_json_artifacts_record_library_versions(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["numpy"] == np.__version__ and meta["scipy"] == scipy.__version__
+
+
+def test_jacobian_csv_records_library_versions(capsys):
+    code, out, _ = run(capsys, "jacobian", "--spec", IDENTITY2, "--x", "0,0", "--t", "1")
+    assert code == 0
+    header = out.splitlines()[0]
+    assert header.endswith(f" numpy={np.__version__} scipy={scipy.__version__}")
 
 
 def test_extend_rerun_byte_identical(capsys, tmp_path):
@@ -296,6 +320,9 @@ def test_scheme_seed_alone_reseeds_the_default_scheme(capsys, tmp_path):
     ["demo-composition", "--theta1", "0.1", "--theta2", "0.2", "--pairs", "-1"],
     ["doubling", "--radii", ","],
     ["demo-trivial-failure", "--witness-radii", "0"],
+    # a dimension list item that is not an integer, and an empty center list
+    ["claim-check", "--dims", "2.6", "--matrices", "5"],
+    ["doubling", "--centers", ";", "--radii", "1"],
 ])
 def test_input_errors_exit_1(capsys, argv):
     code = main(argv)
@@ -357,6 +384,10 @@ def test_usage_errors_exit_1(capsys, argv):
     # no pairs at all is a bad count, not a map that collapses every pair
     (["certify-delta", "--spec", IDENTITY2, "--pairs", "0"],
      "at least one pair must be sampled"),
+    # list input that names its own fault
+    (["claim-check", "--dims", "2.6", "--matrices", "5"],
+     "expected a comma-separated integer list, got '2.6'"),
+    (["doubling", "--centers", ";", "--radii", "1"], "no center was given in ';'"),
 ])
 def test_overflow_error_is_the_only_stderr_line(argv, message):
     # the program's own finite check reports the overflow; no numpy

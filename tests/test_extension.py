@@ -6,6 +6,7 @@ import pytest
 from monolift import (
     MapSpec,
     build_scheme,
+    compose_maps,
     convex_gradient_quartic_map,
     default_scheme,
     evaluate_map,
@@ -21,9 +22,12 @@ from monolift import (
     identity_map,
     lattice_points,
     linear_map,
+    planar_rotation_map,
     power_radial_map,
+    translation_map,
 )
 from monolift import extension
+from monolift.quadrature import pair_expectation, paired_nodes
 from monolift.errors import DimensionMismatchError, InvalidParameterError, NonFiniteIntegrandError
 
 from conftest import gallery_2d, gallery_3d, monotone_gallery_2d
@@ -285,6 +289,42 @@ def test_paired_reduction_matches_full_node_sums(scheme, rng):
                       "yAy": DF[i, n, n]}
             for key, value in paired.items():
                 assert np.all(np.abs(value - sums[key]) <= ulps[key] * np.spacing(mags[key])), key
+
+
+LAYOUT_GALLERY = {
+    "linear": linear_map([[1.0, -0.4], [0.6, 1.2]]),
+    "rotation": planar_rotation_map(0.3),
+    "power_radial_negative_p": power_radial_map(2, -0.5),
+    "quartic": convex_gradient_quartic_map(2, 1.0, 0.5),
+    "composition": compose_maps(planar_rotation_map(0.3), translation_map([0.5, -1.0]),
+                                power_radial_map(2, 1.5)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LAYOUT_GALLERY))
+def test_kernels_and_reduction_are_layout_independent(kind):
+    # The lift hands the kernels coordinate-major points and reduces arrays
+    # whose node axis is last; the reference in
+    # test_paired_reduction_matches_full_node_sums works on C-ordered points
+    # and node-first values.  Its array_equal checks mean something only if
+    # no result depends on the layout.  2^14 pairs: past einsum's 2^13 block.
+    spec = LAYOUT_GALLERY[kind]
+    scheme = build_scheme(2, "quasi_random", 2**15, 4)
+    assert scheme.nodes.flags.f_contiguous and paired_nodes(scheme)[:, 1].flags.c_contiguous
+    rows = np.ascontiguousarray(np.array([0.4, -0.9]) + 1.3 * scheme.nodes)
+    cols = np.ascontiguousarray(rows.T).T
+    assert rows.flags.c_contiguous and not cols.flags.c_contiguous
+    f, J = evaluate_map(spec, rows), evaluate_map_jacobian(spec, rows)
+    assert np.array_equal(f, evaluate_map(spec, cols))
+    assert np.array_equal(J, evaluate_map_jacobian(spec, cols))
+    k = scheme.size // 2
+    for values in (f, J, np.einsum("ki,ki->k", f, scheme.nodes)):
+        node_first = values[:k] + values[::-1][:k]
+        node_last = np.ascontiguousarray(np.moveaxis(node_first, 0, -1))
+        assert np.array_equal(pair_expectation(scheme, node_first),
+                              pair_expectation(scheme, node_last, axis=-1))
+        assert np.array_equal(gaussian_expectation(scheme, values),
+                              pair_expectation(scheme, node_last, axis=-1))
 
 
 def test_scheme_override_changes_resolution():
