@@ -11,6 +11,13 @@ of shape ``(..., n)`` yields an output of shape ``(..., n)`` (Jacobians:
 coordinate (or per matrix entry) over the points, so they are fastest on
 coordinate-major input, the layout the lift passes them, and give the
 same bits in any layout.
+
+:func:`evaluate_map` and :func:`evaluate_map_jacobian` take any point
+array and reject non-finite coordinates.  :func:`map_values` and
+:func:`map_jacobians` are the same kernels without that input check: they
+take an (M, n) array the caller has already shown to be finite, as the lift
+does once per chunk from a bound on its points rather than by a scan of
+every node.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ __all__ = [
     "map_spec_from_dict",
     "evaluate_map",
     "evaluate_map_jacobian",
+    "map_values",
+    "map_jacobians",
     "batch_map",
     "rotation_matrix",
     "as_square_matrix",
@@ -441,20 +450,28 @@ def _as_point_array(x, dim: int) -> np.ndarray:
     return arr
 
 
+def map_values(spec: MapSpec, X: np.ndarray) -> np.ndarray:
+    """f at the rows of an (M, n) float array that the caller has already
+    shown to be finite; no input check.  Shape (M, n)."""
+    return _EVAL[spec.kind](spec, X)
+
+
+def map_jacobians(spec: MapSpec, X: np.ndarray) -> np.ndarray:
+    """Df at the rows of an (M, n) float array that the caller has already
+    shown to be finite; no input check.  Shape (M, n, n)."""
+    return _JAC[spec.kind](spec, X)
+
+
 def evaluate_map(spec: MapSpec, x) -> np.ndarray:
     """Evaluate the gallery map at one point or an array of points."""
     arr = _as_point_array(x, spec.dim)
-    flat = arr.reshape(-1, spec.dim)
-    out = _EVAL[spec.kind](spec, flat)
-    return out.reshape(arr.shape)
+    return map_values(spec, arr.reshape(-1, spec.dim)).reshape(arr.shape)
 
 
 def evaluate_map_jacobian(spec: MapSpec, x) -> np.ndarray:
     """Analytic Jacobian of the gallery map, shape ``(..., n, n)``."""
     arr = _as_point_array(x, spec.dim)
-    flat = arr.reshape(-1, spec.dim)
-    out = _JAC[spec.kind](spec, flat)
-    return out.reshape(arr.shape + (spec.dim,))
+    return map_jacobians(spec, arr.reshape(-1, spec.dim)).reshape(arr.shape + (spec.dim,))
 
 
 def batch_map(spec: MapSpec):

@@ -4,7 +4,7 @@ The lifted Jacobian DF itself, ``extension_jacobians`` and
 ``extension_jacobian``, is computed in :mod:`monolift.extension` by the same
 paired evaluation as the lift, and re-exported here.  This module provides
 the central-difference Jacobian that cross-checks it independently and the
-batched spectral norms of stacks of such matrices.
+batched spectral norms of stacks of such matrices (a closed form for 2x2).
 """
 
 from __future__ import annotations
@@ -46,5 +46,15 @@ def finite_difference_jacobian(F, p, h: float | None = None) -> np.ndarray:
 
 
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
-    """Largest singular value of a stack of matrices (full decomposition)."""
-    return np.linalg.svd(np.asarray(mats, dtype=float), compute_uv=False)[..., 0]
+    """Largest singular value of a stack of finite matrices: a closed form
+    for 2x2, the singular value decomposition for any other size."""
+    mats = np.asarray(mats, dtype=float)
+    if mats.shape[-2:] != (2, 2):
+        return np.linalg.svd(mats, compute_uv=False)[..., 0]
+    # sigma_max = (|(a + d, b - c)| + |(a - d, b + c)|) / 2, on each matrix
+    # scaled exactly by a power of two at its largest |entry|, so that no sum
+    # overflows
+    _, e = np.frexp(np.abs(mats).max(axis=(-2, -1)))
+    m = np.ldexp(mats, -e[..., None, None])
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    return np.ldexp((np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2.0, e)

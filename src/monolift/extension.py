@@ -43,6 +43,15 @@ the contractions with y are n multiply-adds of such vectors, and each
 caller writes its integrands into (c, ..., h) arrays that
 :func:`~monolift.quadrature.pair_expectation` reduces over the last axis
 with no copy: one for the vector integrands and one for the scalar.
+
+Bad input fails loudly, naming its first bad row, but each chunk of rows
+is checked on (rows x n) data rather than node by node.  The points
+x +- t y are checked before the kernel runs, from the exact per-row bound
+|x_k| + |t| max|y_k| over the paired nodes.  The values of f (or Df) are
+checked through the Gaussian averages, which any non-finite value makes
+non-finite; only then are the values scanned, to name the row and whether
+a value or only its average overflowed.  A chunk's bad point is named
+before its bad values, and a bad value before an overflowing average.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MapSpec, evaluate_map, evaluate_map_jacobian
+from .core import MapSpec, evaluate_map, map_jacobians, map_values
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -99,6 +108,27 @@ def _require_finite(values: np.ndarray, rows: np.ndarray, what: str) -> None:
             f"row {rows[np.argmin(ok)]}: {what} overflowed")
 
 
+def _require_finite_average(average: np.ndarray, rows: np.ndarray, plus: np.ndarray,
+                            minus: np.ndarray, what: str) -> None:
+    """Raise if the Gaussian ``average`` of ``rows`` is not all finite.
+
+    The first row with a non-finite value in ``plus`` or ``minus`` is named
+    as "``what`` at a quadrature node"; if there is none, the first row with
+    a non-finite average as "Gaussian average".
+
+    Every value enters the horizontal part (the A block) once, through a pair
+    sum with a weight, and inf * w, inf - inf, 0 * inf and NaN all stay
+    non-finite; so a non-finite value always makes its row's average
+    non-finite, and the values are scanned only when an average is.
+    """
+    if np.all(np.isfinite(average)):
+        return
+    for row, p, m in zip(rows, plus, minus):
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(m))):
+            raise NonFiniteIntegrandError(f"row {row}: {what} at a quadrature node overflowed")
+    _require_finite(average, rows, "Gaussian average")
+
+
 def _batch(X, T, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``X`` and ``T`` as finite float arrays of shapes (m, n) and (m,), or raise."""
     X = np.asarray(X, dtype=float)
@@ -122,9 +152,24 @@ def _contract_nodes(A: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
+def _contract_difference(plus: np.ndarray, minus: np.ndarray, y: np.ndarray,
+                         out: np.ndarray) -> np.ndarray:
+    """``_contract_nodes(plus - minus, y, out)`` with the same bits, formed
+    one coordinate at a time in one (c, h) scratch array rather than from a
+    (c, h, n) difference."""
+    np.subtract(plus[..., 0], minus[..., 0], out=out)
+    out *= y[:, 0]
+    term = np.empty_like(out)
+    for k in range(1, plus.shape[-1]):
+        np.subtract(plus[..., k], minus[..., k], out=term)
+        term *= y[:, k]
+        out += term
+    return out
+
+
 def _paired_values(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
-                   rows: np.ndarray, what: str):
-    """Evaluate ``kernel`` (``evaluate_map`` or ``evaluate_map_jacobian``) at
+                   rows: np.ndarray):
+    """Evaluate ``kernel`` (``map_values`` or ``map_jacobians``) at
     x + |t| y and x - |t| y for ``rows`` of (X, T) and the paired nodes y.
 
     Yields ``(chunk, plus, minus)`` per run of rows of about
@@ -133,37 +178,44 @@ def _paired_values(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
     with one contiguous vector over the nodes per coordinate (or entry).
     Callers drop them before the next chunk, so that only one chunk's
     points or values are held at a time.
-    x - t y is bitwise x + t (-y), the point at the reflected node.  An
-    overflowing x + t y or kernel value (named by ``what``) raises
-    :class:`NonFiniteIntegrandError`, and a node where the kernel is
-    undefined :class:`SingularPointError`, each naming the first bad row.
+    x - t y is bitwise x + t (-y), the point at the reflected node.
+
+    Each chunk's points are checked once, from an (c, n) bound rather than
+    a scan of every node: a row whose x + t y or x - t y has a non-finite
+    coordinate raises :class:`NonFiniteIntegrandError`, and a node where the
+    kernel is undefined :class:`SingularPointError`, each naming the first
+    bad row.  The values are not checked here; each caller checks its
+    averages with :func:`_require_finite_average`, which names a row with
+    a non-finite value before one whose average alone overflowed.
     """
     n = field.dim
     y = paired_nodes(field.scheme)
     h = y.shape[0]
+    ymax = np.abs(y).max(axis=0)
     step = max(1, _TARGET_EVALS // field.scheme.size)
     for i in range(0, rows.size, step):
         sl = rows[i:i + step]
+        t = np.abs(T[sl])[:, None]
+        # exact: the node attaining ymax_k puts one of its points at
+        # +-fl(|x_k| + fl(|t| ymax_k)), and rounding is monotone
+        _require_finite(np.abs(X[sl]) + t * ymax, sl, "x + t y at a quadrature node")
         buf = np.empty((n, sl.size, 2, h))
         xs, ty = X[sl].T[:, :, None], buf[:, :, 1]
-        np.multiply(np.abs(T[sl])[:, None], y.T[:, None, :], out=ty)
+        np.multiply(t, y.T[:, None, :], out=ty)
         np.add(xs, ty, out=buf[:, :, 0])
         np.subtract(xs, ty, out=ty)
         pts = buf.transpose(1, 2, 3, 0)
         try:
-            values = kernel(field.spec, pts)
-        except InvalidParameterError:
-            _require_finite(pts, sl, "x + t y at a quadrature node")
-            raise
+            values = kernel(field.spec, pts.reshape(-1, n))
         except SingularPointError as exc:
             for row, row_pts in zip(sl, pts):
                 try:
-                    kernel(field.spec, row_pts)
+                    kernel(field.spec, row_pts.reshape(-1, n))
                 except SingularPointError:
                     raise SingularPointError(f"row {row}: {exc}") from exc
             raise
         del buf, ty, pts  # the generator's frame would hold the points through the yield
-        _require_finite(values, sl, f"{what} at a quadrature node")
+        values = values.reshape((sl.size, 2, h) + values.shape[1:])
         yield sl, values[:, 0], values[:, 1]
         del values
 
@@ -215,20 +267,20 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
 
     boundary = np.flatnonzero(T == 0.0)
     if boundary.size:
-        fx = evaluate_map(field.spec, X[boundary])
+        fx = map_values(field.spec, X[boundary])
         _require_finite(fx, boundary, "map evaluation at t = 0")
         out[boundary, :n] = fx
         out[boundary, n] = 0.0
 
     rows = np.flatnonzero(T != 0.0)
-    for sl, plus, minus in _paired_values(field, evaluate_map, X, T, rows, "map evaluation"):
+    for sl, plus, minus in _paired_values(field, map_values, X, T, rows):
         # pair sums <f(x+ty) - f(x-ty), y> and f(x+ty) + f(x-ty), node axis last
-        vert = pair_expectation(scheme, _contract_nodes(plus - minus, y, np.empty((sl.size, h))),
-                                axis=1)
+        vert = pair_expectation(
+            scheme, _contract_difference(plus, minus, y, np.empty((sl.size, h))), axis=1)
         out[sl, n] = np.where(T[sl] < 0.0, -vert, vert)
         out[sl, :n] = pair_expectation(
             scheme, np.add(plus, minus, out=np.empty((sl.size, n, h)).transpose(0, 2, 1)), axis=1)
-        _require_finite(out[sl], sl, "Gaussian average")
+        _require_finite_average(out[sl], sl, plus, minus, "map evaluation")
         del plus, minus  # see _paired_values
     return out
 
@@ -261,8 +313,7 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
     y = paired_nodes(scheme)
     h = y.shape[0]
     DF = np.empty((X.shape[0], n + 1, n + 1))
-    for sl, plus, minus in _paired_values(field, evaluate_map_jacobian, X, T,
-                                          np.arange(X.shape[0]), "base Jacobian"):
+    for sl, plus, minus in _paired_values(field, map_jacobians, X, T, np.arange(X.shape[0])):
         # pair sums of the block integrand, node axis last: the rows of S,
         # then D y and y^T D in one array, and the scalar y^T S y
         blocks = np.empty((sl.size, n + 2, n, h))
@@ -277,8 +328,8 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
         DF[sl, :n, :n], DF[sl, :n, n], DF[sl, n, :n] = E[:, :n], E[:, n], E[:, n + 1]
         DF[sl, n, n] = pair_expectation(
             scheme, _contract_nodes(Sy.transpose(0, 2, 1), y, np.empty((sl.size, h))), axis=-1)
-        _require_finite(DF[sl], sl, "Gaussian average")
-        del plus, minus  # see _paired_values
+        _require_finite_average(DF[sl], sl, plus, minus, "base Jacobian")
+        del plus, minus, blocks, S, D, Sy  # see _paired_values
     return DF
 
 

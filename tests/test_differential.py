@@ -1,6 +1,8 @@
 """Lifted Jacobian, spectral norms, and the unit-ball size functional."""
 
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -126,6 +128,37 @@ def test_operator_norm_closed_forms():
 def test_spectral_norms_matches_svd(rng):
     mats = rng.standard_normal((20, 3, 3))
     assert np.allclose(spectral_norms(mats), np.linalg.svd(mats, compute_uv=False)[:, 0], atol=1e-12)
+
+
+def sigma_max_50_digits(m) -> float:
+    """Largest singular value of a 2x2 matrix from its invariants, in 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, c, d = (Decimal(float(v)) for v in np.ravel(m))
+        frob = a * a + b * b + c * c + d * d
+        det = a * d - b * c
+        return float(((frob + (frob * frob - 4 * det * det).sqrt()) / 2).sqrt())
+
+
+def test_spectral_norms_2x2_closed_form(rng):
+    # the closed form against a 50-digit value and the SVD, on random, rank-one,
+    # zero and subnormal matrices at scales up to 1e+-300, with no warning
+    eps = np.finfo(float).eps
+    u, v = rng.standard_normal((2, 40, 2))
+    base = np.concatenate([rng.standard_normal((200, 2, 2)), u[:, :, None] * v[:, None, :],
+                           np.zeros((1, 2, 2))])
+    extreme = np.array([np.diag([1e308, 1.0]), [[1e300, -1e-300], [5e-324, 1e300]],
+                        [[5e-324, 0.0], [-5e-324, 1e-310]], [[0.0, 5e-324], [0.0, 0.0]],
+                        [[np.finfo(float).max, 0.0], [0.0, -np.finfo(float).max]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mats in [base * scale for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300)] + [extreme]:
+            got = spectral_norms(mats)
+            ref = np.array([sigma_max_50_digits(m) for m in mats])
+            assert np.all(np.abs(got - ref) <= 4 * eps * ref + 5e-324)
+            svd = np.linalg.svd(mats, compute_uv=False)[:, 0]
+            assert np.all(np.abs(got - svd) <= 8 * eps * svd + 5e-324)
+        assert spectral_norms(np.array([[0.0, 3.0], [4.0, 0.0]])) == 4.0
 
 
 def test_norm_average_constant_jacobians():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monolift import (
     MapSpec,
@@ -217,6 +219,53 @@ def test_extend_points_names_row_of_overflowing_average():
     for t in (1.0, -1.0):
         with pytest.raises(NonFiniteIntegrandError, match="row 1: Gaussian average"):
             extend_points(field, X, np.full(2, t))
+
+
+@pytest.mark.parametrize("X, T, row, what", [
+    # a bad map value is named before an earlier row's overflowing average
+    ([[0.0, 0.0], [1e154, 0.0], [1e200, 0.0]], [1.0, 1.0, 1.0], 2, None),
+    # a bad point is named before any value or average of its chunk
+    ([[0.0, 0.0], [1e154, 0.0], [1.0, 0.0]], [1.0, 1.0, 1e308], 2, "x \\+ t y"),
+    ([[0.0, 0.0], [1.0, 0.0], [1e200, 0.0]], [1.0, 1e308, 1.0], 1, "x \\+ t y"),
+])
+def test_chunk_checks_name_row_in_order(X, T, row, what):
+    # points, then values, then averages: one check of each per chunk
+    field = gaussian_extension(power_radial_map(2, 1.0))
+    for fn, value in ((extend_points, "map evaluation"), (extension_jacobians, "base Jacobian")):
+        with pytest.raises(NonFiniteIntegrandError, match=f"row {row}: {what or value}"):
+            fn(field, np.array(X), np.array(T))
+
+
+BIG = np.finfo(float).max
+
+
+@pytest.mark.parametrize("scheme", [build_scheme(2, "tensor_hermite", 7),
+                                    build_scheme(3, "quasi_random", 512, seed=2)],
+                         ids=lambda s: s.descriptor())
+@given(k=st.integers(0, 2), a=st.floats(0.0, BIG), jitter=st.floats(-4e-16, 4e-16),
+       signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])))
+@settings(max_examples=150, deadline=None)
+def test_point_bound_is_exact(scheme, k, a, jitter, signs):
+    # the lift reports an overflowing x + t y exactly when a scan of every
+    # x +- |t| y over the paired nodes finds a non-finite coordinate
+    n = scheme.dim
+    k %= n
+    y = paired_nodes(scheme)
+    ymax = np.abs(y[:, k]).max()
+    t = signs[1] * (BIG - a) / ymax * (1.0 + jitter)
+    if t == 0.0:
+        return
+    x = np.full(n, 0.5)
+    x[k] = signs[0] * a
+    with np.errstate(over="ignore"):
+        ty = abs(t) * y
+        scan_bad = not (np.all(np.isfinite(x + ty)) and np.all(np.isfinite(x - ty)))
+    try:
+        extend_points(gaussian_extension(identity_map(n), scheme), x[None, :], np.array([t]))
+        reported = False
+    except NonFiniteIntegrandError as exc:
+        reported = "x + t y" in str(exc)
+    assert reported == scan_bad
 
 
 @pytest.mark.parametrize("scheme", [

@@ -4,6 +4,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,24 @@ def test_format_float_basic():
 @settings(max_examples=200, deadline=None)
 def test_format_float_round_trips(x):
     assert float(format_float(x)) == (0.0 if x == 0.0 else x)
+
+
+def positional_reference(x) -> str:
+    return np.format_float_positional(0.0 if x == 0.0 else x, unique=True, trim="-")
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False, width=64))
+@settings(max_examples=500, deadline=None)
+def test_format_float_matches_numpy_positional(x):
+    assert format_float(x) == positional_reference(x)
+
+
+@pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-5, 1.5e-7, 1e-4, 1e16, -1e16,
+                               9.999999999999999e15, 12345678901234567.0, 2.0**70,
+                               np.finfo(float).max, -0.0, 0.0, 123.0, 0.1])
+def test_format_float_edge_cases(x):
+    assert format_float(x) == positional_reference(x)
+    assert float(format_float(x)) == x
 
 
 def test_csv_line_mixed_types():
