@@ -195,12 +195,12 @@ def _paired_values(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
     step = max(1, _TARGET_EVALS // field.scheme.size)
     for i in range(0, rows.size, step):
         sl = rows[i:i + step]
-        t = np.abs(T[sl])[:, None]
+        x, t = X[sl], np.abs(T[sl])[:, None]
         # exact: the node attaining ymax_k puts one of its points at
         # +-fl(|x_k| + fl(|t| ymax_k)), and rounding is monotone
-        _require_finite(np.abs(X[sl]) + t * ymax, sl, "x + t y at a quadrature node")
+        _require_finite(np.abs(x) + t * ymax, sl, "x + t y at a quadrature node")
         buf = np.empty((n, sl.size, 2, h))
-        xs, ty = X[sl].T[:, :, None], buf[:, :, 1]
+        xs, ty = x.T[:, :, None], buf[:, :, 1]
         np.multiply(t, y.T[:, None, :], out=ty)
         np.add(xs, ty, out=buf[:, :, 0])
         np.subtract(xs, ty, out=ty)
