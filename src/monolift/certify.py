@@ -110,17 +110,10 @@ class PairConfig:
             raise InvalidParameterError(
                 f"witness radii must be finite and positive, got {self.witness_radii}")
         # separations 10^u must be finite floats
-        _check_sampling(self.box, "log_radius_range", self.log_radius_range, -308.0, 308.0)
-        _check_resolution(self.box, 10.0 ** self.log_radius_range[0])
-
-
-def _check_sampling(box, name, bounds, lowest, highest):
-    """A finite positive box and lowest <= lo <= hi <= highest for ``bounds``."""
-    if not (math.isfinite(box) and box > 0.0):
-        raise InvalidParameterError(f"box must be finite and positive, got {box}")
-    if not lowest <= bounds[0] <= bounds[1] <= highest:
-        raise InvalidParameterError(
-            f"{name} must be ordered within [{lowest:.4g}, {highest:.4g}], got {tuple(bounds)}")
+        if not -308.0 <= self.log_radius_range[0] <= self.log_radius_range[1] <= 308.0:
+            raise InvalidParameterError("log_radius_range must be ordered within [-308, 308], "
+                                        f"got {tuple(self.log_radius_range)}")
+        _check_sampling(self.box, 10.0 ** self.log_radius_range[0])
 
 
 # A sampled point a + r d is rounded to the spacing of the box's floats, so
@@ -130,8 +123,11 @@ def _check_sampling(box, name, bounds, lowest, highest):
 _MIN_SEPARATION_ULPS = 2.0**26
 
 
-def _check_resolution(box, smallest):
-    """Raise unless ``smallest`` separation is many ulps of the box's floats."""
+def _check_sampling(box, smallest):
+    """Raise unless ``box`` is finite and positive and the ``smallest``
+    separation is many ulps of the box's floats."""
+    if not (math.isfinite(box) and box > 0.0):
+        raise InvalidParameterError(f"box must be finite and positive, got {box}")
     ulp = float(np.spacing(box))
     if smallest < _MIN_SEPARATION_ULPS * ulp:
         raise InvalidParameterError(
@@ -529,6 +525,7 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
 # quasisymmetry profile
 
 _LOG_Y_OFFSET = (-1.0, 1.0)  # log10 range of the triple offsets |y - z|
+_S_RANGE = (1e-2, 1e2)       # range of the sampled ratios s = |x - z| / |y - z|
 
 
 @dataclass(frozen=True)
@@ -539,17 +536,14 @@ class TripleConfig:
     triples: int = 20000
     seed: int = 0
     box: float = 10.0
-    s_range: tuple[float, float] = (1e-2, 1e2)
     buckets: int = 40
 
     def __post_init__(self):
         if self.triples < 1 or self.buckets < 1:
             raise InvalidParameterError(
                 f"triples and buckets must be at least 1, got {self.triples} and {self.buckets}")
-        _check_sampling(self.box, "s_range", self.s_range,
-                        np.finfo(float).tiny, np.finfo(float).max)
         # |y - z| >= 10^lo and |x - z| >= s 10^lo, lo the low end of _LOG_Y_OFFSET
-        _check_resolution(self.box, 10.0 ** _LOG_Y_OFFSET[0] * min(1.0, self.s_range[0]))
+        _check_sampling(self.box, 10.0 ** _LOG_Y_OFFSET[0] * _S_RANGE[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -594,7 +588,7 @@ def quasisymmetry_profile(spec: MapSpec, cfg: TripleConfig) -> EtaProfile:
     dy = rng.standard_normal((m, cfg.dim))
     dy /= np.linalg.norm(dy, axis=1, keepdims=True)
     ry = 10.0 ** rng.uniform(*_LOG_Y_OFFSET, m)
-    s_target = 10.0 ** rng.uniform(math.log10(cfg.s_range[0]), math.log10(cfg.s_range[1]), m)
+    s_target = 10.0 ** rng.uniform(math.log10(_S_RANGE[0]), math.log10(_S_RANGE[1]), m)
     rx = s_target * ry
     x = z + rx[:, None] * dx
     y = z + ry[:, None] * dy
@@ -613,7 +607,7 @@ def quasisymmetry_profile(spec: MapSpec, cfg: TripleConfig) -> EtaProfile:
     s = ns[keep] / nd[keep]
     q = qn[keep] / qd[keep]
 
-    edges = np.geomspace(cfg.s_range[0], cfg.s_range[1], cfg.buckets + 1)
+    edges = np.geomspace(*_S_RANGE, cfg.buckets + 1)
     idx = np.clip(np.digitize(s, edges) - 1, 0, cfg.buckets - 1)
     bucket_max = np.full(cfg.buckets, -np.inf)
     np.maximum.at(bucket_max, idx, q)

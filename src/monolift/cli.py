@@ -11,7 +11,7 @@ to find a refuting pair).
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import os
 import sys
 
@@ -31,9 +31,9 @@ from .core import batch_map, parse_map_spec, power_radial_map
 from .errors import InvalidParameterError, MonoliftError
 from .extension import (
     ExtensionTable,
-    extend_grid,
     extend_points,
     extension_jacobian,
+    full_space_map,
     gaussian_extension,
     lattice_points,
     trivial_lift_map,
@@ -109,12 +109,29 @@ def _meta(args, spec=None, scheme=None, seed=None, **extra):
     return meta
 
 
+def _lattice(args, dim):
+    """The ``--grid-bounds`` x ``--grid-nx`` lattice crossed with ``--heights``."""
+    return lattice_points(dim, tuple(args.grid_bounds), args.grid_nx, tuple(args.heights))
+
+
+@contextlib.contextmanager
+def _output(args):
+    """The ``--out`` file opened for writing, or stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", encoding="utf-8") as handle:
+        yield handle
+
+
 def _emit_csv(args, columns, rows, meta):
-    write_csv(args.out or sys.stdout, columns, rows, meta)
+    with _output(args) as handle:
+        write_csv(handle, columns, rows, meta)
 
 
 def _emit_json(args, payload):
-    write_json(args.out or sys.stdout, payload)
+    with _output(args) as handle:
+        write_json(handle, payload)
 
 
 def _emit_report(args, payload, columns=None, rows=None, meta=None):
@@ -133,25 +150,19 @@ def _cmd_extend(args):
     scheme = _scheme_for(args, spec.dim)
     field = gaussian_extension(spec, scheme)
     if args.x is not None:
-        x = _floats(args.x)
-        out = extend_points(field, x[None, :], np.array([args.t]))[0]
-        row = np.concatenate([x, [args.t], out])
-        sys.stdout.write(csv_line(row) + "\n")
-        if args.out:
-            table = ExtensionTable(np.concatenate([x, [args.t]])[None, :], out[None, :])
-            write_csv(args.out, table.columns(), table.rows(),
-                      _meta(args, spec, scheme, scheme.seed))
-        return 0
-    X, T = lattice_points(spec.dim, tuple(args.grid_bounds), args.grid_nx,
-                          tuple(args.heights))
-    table = extend_grid(field, list(zip(X, T)))
-    meta = _meta(args, spec, scheme, scheme.seed)
-    if args.format == "json":
-        payload = {"meta": meta, "columns": table.columns(),
-                   "rows": table.rows().tolist()}
-        _emit_json(args, payload)
+        X, T = _floats(args.x)[None, :], np.array([args.t])
     else:
-        _emit_csv(args, table.columns(), table.rows(), meta)
+        X, T = _lattice(args, spec.dim)
+    table = ExtensionTable(np.column_stack([X, T]), extend_points(field, X, T))
+    columns, rows, meta = table.columns(), table.rows(), _meta(args, spec, scheme, scheme.seed)
+    if args.x is not None:
+        sys.stdout.write(csv_line(rows[0]) + "\n")
+        if args.out:
+            _emit_csv(args, columns, rows, meta)
+    elif args.format == "json":
+        _emit_json(args, {"meta": meta, "columns": columns, "rows": rows.tolist()})
+    else:
+        _emit_csv(args, columns, rows, meta)
     return 0
 
 
@@ -169,16 +180,11 @@ def _cmd_jacobian(args):
         }
         _emit_json(args, payload)
         return 0
-    buf = io.StringIO()
-    buf.write(f"# x={csv_line(x)} t={args.t} spec={spec.digest()} "
-              f"scheme={scheme.descriptor()} numpy={np.__version__} scipy={scipy.__version__}\n")
-    for row in DF:
-        buf.write(csv_line(row) + "\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    with _output(args) as handle:
+        handle.write(f"# x={csv_line(x)} t={args.t} spec={spec.digest()} scheme="
+                     f"{scheme.descriptor()} numpy={np.__version__} scipy={scipy.__version__}\n")
+        for row in DF:
+            handle.write(csv_line(row) + "\n")
     return 0
 
 
@@ -188,8 +194,6 @@ def _target_map(args, spec):
         return batch_map(spec), spec.dim
     if args.lift == "trivial":
         return trivial_lift_map(spec), spec.dim + 1
-    from .extension import full_space_map
-
     scheme = _scheme_for(args, spec.dim)
     return full_space_map(gaussian_extension(spec, scheme)), spec.dim + 1
 
@@ -288,8 +292,7 @@ def _cmd_hyperbolic(args):
         payload.update(report.json_dict())
         _emit_json(args, payload)
         return 0
-    X, T = lattice_points(spec.dim, tuple(args.grid_bounds), args.grid_nx,
-                          tuple(args.heights))
+    X, T = _lattice(args, spec.dim)
     report = vertical_comparison(field, X, T)
     meta = _meta(args, spec, scheme, scheme.seed, spread=report.spread)
     payload = {
@@ -314,6 +317,8 @@ def _cmd_demo_composition(args):
 def _cmd_demo_trivial_failure(args):
     # naive lift of the radial stretch |x| x; the witness family drives the
     # two-point ratio to ~ 2/sqrt(R), far below the 0.1 bar
+    if not np.isfinite(args.threshold):
+        raise InvalidParameterError(f"threshold must be finite, got {args.threshold}")
     spec = power_radial_map(args.dim, 1.0)
     F = trivial_lift_map(spec)
     cfg = PairConfig(dim=spec.dim + 1, pairs=args.pairs, seed=args.seed,
@@ -336,6 +341,12 @@ def _add_scheme_flags(p):
     p.add_argument("--scheme-seed", type=int, default=0)
 
 
+def _add_grid_flags(p):
+    p.add_argument("--grid-bounds", type=float, nargs=2, default=(-2.0, 2.0))
+    p.add_argument("--grid-nx", type=int, default=9)
+    p.add_argument("--heights", type=float, nargs="+", default=(0.25, 0.5, 1.0, 2.0))
+
+
 def _add_output_flags(p):
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -350,9 +361,7 @@ def build_parser() -> _Parser:
     p.add_argument("--spec", required=True)
     p.add_argument("--x", default=None, help="comma-separated base point")
     p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--grid-bounds", type=float, nargs=2, default=(-2.0, 2.0))
-    p.add_argument("--grid-nx", type=int, default=9)
-    p.add_argument("--heights", type=float, nargs="+", default=(0.25, 0.5, 1.0, 2.0))
+    _add_grid_flags(p)
     _add_scheme_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_extend)
@@ -414,9 +423,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("hyperbolic", help="vertical comparison / hyperbolic distortion")
     p.add_argument("--spec", required=True)
-    p.add_argument("--grid-bounds", type=float, nargs=2, default=(-2.0, 2.0))
-    p.add_argument("--grid-nx", type=int, default=9)
-    p.add_argument("--heights", type=float, nargs="+", default=(0.25, 0.5, 1.0, 2.0))
+    _add_grid_flags(p)
     p.add_argument("--pairs", type=int, default=0,
                    help="sample this many point pairs instead of the ratio grid")
     p.add_argument("--seed", type=int, default=0)

@@ -39,8 +39,9 @@ class SingularPointError(MonoliftError, ArithmeticError):
 
 
 class NoConvergenceError(MonoliftError, ArithmeticError):
-    """An iterative computation failed to stabilise.  No current code path
-    raises it; it stays part of the public error hierarchy."""
+    """An iterative computation failed to stabilise.  Nothing in the package
+    raises it; it stays only because the benchmark's replay
+    (``perfbench/tracing.py``) imports it."""
 
 
 class ZeroMatrixError(MonoliftError, ValueError):

@@ -237,14 +237,10 @@ class ExtensionField:
     def dim(self) -> int:
         return self.spec.dim
 
-    def descriptor(self) -> str:
-        return f"{self.spec.digest()}/{self.scheme.descriptor()}"
 
-
-def gaussian_extension(spec: MapSpec, scheme: QuadratureScheme | None = None,
-                       seed: int = 0) -> ExtensionField:
+def gaussian_extension(spec: MapSpec, scheme: QuadratureScheme | None = None) -> ExtensionField:
     """Pair ``spec`` with a default (or given) quadrature scheme."""
-    return ExtensionField(spec, scheme if scheme is not None else default_scheme(spec.dim, seed))
+    return ExtensionField(spec, scheme if scheme is not None else default_scheme(spec.dim))
 
 
 @np.errstate(all="ignore")  # _require_finite names the row; a numpy warning only repeats it
@@ -389,7 +385,9 @@ def extend_grid(field: ExtensionField, points) -> ExtensionTable:
 
     Rows are checked one by one for their dimension, then lifted in one
     :func:`extend_points` batch.  Dimension, non-finite input and overflow
-    errors name the offending row index.
+    errors name the offending row index.  The CLI lifts its arrays with
+    :func:`extend_points` directly; this list form stays only because the
+    benchmark (``perfbench/micro.py`` and ``perfbench/tracing.py``) imports it.
     """
     embedded = []
     for i, (x, t) in enumerate(points):

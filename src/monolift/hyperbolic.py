@@ -101,7 +101,6 @@ class HyperbolicReport:
     heights: np.ndarray   # (m,)
     norms: np.ndarray     # ||DF|| per point
     verticals: np.ndarray  # F_vert per point
-    descriptor: str
 
     @property
     def ratios(self) -> np.ndarray:
@@ -133,24 +132,19 @@ def vertical_comparison(field: ExtensionField, X, T) -> HyperbolicReport:
     if np.any(_vanishing_verticals(field, X, T, images)):  # before the costlier Jacobians
         raise VanishingVerticalError("lift has (numerically) vanishing vertical part")
     norms = spectral_norms(extension_jacobians(field, X, T))
-    return HyperbolicReport(points=X, heights=T, norms=norms, verticals=images[:, -1],
-                            descriptor=field.descriptor())
+    return HyperbolicReport(points=X, heights=T, norms=norms, verticals=images[:, -1])
 
 
-def sample_height_pairs(dim: int, count: int, seed: int = 0,
-                        height_range: tuple[float, float] = (0.1, 10.0),
-                        box: float = 5.0) -> tuple[np.ndarray, np.ndarray]:
-    """Random embedded point pairs with log-uniform positive heights."""
+def sample_height_pairs(dim: int, count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Random embedded point pairs: bases uniform in [-5, 5]^dim, heights
+    log-uniform in [0.1, 10]."""
     if count < 1:
         raise InvalidParameterError(f"pair count must be at least 1, got {count}")
-    if height_range[0] <= 0.0 or height_range[1] <= height_range[0]:
-        raise InvalidParameterError(f"bad height range {height_range}")
     rng = np.random.default_rng(seed)
-    lo, hi = np.log10(height_range[0]), np.log10(height_range[1])
 
     def draw():
-        base = rng.uniform(-box, box, (count, dim))
-        t = 10.0 ** rng.uniform(lo, hi, count)
+        base = rng.uniform(-5.0, 5.0, (count, dim))
+        t = 10.0 ** rng.uniform(-1.0, 1.0, count)
         return np.column_stack([base, t])
 
     return draw(), draw()

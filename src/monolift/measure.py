@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .ballrules import BallRule, ball_integral, ball_rule
+from .ballrules import ball_integral, ball_rule
 from .core import MapSpec, evaluate_map_jacobian
 from .differential import spectral_norms
 from .errors import (
@@ -107,7 +107,7 @@ class DoublingReport:
 
 
 @np.errstate(all="ignore")  # the mass check reports an overflow; a numpy warning only repeats it
-def doubling_report(density, centers, radii, rule: BallRule | None = None) -> DoublingReport:
+def doubling_report(density, centers, radii) -> DoublingReport:
     """Tabulate mass(B(c, 2r)) / mass(B(c, r)) over all (c, r) pairs.
 
     Both balls reuse one set of scaled unit-ball nodes, so for the
@@ -119,11 +119,9 @@ def doubling_report(density, centers, radii, rule: BallRule | None = None) -> Do
         raise InvalidParameterError("doubling needs at least one center and one radius")
     if np.any(radii <= 0.0) or not np.all(np.isfinite(radii)):
         raise InvalidParameterError("radii must be positive and finite")
-    dim = centers.shape[1]
-    if rule is None:
-        rule = ball_rule(dim)
-    if rule.dim != dim:
-        raise DimensionMismatchError(f"rule dim {rule.dim} vs centers dim {dim}")
+    if not np.all(np.isfinite(centers)):
+        raise InvalidParameterError("centers must be finite")
+    rule = ball_rule(centers.shape[1])
     m, k = centers.shape[0], radii.shape[0]
     masses = np.empty((m, k))
     doubled = np.empty((m, k))
@@ -151,14 +149,14 @@ class MomentRatio:
 @np.errstate(all="ignore")  # a non-finite integral or mass is reported; a numpy warning only repeats it
 def gaussian_moment_ratio(density, p: float, dim: int,
                           halfspace_normal=None,
-                          scheme: QuadratureScheme | None = None,
-                          rule: BallRule | None = None) -> MomentRatio:
+                          scheme: QuadratureScheme | None = None) -> MomentRatio:
     """E[|y|^p rho(y) (1_{<y, xi> >= 0} if xi given)] / mass_rho(B(0, 1)).
 
     The numerator is a Gaussian expectation; the denominator integrates
     the same density over the unit ball, so constants cancel for the
-    Lebesgue density up to the normalising volume.  A numerator that
-    overflows raises :class:`NonFiniteIntegrandError`.
+    Lebesgue density up to the normalising volume.  A half-space normal
+    must be finite and nonzero.  A numerator that overflows raises
+    :class:`NonFiniteIntegrandError`.
     """
     if not p >= 0.0:
         raise InvalidParameterError(f"moment exponent must be nonnegative, got {p}")
@@ -166,35 +164,32 @@ def gaussian_moment_ratio(density, p: float, dim: int,
         scheme = default_scheme(dim)
     if scheme.dim != dim:
         raise DimensionMismatchError(f"scheme dim {scheme.dim} vs requested dim {dim}")
-    if rule is None:
-        rule = ball_rule(dim)
     y = scheme.nodes
     vals = np.linalg.norm(y, axis=1) ** p * np.asarray(density(y), dtype=float)
     if halfspace_normal is not None:
         xi = np.asarray(halfspace_normal, dtype=float)
         if xi.shape != (dim,):
             raise DimensionMismatchError(f"normal shape {xi.shape} vs dim {dim}")
+        if not (np.all(np.isfinite(xi)) and np.any(xi != 0.0)):
+            raise InvalidParameterError(f"half-space normal must be finite and nonzero, got {xi.tolist()}")
         vals = np.where(y @ xi >= 0.0, vals, 0.0)
     integral = float(gaussian_expectation(scheme, vals))
     if not np.isfinite(integral):
         raise NonFiniteIntegrandError(f"Gaussian moment of order {p} overflowed")
-    mass = float(ball_integral(rule, density, np.zeros(dim), 1.0))
+    mass = float(ball_integral(ball_rule(dim), density, np.zeros(dim), 1.0))
     if not (np.isfinite(mass) and mass > 0.0):
         raise ZeroMassError("unit-ball mass must be finite and positive")
     return MomentRatio(p=float(p), integral=integral, ball_mass=mass)
 
 
-def unit_ball_norm_average(field: ExtensionField, p, rule: BallRule | None = None) -> float:
+def unit_ball_norm_average(field: ExtensionField, p) -> float:
     """The local size functional alpha = integral over the unit y-ball of
     ||Df(x + t y)|| at the point ``p = (x, t)``; DF(x, t) is comparable to
     it above and below."""
     x, t = np.asarray(p[0], dtype=float), float(p[1])
     if t <= 0.0:
         raise NonpositiveHeightError(f"norm average needs height > 0, got {t}")
-    if rule is None:
-        rule = ball_rule(field.dim)
-    if rule.dim != field.dim:
-        raise DimensionMismatchError(f"ball rule of dim {rule.dim} for a field of dim {field.dim}")
+    rule = ball_rule(field.dim)
     norms = _base_jacobian_norms(field.spec, x[None, :] + t * rule.nodes)
     value = float(np.einsum("k,k->", rule.weights, norms))
     if not math.isfinite(value):

@@ -37,7 +37,9 @@ def csv_line(values) -> str:
     return ",".join(parts)
 
 
-def _emit(handle, columns, rows, meta):
+def write_csv(handle, columns, rows, meta=None) -> None:
+    """Write a table to the open text ``handle``, with '# key=value'
+    metadata lines above the header."""
     for key in meta or {}:
         handle.write(f"# {key}={meta[key]}\n")
     handle.write(",".join(columns) + "\n")
@@ -45,19 +47,6 @@ def _emit(handle, columns, rows, meta):
         handle.write(csv_line(row.tolist() if isinstance(row, np.ndarray) else row) + "\n")
 
 
-def write_csv(path_or_buf, columns, rows, meta=None) -> None:
-    """Write a table with '# key=value' metadata lines above the header."""
-    if hasattr(path_or_buf, "write"):
-        _emit(path_or_buf, columns, rows, meta)
-    else:
-        with open(path_or_buf, "w", encoding="utf-8") as handle:
-            _emit(handle, columns, rows, meta)
-
-
-def write_json(path_or_buf, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
-    if hasattr(path_or_buf, "write"):
-        path_or_buf.write(text)
-    else:
-        with open(path_or_buf, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def write_json(handle, payload) -> None:
+    """Write ``payload`` to the open text ``handle`` as indented JSON, keys in order."""
+    handle.write(json.dumps(payload, indent=2, sort_keys=False) + "\n")

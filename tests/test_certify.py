@@ -442,14 +442,14 @@ def test_claim_check_small_run():
     lambda: PairConfig(dim=2, log_radius_range=(-math.inf, 0.0)),
     lambda: PairConfig(dim=2, log_radius_range=(0.0, 309.0)),
     lambda: TripleConfig(dim=2, box=math.inf),
-    lambda: TripleConfig(dim=2, s_range=(0.0, 1.0)),
-    lambda: TripleConfig(dim=2, s_range=(2.0, 1.0)),
-    lambda: TripleConfig(dim=2, s_range=(1.0, math.inf)),
+    lambda: TripleConfig(dim=2, box=math.nan),
+    lambda: TripleConfig(dim=2, box=0.0),
+    lambda: TripleConfig(dim=2, box=-1.0),
     # boxes whose float spacing is not far below the smallest separation
     lambda: PairConfig(dim=2, box=1e17),
     lambda: PairConfig(dim=2, box=1e3, log_radius_range=(-8.0, 0.0)),
     lambda: TripleConfig(dim=2, box=1e17),
-    lambda: TripleConfig(dim=2, s_range=(1e-9, 1.0)),
+    lambda: TripleConfig(dim=2, box=1e6),  # ulp 1.2e-10 against separations down to 1e-3
     # counts below one
     lambda: PairConfig(dim=2, pairs=-1),
     lambda: PairConfig(dim=2, pairs=0),

@@ -11,6 +11,8 @@ import pytest
 import scipy
 
 from monolift.cli import main
+from monolift.core import parse_map_spec
+from monolift.extension import extend_points, gaussian_extension, lattice_points
 
 IDENTITY2 = '{"kind":"identity","dim":2}'
 ROTATION = '{"kind":"planar_rotation","dim":2,"params":{"theta":0.7853981633974483}}'
@@ -52,6 +54,37 @@ def test_extend_grid_csv_metadata(capsys, tmp_path):
     assert lines[6].startswith("# seed=")
     assert lines[7] == "x1,x2,t,F1,F2,Fn1"
     assert len(lines) == 8 + 9
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_extend_grid_rows_are_the_batched_lift(capsys, fmt):
+    bounds, nx, heights = (-1.5, 2.0), 4, (0.3, -1.0, 0.0, 2.5)
+    code, out, _ = run(capsys, "extend", "--spec", POWER1, "--grid-bounds", *map(str, bounds),
+                       "--grid-nx", str(nx), "--heights", *map(str, heights), "--format", fmt)
+    assert code == 0
+    X, T = lattice_points(2, bounds, nx, heights)
+    field = gaussian_extension(parse_map_spec(POWER1))
+    expected = np.column_stack([X, T, extend_points(field, X, T)])
+    if fmt == "json":
+        rows = np.array(json.loads(out)["rows"])
+    else:  # format_float round-trips exactly
+        body = [line for line in out.splitlines() if not line.startswith("#")][1:]
+        rows = np.array([[float(v) for v in line.split(",")] for line in body])
+    assert rows.shape == expected.shape
+    assert np.array_equal(rows, expected)
+
+
+def test_extend_point_out_file_holds_the_printed_row(capsys, tmp_path):
+    path = tmp_path / "point.csv"
+    code, out, _ = run(capsys, "extend", "--spec", POWER1, "--x", "0.3,-1.2", "--t", "0.7",
+                       "--out", str(path))
+    assert code == 0
+    lines = path.read_text().splitlines()
+    assert lines[-2] == "x1,x2,t,F1,F2,Fn1"
+    assert out == lines[-1] + "\n"
+    field = gaussian_extension(parse_map_spec(POWER1))
+    lifted = extend_points(field, np.array([[0.3, -1.2]]), np.array([0.7]))[0]
+    assert [float(v) for v in lines[-1].split(",")] == [0.3, -1.2, 0.7, *lifted]
 
 
 def test_extend_grid_json(capsys):
@@ -323,6 +356,15 @@ def test_scheme_seed_alone_reseeds_the_default_scheme(capsys, tmp_path):
     # a dimension list item that is not an integer, and an empty center list
     ["claim-check", "--dims", "2.6", "--matrices", "5"],
     ["doubling", "--centers", ";", "--radii", "1"],
+    # non-finite centres under Lebesgue measure, where every ball has a volume
+    ["doubling", "--dim", "2", "--centers", "nan,0", "--radii", "1"],
+    ["doubling", "--dim", "2", "--centers", "inf,0", "--radii", "1"],
+    # normals that define no half-space
+    ["moments", "--dim", "2", "--halfspace", "nan,0"],
+    ["moments", "--dim", "2", "--halfspace", "0,0"],
+    # a threshold no ratio can be compared with, and one JSON cannot hold
+    ["demo-trivial-failure", "--pairs", "50", "--threshold", "nan"],
+    ["demo-trivial-failure", "--pairs", "50", "--threshold", "inf"],
 ])
 def test_input_errors_exit_1(capsys, argv):
     code = main(argv)

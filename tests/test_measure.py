@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from monolift import (
-    ball_rule,
     doubling_report,
     gaussian_moment_ratio,
     jacobian_norm_density,
@@ -70,8 +69,10 @@ def test_doubling_errors():
         doubling_report(lambda pts: np.zeros(len(pts)), [[0.0, 0.0]], [1.0])
     with pytest.raises(InvalidParameterError):
         doubling_report(lebesgue_density(2), [[0.0, 0.0]], [-1.0])
-    with pytest.raises(DimensionMismatchError):
-        doubling_report(lebesgue_density(3), [[0.0, 0.0, 0.0]], [1.0], rule=ball_rule(2))
+    # Lebesgue measure gives a ball its volume wherever it is centred
+    for center in ([math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf]):
+        with pytest.raises(InvalidParameterError, match="centers must be finite"):
+            doubling_report(lebesgue_density(2), [[0.0, 0.0], center], [1.0])
     # ||Df|| overflows at the ball nodes: reported before the SVD sees it
     with pytest.raises(NonFiniteIntegrandError):
         doubling_report(jacobian_norm_density(power_radial_map(2, 1.0)), [[0.0, 0.0]], [1e200])
@@ -116,6 +117,10 @@ def test_moment_ratio_errors():
         gaussian_moment_ratio(lebesgue_density(2), -1.0, 2)
     with pytest.raises(DimensionMismatchError):
         gaussian_moment_ratio(lebesgue_density(2), 1.0, 2, halfspace_normal=[1.0, 0.0, 0.0])
+    # a NaN normal keeps no node, and a zero one keeps every node
+    for normal in ([math.nan, 0.0], [math.inf, 1.0], [0.0, 0.0], [-0.0, 0.0]):
+        with pytest.raises(InvalidParameterError, match="half-space normal must be finite and nonzero"):
+            gaussian_moment_ratio(lebesgue_density(2), 1.0, 2, halfspace_normal=normal)
     with pytest.raises(DimensionMismatchError):
         gaussian_moment_ratio(lebesgue_density(2), 1.0, 2, scheme=build_scheme(3, "tensor_hermite", 6))
     with pytest.raises(InvalidParameterError):
