@@ -4,7 +4,8 @@ Dimension 2 gets a polar product rule (Gauss-Legendre radially, trapezoid
 in the angle, which is spectrally accurate on the circle).  Higher
 dimensions fall back to quasirandom rejection sampling from the enclosing
 cube, with Sobol points scrambled under seed 0, so every rule is
-deterministic.
+deterministic.  Only that fallback imports ``scipy.stats``, inside the
+function, so building a rule in dimension 1 or 2 does not load it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import InvalidParameterError
 
@@ -64,6 +64,8 @@ def _polar_rule():
 
 
 def _cube_rejection_rule(dim):
+    from scipy.stats import qmc
+
     engine = qmc.Sobol(d=dim, scramble=True, seed=0)
     u = 2.0 * engine.random(_SOBOL_POINTS) - 1.0
     keep = np.einsum("ki,ki->k", u, u) <= 1.0

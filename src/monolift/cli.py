@@ -155,12 +155,12 @@ def _cmd_extend(args):
         X, T = _lattice(args, spec.dim)
     table = ExtensionTable(np.column_stack([X, T]), extend_points(field, X, T))
     columns, rows, meta = table.columns(), table.rows(), _meta(args, spec, scheme, scheme.seed)
-    if args.x is not None:
+    if args.format == "json":
+        _emit_json(args, {"meta": meta, "columns": columns, "rows": rows.tolist()})
+    elif args.x is not None:
         sys.stdout.write(csv_line(rows[0]) + "\n")
         if args.out:
             _emit_csv(args, columns, rows, meta)
-    elif args.format == "json":
-        _emit_json(args, {"meta": meta, "columns": columns, "rows": rows.tolist()})
     else:
         _emit_csv(args, columns, rows, meta)
     return 0

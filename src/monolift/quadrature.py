@@ -18,6 +18,10 @@ but contiguous columns, so each coordinate of the :func:`paired_nodes` is
 one contiguous vector over the nodes.  :func:`pair_expectation` reduces
 along a contiguous last (node) axis, so its bits do not depend on the
 layout a caller holds its values in.
+
+``scipy.stats`` and ``scipy.special`` are imported inside the Sobol builder,
+not at module level: they cost most of a process's start-up, and only
+quasi-random rules use them.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import (
     DimensionMismatchError,
@@ -110,6 +112,9 @@ def _tensor_arrays(dim: int, order: int):
 
 
 def _quasi_arrays(dim: int, count: int, seed: int):
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     half = count // 2
     engine = qmc.Sobol(d=dim, scramble=True, seed=seed)
     u = engine.random(half)
@@ -129,11 +134,14 @@ def build_scheme(dim: int, method: str, resolution: int, seed: int = 0) -> Quadr
     ``resolution`` (>= 2); ``quasi_random`` uses ``resolution`` (>= 16,
     rounded up to even) scrambled-Sobol points pushed through the normal
     inverse CDF and symmetrised.  A resolution whose rule has non-finite
-    nodes or weights raises :class:`ResolutionError`.
+    nodes or weights raises :class:`ResolutionError`; a negative ``seed``
+    raises :class:`InvalidParameterError` for either method.
     """
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InvalidParameterError(f"dim must be a positive integer, got {dim!r}")
     resolution, seed = int(resolution), int(seed)
+    if seed < 0:
+        raise InvalidParameterError(f"scheme seed must be a non-negative integer, got {seed}")
     if method == TENSOR_HERMITE:
         if resolution < 2:
             raise ResolutionError(f"tensor_hermite needs resolution >= 2, got {resolution}")

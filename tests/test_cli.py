@@ -13,6 +13,7 @@ import scipy
 from monolift.cli import main
 from monolift.core import parse_map_spec
 from monolift.extension import extend_points, gaussian_extension, lattice_points
+from monolift.tableio import csv_line
 
 IDENTITY2 = '{"kind":"identity","dim":2}'
 ROTATION = '{"kind":"planar_rotation","dim":2,"params":{"theta":0.7853981633974483}}'
@@ -85,6 +86,24 @@ def test_extend_point_out_file_holds_the_printed_row(capsys, tmp_path):
     field = gaussian_extension(parse_map_spec(POWER1))
     lifted = extend_points(field, np.array([[0.3, -1.2]]), np.array([0.7]))[0]
     assert [float(v) for v in lines[-1].split(",")] == [0.3, -1.2, 0.7, *lifted]
+
+
+def test_extend_point_json_is_the_grid_document(capsys):
+    point = ["extend", "--spec", POWER1, "--x", "0.3,-1.2", "--t", "0.7"]
+    code, out, _ = run(capsys, *point, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["meta", "columns", "rows"]
+    assert payload["columns"] == ["x1", "x2", "t", "F1", "F2", "Fn1"]
+    assert payload["meta"]["scheme"] == "tensor_hermite:r20:seed0:dim2"
+    field = gaussian_extension(parse_map_spec(POWER1))
+    lifted = extend_points(field, np.array([[0.3, -1.2]]), np.array([0.7]))[0]
+    assert payload["rows"] == [[0.3, -1.2, 0.7, *lifted]]   # JSON floats round-trip
+    # the default stays the bare CSV row, the same with --format csv
+    code, out_default, _ = run(capsys, *point)
+    code_csv, out_csv, _ = run(capsys, *point, "--format", "csv")
+    assert code == code_csv == 0
+    assert out_default == out_csv == csv_line([0.3, -1.2, 0.7, *lifted]) + "\n"
 
 
 def test_extend_grid_json(capsys):
@@ -365,6 +384,10 @@ def test_scheme_seed_alone_reseeds_the_default_scheme(capsys, tmp_path):
     # a threshold no ratio can be compared with, and one JSON cannot hold
     ["demo-trivial-failure", "--pairs", "50", "--threshold", "nan"],
     ["demo-trivial-failure", "--pairs", "50", "--threshold", "inf"],
+    # negative scheme seeds, for a Sobol rule asked for and a default one
+    ["extend", "--spec", POWER1, "--x", "0.3,-1.2", "--t", "0.7", "--method", "quasi_random",
+     "--resolution", "64", "--scheme-seed", "-1"],
+    ["moments", "--dim", "4", "--p", "2", "--scheme-seed", "-2"],
 ])
 def test_input_errors_exit_1(capsys, argv):
     code = main(argv)

@@ -191,3 +191,12 @@ def test_build_errors():
         build_scheme(2, "gauss_legendre", 10)
     with pytest.raises(InvalidParameterError):
         build_scheme(0, "tensor_hermite", 5)
+
+
+@pytest.mark.parametrize("method, resolution", [
+    ("tensor_hermite", 5), ("quasi_random", 64), ("gauss_legendre", 10)])
+def test_negative_seed_is_rejected_for_every_method(method, resolution):
+    # checked before the method is looked at, so an unknown method names the
+    # seed, and a tensor rule (which draws nothing) no longer records seed-1
+    with pytest.raises(InvalidParameterError, match="seed must be a non-negative integer, got -1"):
+        build_scheme(2, method, resolution, seed=-1)
