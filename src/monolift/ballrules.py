@@ -74,10 +74,12 @@ def _cube_rejection_rule(dim):
     return BallRule(dim, nodes, weights)
 
 
-def ball_integral(rule: BallRule, density, center, radius: float) -> float:
-    """Integrate ``density`` over the ball B(center, radius)."""
-    center = np.asarray(center, dtype=float)
-    pts = center[None, :] + radius * rule.nodes
-    vals = np.asarray(density(pts), dtype=float)
-    return float(radius**rule.dim * np.einsum("k,k->", rule.weights, vals))
-
+def ball_integral(rule: BallRule, density, center, radius):
+    """Integrate ``density`` over B(center, r) for each r of ``radius``, a float
+    or an array (the result has its shape); ``density`` is called once, on the
+    points of all the balls as one (-1, dim) array."""
+    radius = np.asarray(radius, dtype=float)
+    pts = np.asarray(center, dtype=float) + radius[..., None, None] * rule.nodes
+    vals = np.asarray(density(pts.reshape(-1, rule.dim)), dtype=float).reshape(pts.shape[:-1])
+    out = radius**rule.dim * np.einsum("...k,k->...", vals, rule.weights)
+    return float(out) if out.ndim == 0 else out

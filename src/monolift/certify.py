@@ -101,6 +101,8 @@ class PairConfig:
     witness_radii: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be a non-negative integer, got {self.seed}")
         if self.pairs < 0 or self.crossing_pairs < 0:
             raise InvalidParameterError(
                 f"pair counts must be nonnegative, got {self.pairs} and {self.crossing_pairs}")
@@ -501,6 +503,8 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
         raise InvalidParameterError(f"matrix count must be at least 1, got {count}")
     if not dims or min(dims) < 1:
         raise InvalidParameterError(f"dims must be one or more positive integers, got {dims}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed}")
     stats = []
     for dim in dims:
         rng = np.random.default_rng([seed, dim])
@@ -539,6 +543,8 @@ class TripleConfig:
     buckets: int = 40
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be a non-negative integer, got {self.seed}")
         if self.triples < 1 or self.buckets < 1:
             raise InvalidParameterError(
                 f"triples and buckets must be at least 1, got {self.triples} and {self.buckets}")

@@ -134,9 +134,9 @@ def _emit_json(args, payload):
         write_json(handle, payload)
 
 
-def _emit_report(args, payload, columns=None, rows=None, meta=None):
-    """CSV when asked for and possible, JSON otherwise."""
-    if args.format == "csv" and columns is not None:
+def _emit_report(args, payload, columns, rows, meta):
+    """CSV when asked for, JSON otherwise."""
+    if args.format == "csv":
         _emit_csv(args, columns, rows, meta)
     else:
         _emit_json(args, payload)
@@ -243,10 +243,9 @@ def _parse_centers(text, dim):
     rows = [_floats(part) for part in text.split(";") if part]
     if not rows:
         raise InvalidParameterError(f"no center was given in {text!r}")
-    centers = np.array(rows)
-    if centers.ndim != 2 or centers.shape[1] != dim:
+    if any(row.size != dim for row in rows):
         raise MonoliftError(f"centers must each have {dim} coordinates")
-    return centers
+    return np.array(rows)
 
 
 def _cmd_doubling(args):

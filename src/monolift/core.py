@@ -293,8 +293,8 @@ def parse_map_spec(text: str) -> MapSpec:
 
 # evaluation ---------------------------------------------------------------
 
-def _combine(coeffs, columns, out):
-    # out = sum_k coeffs[k] * columns[k], accumulated in order of k
+def combine(coeffs, columns, out):
+    """``out = sum_k coeffs[k] * columns[k]``, accumulated in order of k."""
     np.multiply(coeffs[0], columns[0], out=out)
     for c, col in zip(coeffs[1:], columns[1:]):
         out += c * col
@@ -305,7 +305,7 @@ def _sq_norm(X):
     # |x|^2 per row, summed over the coordinate columns.  A row that
     # overflows gets inf, which the callers report, not a warning.
     with np.errstate(over="ignore", under="ignore"):
-        return _combine(X.T, X.T, np.empty(len(X)))
+        return combine(X.T, X.T, np.empty(len(X)))
 
 
 def _eval_identity(spec, X):
@@ -315,7 +315,7 @@ def _eval_identity(spec, X):
 def _eval_linear(spec, X):
     out = np.empty((spec.dim, len(X)))
     for row, coeffs in zip(out, spec._matrix):
-        _combine(coeffs, X.T, row)
+        combine(coeffs, X.T, row)
     return out.T
 
 
@@ -423,7 +423,7 @@ def _jac_composition(spec, X):
             prod = np.empty((n, n, len(X)))
             for i in range(n):
                 for k in range(n):
-                    _combine(J[:, i].T, mats[:, :, k].T, prod[i, k])
+                    combine(J[:, i].T, mats[:, :, k].T, prod[i, k])
             J = prod.transpose(2, 0, 1)
         mats = J
         cur = _EVAL[child.kind](child, cur)

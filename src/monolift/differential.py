@@ -23,17 +23,16 @@ __all__ = [
 ]
 
 
-def finite_difference_jacobian(F, p, h: float | None = None) -> np.ndarray:
+def finite_difference_jacobian(F, p) -> np.ndarray:
     """Central-difference Jacobian of an arbitrary vector map.
 
-    ``F`` takes a single d-vector and returns a k-vector.  The default
-    step is 1e-5 * max(1, |p|).
+    ``F`` takes a single d-vector and returns a k-vector.  The step is
+    fixed by the point: h = 1e-5 * max(1, |p|) along every axis.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise DimensionMismatchError(f"expected a single point, got shape {p.shape}")
-    if h is None:
-        h = 1e-5 * max(1.0, float(np.linalg.norm(p)))
+    h = 1e-5 * max(1.0, float(np.linalg.norm(p)))
     cols = []
     for j in range(p.size):
         e = np.zeros_like(p)

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MapSpec, evaluate_map, map_jacobians, map_values
+from .core import MapSpec, combine, evaluate_map, map_jacobians, map_values
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -143,20 +143,12 @@ def _batch(X, T, n: int) -> tuple[np.ndarray, np.ndarray]:
     return X, T
 
 
-def _contract_nodes(A: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = sum_k A[..., k] * y[:, k]`` for A of shape (c, h, n): n
-    multiply-adds over contiguous node vectors, summed in order of k."""
-    np.multiply(A[..., 0], y[:, 0], out=out)
-    for k in range(1, A.shape[-1]):
-        out += A[..., k] * y[:, k]
-    return out
-
-
 def _contract_difference(plus: np.ndarray, minus: np.ndarray, y: np.ndarray,
                          out: np.ndarray) -> np.ndarray:
-    """``_contract_nodes(plus - minus, y, out)`` with the same bits, formed
-    one coordinate at a time in one (c, h) scratch array rather than from a
-    (c, h, n) difference."""
+    """``out = sum_k (plus - minus)[..., k] * y[:, k]`` for arrays of shape
+    (c, h, n), with the bits of :func:`~monolift.core.combine` on the
+    difference, formed one coordinate at a time in one (c, h) scratch array
+    rather than from a (c, h, n) difference."""
     np.subtract(plus[..., 0], minus[..., 0], out=out)
     out *= y[:, 0]
     term = np.empty_like(out)
@@ -272,12 +264,13 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
     for sl, plus, minus in _paired_values(field, map_values, X, T, rows):
         # pair sums <f(x+ty) - f(x-ty), y> and f(x+ty) + f(x-ty), node axis last
         vert = pair_expectation(
-            scheme, _contract_difference(plus, minus, y, np.empty((sl.size, h))), axis=1)
+            scheme, _contract_difference(plus, minus, y, np.empty((sl.size, h))))
         out[sl, n] = np.where(T[sl] < 0.0, -vert, vert)
-        out[sl, :n] = pair_expectation(
-            scheme, np.add(plus, minus, out=np.empty((sl.size, n, h)).transpose(0, 2, 1)), axis=1)
+        sums = np.empty((sl.size, n, h))
+        np.add(plus, minus, out=sums.transpose(0, 2, 1))
+        out[sl, :n] = pair_expectation(scheme, sums)
         _require_finite_average(out[sl], sl, plus, minus, "map evaluation")
-        del plus, minus  # see _paired_values
+        del plus, minus, sums  # see _paired_values
     return out
 
 
@@ -317,13 +310,13 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
         D = plus - minus
         Sy = np.empty((sl.size, n, h))
         for i in range(n):
-            _contract_nodes(D[..., i, :], y, blocks[:, n, i])
-            _contract_nodes(D[..., i], y, blocks[:, n + 1, i])
-            _contract_nodes(S[..., i, :], y, Sy[:, i])
-        E = pair_expectation(scheme, blocks, axis=-1)
+            combine(np.moveaxis(D[..., i, :], -1, 0), y.T, blocks[:, n, i])
+            combine(np.moveaxis(D[..., i], -1, 0), y.T, blocks[:, n + 1, i])
+            combine(np.moveaxis(S[..., i, :], -1, 0), y.T, Sy[:, i])
+        E = pair_expectation(scheme, blocks)
         DF[sl, :n, :n], DF[sl, :n, n], DF[sl, n, :n] = E[:, :n], E[:, n], E[:, n + 1]
         DF[sl, n, n] = pair_expectation(
-            scheme, _contract_nodes(Sy.transpose(0, 2, 1), y, np.empty((sl.size, h))), axis=-1)
+            scheme, combine(np.moveaxis(Sy, 1, 0), y.T, np.empty((sl.size, h))))
         _require_finite_average(DF[sl], sl, plus, minus, "base Jacobian")
         del plus, minus, blocks, S, D, Sy  # see _paired_values
     return DF
@@ -402,6 +395,8 @@ def extend_grid(field: ExtensionField, points) -> ExtensionTable:
 def lattice_points(dim: int = 2, bounds: tuple[float, float] = (-2.0, 2.0), nx: int = 9,
                    heights=(0.25, 0.5, 1.0, 2.0)) -> tuple[np.ndarray, np.ndarray]:
     """Default evaluation lattice: an nx^dim grid crossed with fixed heights."""
+    if not np.all(np.isfinite(bounds)):
+        raise InvalidParameterError(f"grid bounds must be finite, got {tuple(bounds)}")
     heights = np.asarray(heights, dtype=float)
     if nx < 1 or heights.size == 0:
         raise InvalidParameterError(

@@ -19,6 +19,7 @@ from .differential import spectral_norms
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
+    NonFiniteIntegrandError,
     NonpositiveHeightError,
     VanishingVerticalError,
 )
@@ -34,19 +35,36 @@ __all__ = [
 ]
 
 
+@np.errstate(all="ignore")  # an overflowing distance is reported by row; a warning only repeats it
 def hyperbolic_distances(P, Q) -> np.ndarray:
-    """Batch distance on (m, n+1) arrays whose last column is the height."""
+    """Batch distance on (m, n+1) arrays whose last column is the height;
+    a distance that overflows raises :class:`NonFiniteIntegrandError`."""
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if P.shape != Q.shape or P.ndim != 2:
         raise DimensionMismatchError(f"batch shapes {P.shape} vs {Q.shape}")
+    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
+        raise InvalidParameterError("hyperbolic distance needs finite points")
     tp, tq = P[:, -1], Q[:, -1]
     if np.any(tp <= 0.0) or np.any(tq <= 0.0):
         raise NonpositiveHeightError("hyperbolic distance needs positive heights")
     d2 = np.sum((P - Q) ** 2, axis=1)
     # max(1, .) guards arccosh against rounding for nearly equal points
-    arg = np.maximum(1.0, 1.0 + d2 / (2.0 * tp * tq))
-    return np.arccosh(arg)
+    d = np.arccosh(np.maximum(1.0, 1.0 + d2 / (2.0 * tp * tq)))
+    bad = ~np.isfinite(d)
+    if np.any(bad):
+        raise NonFiniteIntegrandError(f"row {np.argmax(bad)}: hyperbolic distance overflowed")
+    return d
+
+
+@np.errstate(over="ignore")  # an overflowing row is redone below
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``a``; overflowing rows are redone with ``np.hypot``."""
+    a = a.reshape(len(a), -1)
+    norms = np.sqrt(np.einsum("ki,ki->k", a, a))
+    big = np.isinf(norms)
+    norms[big] = np.hypot.reduce(a[big], axis=1, initial=0.0)
+    return norms
 
 
 def _vanishing_verticals(field: ExtensionField, X: np.ndarray, T: np.ndarray,
@@ -82,10 +100,10 @@ def _vanishing_verticals(field: ExtensionField, X: np.ndarray, T: np.ndarray,
     pts = np.concatenate([X[:, None, :] + steps, X[:, None, :] - steps], axis=1)
     with np.errstate(all="ignore"):  # an overflowing Jacobian makes the bound infinite
         J = evaluate_map_jacobian(field.spec, pts.reshape(-1, n))
-    slope = np.sqrt(np.einsum("kij,kij->k", J, J)).reshape(-1, 2 * n).mean(axis=1)
+    slope = _row_norms(J).reshape(-1, 2 * n).mean(axis=1)
     bound = np.finfo(float).eps * (
-        (n + 2) * rn * np.linalg.norm(images[:, :n], axis=1)
-        + slope * (rn * np.linalg.norm(X, axis=1) + (3 * n + 7) * n * np.abs(T)))
+        (n + 2) * rn * _row_norms(images[:, :n])
+        + slope * (rn * _row_norms(X) + (3 * n + 7) * n * np.abs(T)))
     return ~(images[:, n] > bound)
 
 
@@ -140,6 +158,8 @@ def sample_height_pairs(dim: int, count: int, seed: int = 0) -> tuple[np.ndarray
     log-uniform in [0.1, 10]."""
     if count < 1:
         raise InvalidParameterError(f"pair count must be at least 1, got {count}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
 
     def draw():

@@ -190,16 +190,16 @@ def paired_nodes(scheme: QuadratureScheme) -> np.ndarray:
     return scheme.nodes[:(scheme.size + 1) // 2]
 
 
-def pair_expectation(scheme: QuadratureScheme, pair_sums, axis: int = 0):
+def pair_expectation(scheme: QuadratureScheme, pair_sums):
     """E[g] from the pair sums ``g(y) + g(-y)`` at the :func:`paired_nodes`.
 
-    ``pair_sums`` holds them along ``axis``; at the centre node the pair
-    sum is 2 g(0), weighted with half the centre weight.  Each pair is
-    weighted once, with the weight of its first node.  The node axis is
-    moved last and made contiguous (no copy when the caller built it so),
+    ``pair_sums`` holds them along its last axis, the node axis; at the
+    centre node the pair sum is 2 g(0), weighted with half the centre
+    weight.  Each pair is weighted once, with the weight of its first node.
+    The sums are made contiguous (no copy when the caller built them so),
     so the result does not depend on the caller's layout.
     """
-    s = np.ascontiguousarray(np.moveaxis(pair_sums, axis, -1))
+    s = np.ascontiguousarray(pair_sums)
     half = scheme.size // 2
     out = np.einsum("...n,n->...", s[..., :half], scheme.weights[:half])
     if scheme.size % 2:
@@ -221,4 +221,4 @@ def gaussian_expectation(scheme: QuadratureScheme, values, axis: int = 0):
         raise DimensionMismatchError(f"got {v.shape[-1]} node values for a scheme of size {n}")
     k = (n + 1) // 2
     sums = np.add(v[..., :k], v[..., ::-1][..., :k], out=np.empty(v.shape[:-1] + (k,)))
-    return pair_expectation(scheme, sums, axis=-1)
+    return pair_expectation(scheme, sums)

@@ -421,6 +421,15 @@ def test_claim_check_floor_domain(floor):
         claim_check(dims=(2,), count=10, delta_floor=floor)
 
 
+def test_negative_seeds_are_rejected_before_sampling():
+    # numpy's generator would raise its own ValueError on them
+    for make in (lambda: PairConfig(dim=2, seed=-1), lambda: TripleConfig(dim=2, seed=-1),
+                 lambda: claim_check(dims=(2,), count=5, seed=-1),
+                 lambda: composition_monotonicity_demo(0.1, 0.2, pairs=10, seed=-3)):
+        with pytest.raises(InvalidParameterError, match="seed must be a non-negative integer"):
+            make()
+
+
 def test_claim_check_small_run():
     report = claim_check(dims=(2, 3), count=400, seed=3)
     assert report.total_violations == 0

@@ -388,6 +388,17 @@ def test_scheme_seed_alone_reseeds_the_default_scheme(capsys, tmp_path):
     ["extend", "--spec", POWER1, "--x", "0.3,-1.2", "--t", "0.7", "--method", "quasi_random",
      "--resolution", "64", "--scheme-seed", "-1"],
     ["moments", "--dim", "4", "--p", "2", "--scheme-seed", "-2"],
+    # negative sampling seeds, checked before numpy's generator sees them
+    ["claim-check", "--dims", "2", "--matrices", "5", "--seed", "-1"],
+    ["certify-delta", "--spec", IDENTITY2, "--pairs", "10", "--seed", "-1"],
+    ["certify-qs", "--spec", IDENTITY2, "--triples", "10", "--seed", "-1"],
+    ["hyperbolic", "--spec", IDENTITY2, "--pairs", "5", "--seed", "-1"],
+    ["demo-composition", "--theta1", "0.1", "--theta2", "0.2", "--pairs", "10", "--seed", "-1"],
+    ["demo-trivial-failure", "--pairs", "10", "--seed", "-1"],
+    # a ragged center list, and grid bounds numpy cannot space
+    ["doubling", "--dim", "2", "--centers", "0,0;1", "--radii", "1"],
+    ["extend", "--spec", IDENTITY2, "--grid-bounds", "-1", "inf", "--grid-nx", "2"],
+    ["hyperbolic", "--spec", IDENTITY2, "--grid-bounds", "-1", "inf", "--grid-nx", "2"],
 ])
 def test_input_errors_exit_1(capsys, argv):
     code = main(argv)
@@ -453,6 +464,9 @@ def test_usage_errors_exit_1(capsys, argv):
     (["claim-check", "--dims", "2.6", "--matrices", "5"],
      "expected a comma-separated integer list, got '2.6'"),
     (["doubling", "--centers", ";", "--radii", "1"], "no center was given in ';'"),
+    # image points near 1e200: the lift is finite, the squared distances are not
+    (["hyperbolic", "--spec", '{"kind":"linear","dim":2,"params":{"matrix":[[1e200,0],[0,1e200]]}}',
+      "--pairs", "5"], "row 0: hyperbolic distance overflowed"),
 ])
 def test_overflow_error_is_the_only_stderr_line(argv, message):
     # the program's own finite check reports the overflow; no numpy

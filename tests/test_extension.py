@@ -370,10 +370,10 @@ def test_kernels_and_reduction_are_layout_independent(kind):
     for values in (f, J, np.einsum("ki,ki->k", f, scheme.nodes)):
         node_first = values[:k] + values[::-1][:k]
         node_last = np.ascontiguousarray(np.moveaxis(node_first, 0, -1))
-        assert np.array_equal(pair_expectation(scheme, node_first),
-                              pair_expectation(scheme, node_last, axis=-1))
+        assert np.array_equal(pair_expectation(scheme, np.moveaxis(node_first, 0, -1)),
+                              pair_expectation(scheme, node_last))
         assert np.array_equal(gaussian_expectation(scheme, values),
-                              pair_expectation(scheme, node_last, axis=-1))
+                              pair_expectation(scheme, node_last))
 
 
 def test_scheme_override_changes_resolution():

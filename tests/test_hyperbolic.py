@@ -19,6 +19,7 @@ from monolift import (
 from monolift.errors import (
     DimensionMismatchError,
     InvalidParameterError,
+    NonFiniteIntegrandError,
     NonpositiveHeightError,
     VanishingVerticalError,
 )
@@ -108,6 +109,12 @@ def test_sample_height_pairs():
         sample_height_pairs(2, 0)
 
 
+def test_sample_height_pairs_rejects_a_negative_seed():
+    # numpy's generator would raise its own ValueError on it
+    with pytest.raises(InvalidParameterError, match="seed must be a non-negative integer, got -1"):
+        sample_height_pairs(2, 5, seed=-1)
+
+
 def test_metric_invariant_under_exact_dilation():
     # scaling every coordinate by a power of two is exact in floating
     # point, and the metric is dilation invariant, bit for bit
@@ -186,3 +193,29 @@ def test_small_vertical_parts_are_kept():
     tiny = gaussian_extension(linear_map(1e-14 * np.eye(2)))
     report = vertical_comparison(tiny, X, np.ones(2))
     assert np.allclose(report.ratios, 1.0, rtol=1e-6)
+
+
+def test_large_lifts_are_not_vanishing():
+    # |F| past 1e154 squares past the float range; the vanishing bound must
+    # not overflow, so 1e200 I compares as 1e150 I does
+    X, T = np.array([[1.0, 0.5], [-1.5, 2.0], [0.0, 0.0]]), np.array([0.25, 1.0, 2.0])
+    ratios = [vertical_comparison(gaussian_extension(linear_map(s * np.eye(2))), X, T).ratios
+              for s in (1e150, 1e200)]
+    assert np.allclose(ratios[1], ratios[0], rtol=1e-12, atol=0.0)
+    # ... and in pairs, where the image distance itself overflows
+    big = gaussian_extension(linear_map(1e200 * np.eye(2)))
+    P, Q = sample_height_pairs(2, 4, seed=1)
+    with pytest.raises(NonFiniteIntegrandError, match="row 0: hyperbolic distance overflowed"):
+        bilipschitz_sample(big, P, Q)
+
+
+def test_distance_overflow_names_its_row():
+    P = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+    Q = np.array([[1.0, 2.0], [1e200, 1.0], [0.0, 1e-320]])
+    with pytest.raises(NonFiniteIntegrandError, match="row 1: hyperbolic distance overflowed"):
+        hyperbolic_distances(P, Q)
+    # a height near the subnormal range overflows the quotient, not the square
+    with pytest.raises(NonFiniteIntegrandError, match="row 2: hyperbolic distance overflowed"):
+        hyperbolic_distances(P, np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 1e-320]]))
+    with pytest.raises(InvalidParameterError, match="finite points"):
+        hyperbolic_distances(P, np.where(Q == 1e200, math.nan, Q))

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from monolift import (
+    ball_integral,
+    ball_rule,
+    convex_gradient_quartic_map,
     doubling_report,
     gaussian_moment_ratio,
     jacobian_norm_density,
@@ -28,6 +31,13 @@ def test_lebesgue_doubling_dim2_exact():
     report = doubling_report(lebesgue_density(2), [[0.0, 0.0], [3.0, -1.0]], [0.5, 1.0, 2.0])
     assert np.all(report.ratios == 4.0)
     assert report.constant_hat == 4.0
+
+
+def test_lebesgue_doubling_exact_at_any_radius():
+    # r^2 and (2r)^2 are both correctly rounded squares, so their ratio is
+    # exactly 4; a libm pow(r, 2) missed it by an ulp at these radii
+    radii = [2.13385565026647, 29.402575362981953]
+    assert np.all(doubling_report(lebesgue_density(2), [[0.0, 0.0]], radii).ratios == 4.0)
 
 
 def test_lebesgue_doubling_dim3():
@@ -62,6 +72,37 @@ def test_doubling_report_table_layout():
     assert np.array_equal(rows[:, 0], [1.0, 1.0])
     report3 = doubling_report(lebesgue_density(3), [[0.0, 0.0, 0.0]], [1.0])
     assert report3.columns()[:3] == ["c1", "c2", "c3"]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ball_integral_of_radii_is_the_scalar_calls(dim):
+    rule = ball_rule(dim)
+    density = jacobian_norm_density(convex_gradient_quartic_map(dim, 1.0, 0.5))
+    center = np.linspace(-0.7, 0.4, dim)
+    radii = np.array([0.3, 0.77, 1.9, 3.1, 1e-3])
+    many = ball_integral(rule, density, center, radii)
+    assert many.shape == radii.shape
+    assert np.array_equal(many, [ball_integral(rule, density, center, float(r)) for r in radii])
+    assert np.array_equal(ball_integral(rule, density, center, radii.reshape(1, 5, 1)),
+                          many.reshape(1, 5, 1))
+    assert isinstance(ball_integral(rule, density, center, 0.3), float)
+
+
+@pytest.mark.parametrize("dim, rtol", [(2, 0.0), (3, 1e-13)])
+def test_doubling_masses_are_the_ball_integrals(dim, rtol):
+    # one call per center sums each ball as the per-ball call does in dim 2;
+    # the 17142-node dim-3 rule takes einsum's other summation order
+    rule = ball_rule(dim)
+    density = jacobian_norm_density(convex_gradient_quartic_map(dim, 1.0, 0.5))
+    centers = np.random.default_rng(4).uniform(-2.0, 2.0, (3, dim))
+    radii = np.array([0.5, 0.77, 1.9])
+    report = doubling_report(density, centers, radii)
+    single = np.array([[ball_integral(rule, density, c, float(r)) for r in radii]
+                       for c in centers])
+    doubled = np.array([[ball_integral(rule, density, c, 2.0 * float(r)) for r in radii]
+                        for c in centers])
+    np.testing.assert_allclose(report.masses, single, rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(report.masses_doubled, doubled, rtol=rtol, atol=0.0)
 
 
 def test_doubling_errors():
