@@ -22,6 +22,7 @@ from .certify import (
     claim_constant,
     composition_monotonicity_demo,
     matrix_delta,
+    matrix_delta_lower_many,
     matrix_delta_many,
     matrix_gamma,
     quasisymmetry_profile,

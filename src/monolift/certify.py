@@ -17,16 +17,22 @@ below by c(delta) ||A|| with
 and ``claim_check`` brute-forces that bound over random matrices.
 
 Matrix constants of 1x1 and 2x2 matrices are exact (a closed form, see
-``_delta_2x2``).  For n >= 3 (``_delta_pencil``) let P = sym A,
+``_delta_2x2``).  For n >= 3 let P = sym A,
 B_mu = (mu A^T A + I / mu) / 2 and c(mu) the least eigenvalue of the
 pencil (P, B_mu).  As |Av| |v| <= v^T B_mu v (AM-GM, with equality when
 mu |Av| = |v|), delta >= c(mu) for every mu when P is positive definite,
 and then delta = max c(mu) by Brickman's convexity theorem and the
-S-lemma; otherwise delta = min c(mu).  A search over log mu gives a
-certified lower bound (the best c less a rounding allowance, or -1 when
-P is not positive definite) and an upper bound attained by an explicit
-direction, which ``matrix_delta`` reports; when delta > 0 they agree to
-about 1e-12.  ``claim_check`` qualifies matrices on the lower bound.
+S-lemma; otherwise delta = min c(mu).  Both searches over log mu share
+one frame (``_pencil_frame``) and one golden-section search:
+
+* ``matrix_delta_lower_many`` gives a certified lower bound, the best c
+  less a rounding allowance.  It searches only the matrices whose P is
+  positive definite and gives every other matrix exactly -1.
+* ``matrix_delta`` and ``matrix_delta_many`` search every matrix and
+  report an upper bound attained by an explicit direction.
+
+When delta > 0 the two agree to about 1e-12.  ``claim_check`` reads only
+the lower bound, and qualifies matrices on it.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ __all__ = [
     "two_point_delta",
     "matrix_delta",
     "matrix_delta_many",
+    "matrix_delta_lower_many",
     "matrix_gamma",
     "claim_constant",
     "ClaimReport",
@@ -333,43 +340,61 @@ def _golden_max(objective, grid: np.ndarray):
     return np.take_along_axis(xs, best, axis=1)[:, 0], np.take_along_axis(fs, best, axis=1)[:, 0]
 
 
-def _delta_pencil(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certified lower bound and attained value of delta for n >= 3 (module docstring).
+def _pencil_frame(mats: np.ndarray):
+    """Rescaled stack A, its singular values sigma, W = V^T U, W diag(sigma) and
+    P = sym(W diag(sigma)) = V^T (sym A) V.
 
-    Works in the right singular basis: sym A = sym(W diag(sigma)), W = V^T U, and
-    |Av| = |diag(sigma) z|, so ratios stay accurate next to a kernel; singular values
-    below _RANK_RATIO sigma_max count as 0, as in _delta_2x2.  The log(mu) grid spans
-    [-log sigma_max, -log sigma_min] and adds -log |lambda| for each eigenvalue of A,
-    where c can dip narrowly (a real eigenvector with lambda < 0 attains -1).  The
-    attained value is the least ratio over the two lowest pencil eigenvectors at the
-    best mu and their combinations with mu |Av| = |v|, the minimiser when the lowest
-    eigenvalue is double (as for symmetric A); on a kernel it also takes the limit
-    of the ratio there, -||W[kernel, range]||, which no finite mu reaches when c is
-    flat (diag(1, 1, 0) has infimum 0).
+    In this right singular basis |Av| = |diag(sigma) z|, so ratios stay accurate next
+    to a kernel; singular values below _RANK_RATIO sigma_max count as 0, as in _delta_2x2.
     """
     A = _pow2_rescaled(mats)
     U, sv, Vt = np.linalg.svd(A)
     sv = np.where(sv > _RANK_RATIO * sv[:, :1], sv, 0.0)
     W = Vt @ U
     WS = W * sv[:, None, :]
-    P = 0.5 * (WS + np.swapaxes(WS, 1, 2))
-    sign = np.where(np.linalg.eigvalsh(P)[:, :1] > 0.0, 1.0, -1.0)  # maximise c, or minimise
+    return A, sv, W, WS, 0.5 * (WS + np.swapaxes(WS, 1, 2))
 
-    def pencil(s):  # P scaled on both sides by d = diag B_mu^(-1/2), mu = e^s; and d
-        mu = np.exp(s)[..., None]
-        d = 1.0 / np.sqrt(0.5 * (mu * (sv * sv)[:, None, :] + 1.0 / mu))
-        return P[:, None] * d[..., :, None] * d[..., None, :], d
+
+def _pencil_scale(s: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """d = diag(B_mu)^(-1/2) at mu = e^s, for each column of ``s``."""
+    mu = np.exp(s)[..., None]
+    return 1.0 / np.sqrt(0.5 * (mu * (sv * sv)[:, None, :] + 1.0 / mu))
+
+
+def _pencil_search(A, sv, P, sign):
+    """Best log(mu) and value of sign * c(mu) per row of the frame (A, sv, P).
+
+    The log(mu) grid spans [-log sigma_max, -log sigma_min] and adds -log |lambda|
+    for each eigenvalue of A, where c can dip narrowly (a real eigenvector with
+    lambda < 0 attains -1); _golden_max refines the best grid point.
+    """
+    def objective(s):  # P scaled on both sides by d
+        d = _pencil_scale(s, sv)
+        return sign * np.linalg.eigvalsh(P[:, None] * d[..., :, None] * d[..., None, :])[..., 0]
 
     lam = np.linalg.eigvals(A)
     lo, hi = -np.log(sv[:, :1]), -np.log(np.maximum(sv[:, -1:], _RANK_RATIO * sv[:, :1]))
     with np.errstate(divide="ignore"):
         grid = np.concatenate([lo + np.linspace(0.0, 1.0, _PENCIL_GRID) * (hi - lo),
                                np.clip(-np.log(np.abs(lam)), lo, hi)], axis=1)
-    s, f = _golden_max(lambda s: sign * np.linalg.eigvalsh(pencil(s)[0])[..., 0],
-                       np.sort(grid, axis=1))
+    return _golden_max(objective, np.sort(grid, axis=1))
 
-    M, d = pencil(s[:, None])
-    Y = np.linalg.eigh(M[:, 0])[1] * d[:, 0, :, None]  # columns z = B_mu^(-1/2) y
+
+def _delta_pencil(mats: np.ndarray) -> np.ndarray:
+    """Attained value of delta for n >= 3, an upper bound (module docstring).
+
+    The search maximises c where P is positive definite and minimises it elsewhere.
+    The attained value is the least ratio over the two lowest pencil eigenvectors at
+    the best mu and their combinations with mu |Av| = |v|, the minimiser when the
+    lowest eigenvalue is double (as for symmetric A); on a kernel it also takes the
+    limit of the ratio there, -||W[kernel, range]||, which no finite mu reaches when
+    c is flat (diag(1, 1, 0) has infimum 0).
+    """
+    A, sv, W, _, P = _pencil_frame(mats)
+    sign = np.where(np.linalg.eigvalsh(P)[:, :1] > 0.0, 1.0, -1.0)
+    s, _ = _pencil_search(A, sv, P, sign)
+    d = _pencil_scale(s[:, None], sv)[:, 0]
+    Y = np.linalg.eigh(P * d[:, :, None] * d[:, None, :])[1] * d[:, :, None]  # z = B_mu^(-1/2) y
     y1, y2 = Y[:, :, 0], Y[:, :, 1]
     h = np.exp(2.0 * s)[:, None] * sv * sv - 1.0   # z^T diag(h) z = mu^2 |Av|^2 - |v|^2
     h11, h12, h22 = ((h * a * b).sum(axis=1)[:, None] for a, b in ((y1, y1), (y1, y2), (y2, y2)))
@@ -382,18 +407,24 @@ def _delta_pencil(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kernel = sv == 0.0
     limit = -np.linalg.svd(W * (kernel[:, :, None] & ~kernel[:, None, :]), compute_uv=False)[:, 0]
     attained = np.where(kernel.any(axis=1), np.minimum(attained, limit), attained)
-    # each entry of the scaled pencil carries a few ulps of its size, eigvalsh about n
-    N = np.abs(WS) * d[:, 0, :, None] * d[:, 0, None, :]
-    rounding = 4 * A.shape[1] * np.finfo(float).eps * np.sqrt((N * N).sum(axis=(1, 2)))
-    return np.where(sign[:, 0] > 0.0, f - rounding, -1.0), np.clip(attained, -1.0, 1.0)
+    return np.clip(attained, -1.0, 1.0)
 
 
-def _delta_bounds(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(certified lower bound, attained value) of delta; equal, and exact, for n <= 2."""
-    if arr.shape[1] >= 3:
-        return _delta_pencil(arr)
-    d = np.sign(arr[:, 0, 0]) if arr.shape[1] == 1 else _delta_2x2(arr)  # sign(a) in dim 1
-    return d, d
+def _matrix_stack(mats) -> np.ndarray:
+    """``mats`` as a float stack of square, finite, nonzero matrices."""
+    arr = np.asarray(mats, dtype=float)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise DimensionMismatchError(f"expected a stack of square matrices, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidParameterError("matrix entries must be finite")
+    if np.any(np.max(np.abs(arr), axis=(1, 2)) == 0.0):
+        raise ZeroMatrixError("matrix constant of the zero matrix is undefined")
+    return arr
+
+
+def _delta_exact(arr: np.ndarray) -> np.ndarray:
+    """Exact delta for n <= 2: sign(a) in dim 1, the closed form in dim 2."""
+    return np.sign(arr[:, 0, 0]) if arr.shape[1] == 1 else _delta_2x2(arr)
 
 
 def matrix_delta(A) -> float:
@@ -407,14 +438,31 @@ def matrix_delta(A) -> float:
 
 def matrix_delta_many(mats) -> np.ndarray:
     """Vectorised :func:`matrix_delta` over a stack of same-size matrices."""
-    arr = np.asarray(mats, dtype=float)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise DimensionMismatchError(f"expected a stack of square matrices, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParameterError("matrix entries must be finite")
-    if np.any(np.max(np.abs(arr), axis=(1, 2)) == 0.0):
-        raise ZeroMatrixError("matrix constant of the zero matrix is undefined")
-    return _delta_bounds(arr)[1]
+    arr = _matrix_stack(mats)
+    return _delta_pencil(arr) if arr.shape[1] >= 3 else _delta_exact(arr)
+
+
+def matrix_delta_lower_many(mats) -> np.ndarray:
+    """Certified lower bound on the matrix constant of each matrix of a stack.
+
+    Exact for n <= 2.  For n >= 3, where P is positive definite, the best
+    c(mu) of the pencil search less a rounding allowance (module docstring);
+    every other matrix gets exactly -1.0 without a search.  Each row's bound
+    is the same whatever else is in the stack.
+    """
+    arr = _matrix_stack(mats)
+    if arr.shape[1] <= 2:
+        return _delta_exact(arr)
+    A, sv, _, WS, P = _pencil_frame(arr)
+    lower = np.full(len(A), -1.0)
+    pd = np.linalg.eigvalsh(P)[:, 0] > 0.0
+    A, sv, WS, P = A[pd], sv[pd], WS[pd], P[pd]
+    s, f = _pencil_search(A, sv, P, 1.0)
+    # each entry of the scaled pencil carries a few ulps of its size, eigvalsh about n
+    d = _pencil_scale(s[:, None], sv)[:, 0]
+    N = np.abs(WS) * d[:, :, None] * d[:, None, :]
+    lower[pd] = f - 4 * A.shape[1] * np.finfo(float).eps * np.sqrt((N * N).sum(axis=(1, 2)))
+    return lower
 
 
 def matrix_gamma(A) -> float:
@@ -490,7 +538,7 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
     """Brute-force the singular-value claim over random matrices.
 
     A sampled matrix qualifies when the certified lower bound on its
-    matrix constant (exact for n <= 2, see the module docstring) is
+    matrix constant (:func:`matrix_delta_lower_many`, exact for n <= 2) is
     >= ``delta_floor``; the matrix is then delta-monotone with delta that
     bound, and the check asserts sigma_min >= c(delta) sigma_max (up to
     1e-12 relative rounding slack) and reports the worst margin seen, or
@@ -509,7 +557,7 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
     for dim in dims:
         rng = np.random.default_rng([seed, dim])
         mats = _random_test_matrices(dim, count, rng)
-        lower = _delta_bounds(mats)[0]
+        lower = matrix_delta_lower_many(mats)
         qual = lower >= delta_floor
         nqual = int(qual.sum())
         if nqual:

@@ -92,7 +92,7 @@ def _density_for(args):
     if args.spec:
         spec = _load_spec(args.spec)
         return spec, jacobian_norm_density(spec), spec.dim
-    return None, lebesgue_density(args.dim), args.dim
+    return None, lebesgue_density(), args.dim
 
 
 def _meta(args, spec=None, scheme=None, seed=None, **extra):

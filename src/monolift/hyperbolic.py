@@ -1,7 +1,9 @@
 """Upper-half-space hyperbolic geometry diagnostics.
 
 d(p, q) = arccosh(1 + |p - q|^2 / (2 t_p t_q)) for points with positive
-height.  ``vertical_comparison`` measures how far the lifted map is from
+height, computed as 2 asinh(|p - q| / (2 sqrt(t_p t_q))), which neither
+squares |p - q| nor loses nearly equal points to the rounding of 1 + x.
+``vertical_comparison`` measures how far the lifted map is from
 a hyperbolic isometry pointwise: the ratio ||DF(x, t)|| t / F_vert(x, t)
 equals 1 exactly for the identity and for diagonal linear maps, and its
 spread over a grid is the comparison constant.
@@ -48,9 +50,12 @@ def hyperbolic_distances(P, Q) -> np.ndarray:
     tp, tq = P[:, -1], Q[:, -1]
     if np.any(tp <= 0.0) or np.any(tq <= 0.0):
         raise NonpositiveHeightError("hyperbolic distance needs positive heights")
-    d2 = np.sum((P - Q) ** 2, axis=1)
-    # max(1, .) guards arccosh against rounding for nearly equal points
-    d = np.arccosh(np.maximum(1.0, 1.0 + d2 / (2.0 * tp * tq)))
+    # sqrt(t_p t_q) from the mantissas' product and half the exponent sum: the
+    # product cannot overflow, and scaling by 2 scales the root by 2 exactly
+    (mp, ep), (mq, eq) = np.frexp(tp), np.frexp(tq)
+    half = (ep + eq) // 2
+    root = np.ldexp(np.sqrt(np.ldexp(mp * mq, ep + eq - 2 * half)), half)
+    d = 2.0 * np.arcsinh(_row_norms(P - Q) / (2.0 * root))
     bad = ~np.isfinite(d)
     if np.any(bad):
         raise NonFiniteIntegrandError(f"row {np.argmax(bad)}: hyperbolic distance overflowed")

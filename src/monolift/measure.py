@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 
-def lebesgue_density(dim: int):
-    """Constant density 1 on R^dim (so masses are plain volumes)."""
+def lebesgue_density():
+    """Constant density 1 in any dimension (so masses are plain volumes)."""
 
     def density(pts):
         pts = np.asarray(pts, dtype=float)

@@ -171,7 +171,7 @@ def test_criterion_11_doubling_constants():
     for dim in (2, 3):
         centers = rng.uniform(-3, 3, (6, dim))
         radii = np.geomspace(0.1, 2.0, 6)
-        rep = doubling_report(lebesgue_density(dim), centers, radii)
+        rep = doubling_report(lebesgue_density(), centers, radii)
         assert np.abs(rep.ratios - 2.0**dim).max() < 1e-6
 
     density = jacobian_norm_density(power_radial_map(2, 1.0))

@@ -19,6 +19,7 @@ from monolift import (
     identity_map,
     linear_map,
     matrix_delta,
+    matrix_delta_lower_many,
     matrix_delta_many,
     matrix_gamma,
     planar_rotation_map,
@@ -30,7 +31,6 @@ from monolift import (
     trivial_lift_map,
     two_point_delta,
 )
-from monolift.certify import _delta_bounds
 from monolift.errors import (
     DegenerateMapError,
     DegenerateTripleError,
@@ -348,7 +348,7 @@ def test_matrix_delta_bounds_against_dense_reference(n):
     else:
         points = rng.standard_normal((16384, n))
         points /= np.linalg.norm(points, axis=1, keepdims=True)
-    lower, upper = _delta_bounds(mats)
+    lower, upper = matrix_delta_lower_many(mats), matrix_delta_many(mats)
     assert np.array_equal(upper, matrix_delta_many(mats))
     assert np.all(upper <= dense_sphere_delta(mats, points) + 1e-12)
     assert np.all(lower <= upper)
@@ -366,7 +366,7 @@ def test_matrix_delta_spd_eigenvalue_formula_higher_dims(n, rng):
         lam = 10.0 ** rng.uniform(-3.0, 3.0, n)
         A = Q @ np.diag(lam) @ Q.T
         expected = 2.0 * math.sqrt(lam.min() * lam.max()) / (lam.min() + lam.max())
-        lower, upper = _delta_bounds(A[None])
+        lower, upper = matrix_delta_lower_many(A[None]), matrix_delta_many(A[None])
         assert upper[0] == pytest.approx(expected, abs=1e-12)
         assert lower[0] == pytest.approx(expected, abs=1e-12)
 
@@ -387,6 +387,38 @@ def test_matrix_delta_kernel_limits_higher_dims(n, rng):
         assert matrix_delta(np.outer(u, w)) == pytest.approx(rank1_delta(u, w), abs=1e-12)
     # diag(1, ..., 1, 0): every attained ratio is positive, the infimum 0 sits at e_n
     assert matrix_delta(np.diag([1.0] * (n - 1) + [0.0])) == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_matrix_delta_lower_many_rows_are_batch_independent(n, rng):
+    # a mixed stack: Gaussian matrices (mostly P not positive definite), shifted
+    # ones (mostly positive definite) and rank-one ones
+    mats = np.concatenate([rng.standard_normal((20, n, n)),
+                           rng.standard_normal((20, n, n)) + 2.0 * np.eye(n),
+                           [np.outer(rng.standard_normal(n), rng.standard_normal(n))
+                            for _ in range(5)]])
+    mats = mats[rng.permutation(len(mats))]
+    lower = matrix_delta_lower_many(mats)
+    alone = np.array([matrix_delta_lower_many(m[None])[0] for m in mats])
+    assert np.array_equal(lower, alone)
+    spd = np.linalg.eigvalsh(mats + np.swapaxes(mats, 1, 2))[:, 0] > 0.0
+    assert 0 < spd.sum() < len(mats)
+    assert np.all(lower[spd] > -1.0)
+    # not positive definite in the symmetric part: exactly -1, not searched
+    assert np.all(lower[~spd] == -1.0)
+    assert np.all(lower <= matrix_delta_many(mats))
+
+
+def test_matrix_delta_lower_many_guards():
+    assert np.array_equal(matrix_delta_lower_many(-np.eye(3)[None].repeat(3, axis=0)), [-1.0] * 3)
+    assert np.array_equal(matrix_delta_lower_many([[[2.0]], [[-0.5]]]), [1.0, -1.0])
+    assert matrix_delta_lower_many([rotation_matrix(0.3)])[0] == matrix_delta(rotation_matrix(0.3))
+    with pytest.raises(ZeroMatrixError):
+        matrix_delta_lower_many(np.zeros((1, 3, 3)))
+    with pytest.raises(InvalidParameterError):
+        matrix_delta_lower_many(np.full((1, 3, 3), math.nan))
+    with pytest.raises(DimensionMismatchError):
+        matrix_delta_lower_many(np.zeros((3, 2)))
 
 
 def test_matrix_delta_many_dim3_bitwise_equals_single_calls(rng):

@@ -297,6 +297,21 @@ def test_hyperbolic_pairs(capsys):
     assert payload["pairs"] == 60
 
 
+@pytest.mark.parametrize("scale", [1e100, 1e200])
+def test_hyperbolic_pairs_scale_invariant(capsys, scale):
+    # the lift of c I is c (x, n t) and the hyperbolic metric is invariant
+    # under dilation, so image points near 1e200 compare as those of I do
+    def pairs(c):
+        spec = json.dumps({"kind": "linear", "dim": 2, "params": {"matrix": [[c, 0.0], [0.0, c]]}})
+        code, out, err = run(capsys, "hyperbolic", "--spec", spec, "--pairs", "5")
+        assert code == 0 and err == ""
+        return json.loads(out)
+
+    base, scaled = pairs(1.0), pairs(scale)
+    for key in ("lower", "upper"):
+        assert scaled[key] == pytest.approx(base[key], rel=0.0, abs=1e-12)
+
+
 def test_demo_composition(capsys):
     code, out, _ = run(capsys, "demo-composition", "--theta1", str(math.pi / 3),
                        "--theta2", str(math.pi / 3), "--pairs", "500")
@@ -464,9 +479,6 @@ def test_usage_errors_exit_1(capsys, argv):
     (["claim-check", "--dims", "2.6", "--matrices", "5"],
      "expected a comma-separated integer list, got '2.6'"),
     (["doubling", "--centers", ";", "--radii", "1"], "no center was given in ';'"),
-    # image points near 1e200: the lift is finite, the squared distances are not
-    (["hyperbolic", "--spec", '{"kind":"linear","dim":2,"params":{"matrix":[[1e200,0],[0,1e200]]}}',
-      "--pairs", "5"], "row 0: hyperbolic distance overflowed"),
 ])
 def test_overflow_error_is_the_only_stderr_line(argv, message):
     # the program's own finite check reports the overflow; no numpy

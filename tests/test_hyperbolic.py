@@ -202,20 +202,31 @@ def test_large_lifts_are_not_vanishing():
     ratios = [vertical_comparison(gaussian_extension(linear_map(s * np.eye(2))), X, T).ratios
               for s in (1e150, 1e200)]
     assert np.allclose(ratios[1], ratios[0], rtol=1e-12, atol=0.0)
-    # ... and in pairs, where the image distance itself overflows
-    big = gaussian_extension(linear_map(1e200 * np.eye(2)))
+    # ... and in pairs, where |F(p) - F(q)|^2 and F_vert(p) F_vert(q) overflow
     P, Q = sample_height_pairs(2, 4, seed=1)
-    with pytest.raises(NonFiniteIntegrandError, match="row 0: hyperbolic distance overflowed"):
-        bilipschitz_sample(big, P, Q)
+    ratios = [bilipschitz_sample(gaussian_extension(linear_map(s * np.eye(2))), P, Q).ratios
+              for s in (1e150, 1e200)]
+    assert np.allclose(ratios[1], ratios[0], rtol=1e-12, atol=0.0)
 
 
 def test_distance_overflow_names_its_row():
-    P = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
-    Q = np.array([[1.0, 2.0], [1e200, 1.0], [0.0, 1e-320]])
+    # only |p - q| / (2 sqrt(t_p t_q)) past the float range overflows
+    P = np.array([[0.0, 1.0], [0.0, 1e-10], [0.0, 1.0]])
+    Q = np.array([[1.0, 2.0], [1e300, 1e-10], [0.0, 2.0]])
     with pytest.raises(NonFiniteIntegrandError, match="row 1: hyperbolic distance overflowed"):
         hyperbolic_distances(P, Q)
-    # a height near the subnormal range overflows the quotient, not the square
+    # two heights near the subnormal range overflow it at unit separation
     with pytest.raises(NonFiniteIntegrandError, match="row 2: hyperbolic distance overflowed"):
-        hyperbolic_distances(P, np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 1e-320]]))
+        hyperbolic_distances(np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1e-320]]),
+                             np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 1e-320]]))
     with pytest.raises(InvalidParameterError, match="finite points"):
-        hyperbolic_distances(P, np.where(Q == 1e200, math.nan, Q))
+        hyperbolic_distances(P, np.where(Q == 1e300, math.nan, Q))
+    # a separation of 1e200, or a height of 1e-320 against 1, is a finite distance
+    d = hyperbolic_distances([[0.0, 1.0], [0.0, 1.0]], [[1e200, 1.0], [0.0, 1e-320]])
+    assert d == pytest.approx([200.0 * math.log(100.0), -math.log(1e-320)], rel=1e-12)
+
+
+def test_nearly_equal_points_keep_their_distance():
+    # arccosh(1 + |p - q|^2 / (2 t_p t_q)) rounds 1 + 5e-19 to 1 and gives 0
+    d = hyperbolic_distances([[0.0, 1.0], [3.0, 2.0]], [[1e-9, 1.0], [3.0, 2.0 + 2e-12]])
+    assert d == pytest.approx([1e-9, 1e-12], rel=1e-9)

@@ -28,7 +28,7 @@ from conftest import monotone_gallery_2d, spec_id
 
 def test_lebesgue_doubling_dim2_exact():
     # shared scaled nodes make the volume ratio exactly 2^dim
-    report = doubling_report(lebesgue_density(2), [[0.0, 0.0], [3.0, -1.0]], [0.5, 1.0, 2.0])
+    report = doubling_report(lebesgue_density(), [[0.0, 0.0], [3.0, -1.0]], [0.5, 1.0, 2.0])
     assert np.all(report.ratios == 4.0)
     assert report.constant_hat == 4.0
 
@@ -37,11 +37,11 @@ def test_lebesgue_doubling_exact_at_any_radius():
     # r^2 and (2r)^2 are both correctly rounded squares, so their ratio is
     # exactly 4; a libm pow(r, 2) missed it by an ulp at these radii
     radii = [2.13385565026647, 29.402575362981953]
-    assert np.all(doubling_report(lebesgue_density(2), [[0.0, 0.0]], radii).ratios == 4.0)
+    assert np.all(doubling_report(lebesgue_density(), [[0.0, 0.0]], radii).ratios == 4.0)
 
 
 def test_lebesgue_doubling_dim3():
-    report = doubling_report(lebesgue_density(3), [[0.0, 0.0, 0.0]], [1.0])
+    report = doubling_report(lebesgue_density(), [[0.0, 0.0, 0.0]], [1.0])
     assert report.ratios[0, 0] == pytest.approx(8.0, abs=1e-12)
 
 
@@ -65,12 +65,12 @@ def test_gallery_doubling_constants_finite(spec, rng):
 
 
 def test_doubling_report_table_layout():
-    report = doubling_report(lebesgue_density(2), [[1.0, 2.0]], [1.0, 2.0])
+    report = doubling_report(lebesgue_density(), [[1.0, 2.0]], [1.0, 2.0])
     assert report.columns() == ["cx", "cy", "r", "mass", "mass2x", "ratio"]
     rows = report.rows()
     assert rows.shape == (2, 6)
     assert np.array_equal(rows[:, 0], [1.0, 1.0])
-    report3 = doubling_report(lebesgue_density(3), [[0.0, 0.0, 0.0]], [1.0])
+    report3 = doubling_report(lebesgue_density(), [[0.0, 0.0, 0.0]], [1.0])
     assert report3.columns()[:3] == ["c1", "c2", "c3"]
 
 
@@ -109,34 +109,34 @@ def test_doubling_errors():
     with pytest.raises(ZeroMassError):
         doubling_report(lambda pts: np.zeros(len(pts)), [[0.0, 0.0]], [1.0])
     with pytest.raises(InvalidParameterError):
-        doubling_report(lebesgue_density(2), [[0.0, 0.0]], [-1.0])
+        doubling_report(lebesgue_density(), [[0.0, 0.0]], [-1.0])
     # Lebesgue measure gives a ball its volume wherever it is centred
     for center in ([math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf]):
         with pytest.raises(InvalidParameterError, match="centers must be finite"):
-            doubling_report(lebesgue_density(2), [[0.0, 0.0], center], [1.0])
+            doubling_report(lebesgue_density(), [[0.0, 0.0], center], [1.0])
     # ||Df|| overflows at the ball nodes: reported before the SVD sees it
     with pytest.raises(NonFiniteIntegrandError):
         doubling_report(jacobian_norm_density(power_radial_map(2, 1.0)), [[0.0, 0.0]], [1e200])
     with pytest.raises(ZeroMassError):
-        doubling_report(lebesgue_density(2), [[0.0, 0.0]], [1e300])
+        doubling_report(lebesgue_density(), [[0.0, 0.0]], [1e300])
 
 
 def test_moment_ratio_lebesgue_constants():
-    r = gaussian_moment_ratio(lebesgue_density(2), 0.0, 2)
+    r = gaussian_moment_ratio(lebesgue_density(), 0.0, 2)
     assert r.integral == pytest.approx(1.0, abs=1e-12)
     assert r.ball_mass == pytest.approx(math.pi, abs=1e-12)
     assert r.ratio == pytest.approx(1.0 / math.pi, abs=1e-12)
 
 
 def test_moment_ratio_second_moment():
-    r = gaussian_moment_ratio(lebesgue_density(2), 2.0, 2)
+    r = gaussian_moment_ratio(lebesgue_density(), 2.0, 2)
     assert r.integral == pytest.approx(2.0, abs=1e-10)
     assert r.ratio == pytest.approx(2.0 / math.pi, abs=1e-10)
 
 
 def test_moment_ratio_halfspace_splits_in_two():
-    full = gaussian_moment_ratio(lebesgue_density(2), 0.0, 2)
-    half = gaussian_moment_ratio(lebesgue_density(2), 0.0, 2, halfspace_normal=[1.0, 0.0])
+    full = gaussian_moment_ratio(lebesgue_density(), 0.0, 2)
+    half = gaussian_moment_ratio(lebesgue_density(), 0.0, 2, halfspace_normal=[1.0, 0.0])
     assert half.integral == pytest.approx(0.5, abs=1e-12)
     assert half.ball_mass == full.ball_mass
 
@@ -155,18 +155,18 @@ def test_moment_sandwich_for_jacobian_densities(spec):
 
 def test_moment_ratio_errors():
     with pytest.raises(InvalidParameterError):
-        gaussian_moment_ratio(lebesgue_density(2), -1.0, 2)
+        gaussian_moment_ratio(lebesgue_density(), -1.0, 2)
     with pytest.raises(DimensionMismatchError):
-        gaussian_moment_ratio(lebesgue_density(2), 1.0, 2, halfspace_normal=[1.0, 0.0, 0.0])
+        gaussian_moment_ratio(lebesgue_density(), 1.0, 2, halfspace_normal=[1.0, 0.0, 0.0])
     # a NaN normal keeps no node, and a zero one keeps every node
     for normal in ([math.nan, 0.0], [math.inf, 1.0], [0.0, 0.0], [-0.0, 0.0]):
         with pytest.raises(InvalidParameterError, match="half-space normal must be finite and nonzero"):
-            gaussian_moment_ratio(lebesgue_density(2), 1.0, 2, halfspace_normal=normal)
+            gaussian_moment_ratio(lebesgue_density(), 1.0, 2, halfspace_normal=normal)
     with pytest.raises(DimensionMismatchError):
-        gaussian_moment_ratio(lebesgue_density(2), 1.0, 2, scheme=build_scheme(3, "tensor_hermite", 6))
+        gaussian_moment_ratio(lebesgue_density(), 1.0, 2, scheme=build_scheme(3, "tensor_hermite", 6))
     with pytest.raises(InvalidParameterError):
-        gaussian_moment_ratio(lebesgue_density(2), math.nan, 2)
+        gaussian_moment_ratio(lebesgue_density(), math.nan, 2)
     with pytest.raises(NonFiniteIntegrandError):
-        gaussian_moment_ratio(lebesgue_density(2), 2000.0, 2)
+        gaussian_moment_ratio(lebesgue_density(), 2000.0, 2)
     with pytest.raises(NonFiniteIntegrandError):
         gaussian_moment_ratio(jacobian_norm_density(power_radial_map(2, 1.0)), 1000.0, 2)

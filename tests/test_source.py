@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import monolift
-from monolift import ball_rule, default_scheme
+from monolift import ball_rule, core, default_scheme
 
 SOURCES = sorted(Path(monolift.__file__).parent.glob("*.py"))
 
@@ -41,6 +41,40 @@ def test_no_private_imports_across_modules(path):
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == [], f"{path.name} imports private names {private}"
+
+
+# the map kernels of the dispatch tables share one signature, read or not
+DISPATCHED = {f.__name__ for table in (core._EVAL, core._JAC) for f in table.values()}
+
+
+def unread_parameters(tree):
+    """``name(parameter)`` for each parameter its function's body never reads."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{name}({p}) (line {node.lineno})" for p in params
+                   if p not in read and name not in DISPATCHED]
+    return unread
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    # a parameter no body reads is an option no caller can use: delete it
+    unread = unread_parameters(ast.parse(path.read_text(), filename=str(path)))
+    assert unread == [], f"{path.name} has unread parameters {unread}"
+
+
+def test_unread_parameter_check_finds_one():
+    tree = ast.parse("def f(a, b, *c, d=1):\n    return [a, lambda e: d]\n")
+    assert unread_parameters(tree) == ["f(b) (line 1)", "f(c) (line 1)", "<lambda>(e) (line 2)"]
+    assert "_eval_identity" in DISPATCHED
 
 
 POWER1 = '{"kind":"power_radial","dim":2,"params":{"p":1.0}}'
