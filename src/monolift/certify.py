@@ -472,9 +472,7 @@ def matrix_gamma(A) -> float:
     of the symmetric part, so this constant is computed exactly rather
     than by sampling.
     """
-    A = as_square_matrix(A)
-    if float(np.max(np.abs(A))) == 0.0:
-        raise ZeroMatrixError("matrix constant of the zero matrix is undefined")
+    A = _matrix_stack(as_square_matrix(A)[None])[0]
     lam = float(np.linalg.eigvalsh(0.5 * (A + A.T))[0])
     return lam / float(np.linalg.norm(A, 2))
 
@@ -647,9 +645,7 @@ def quasisymmetry_profile(spec: MapSpec, cfg: TripleConfig) -> EtaProfile:
     x = z + rx[:, None] * dx
     y = z + ry[:, None] * dy
 
-    fx = evaluate_map(spec, x)
-    fy = evaluate_map(spec, y)
-    fz = evaluate_map(spec, z)
+    fx, fy, fz = evaluate_map(spec, np.stack([x, y, z]))
     ns = np.linalg.norm(x - z, axis=1)
     nd = np.linalg.norm(y - z, axis=1)
     qn = np.linalg.norm(fx - fz, axis=1)
@@ -708,9 +704,8 @@ def composition_monotonicity_demo(theta1: float, theta2: float, pairs: int = 400
     for theta in (theta1, theta2):
         if not abs(theta) < math.pi / 2:
             raise InvalidParameterError("factors must be monotone rotations (|theta| < pi/2)")
-    d1 = matrix_delta(rotation_matrix(theta1))
-    d2 = matrix_delta(rotation_matrix(theta2))
-    dc = matrix_delta(rotation_matrix(theta1 + theta2))
+    d1, d2, dc = map(float, matrix_delta_many(
+        [rotation_matrix(theta) for theta in (theta1, theta2, theta1 + theta2)]))
     composed = compose_maps(planar_rotation_map(theta1), planar_rotation_map(theta2))
     cert = two_point_delta(batch_map(composed), PairConfig(dim=2, pairs=pairs, seed=seed))
     flagged = abs(theta1 + theta2) >= math.pi / 2

@@ -346,9 +346,11 @@ def _add_grid_flags(p):
     p.add_argument("--heights", type=float, nargs="+", default=(0.25, 0.5, 1.0, 2.0))
 
 
-def _add_output_flags(p):
+def _add_output_flags(p, formats=("csv", "json")):
+    """``--out``, and ``--format`` among the ``formats`` the command
+    writes, the first by default."""
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--format", choices=formats, default=formats[0])
 
 
 def build_parser() -> _Parser:
@@ -383,7 +385,7 @@ def build_parser() -> _Parser:
     p.add_argument("--box", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=0)
     _add_scheme_flags(p)
-    _add_output_flags(p)
+    _add_output_flags(p, ("json",))
     p.set_defaults(func=_cmd_certify_delta)
 
     p = sub.add_parser("certify-qs", help="quasisymmetry ratio profile")
@@ -400,7 +402,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dims", default="2,3")
     p.add_argument("--delta-floor", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=7)
-    _add_output_flags(p)
+    _add_output_flags(p, ("json",))
     p.set_defaults(func=_cmd_claim_check)
 
     p = sub.add_parser("doubling", help="mass(2B)/mass(B) over a center/radius grid")
@@ -417,7 +419,7 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--halfspace", default=None, help="restrict to <y, xi> >= 0")
     _add_scheme_flags(p)
-    _add_output_flags(p)
+    _add_output_flags(p, ("json",))
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("hyperbolic", help="vertical comparison / hyperbolic distortion")
@@ -435,7 +437,7 @@ def build_parser() -> _Parser:
     p.add_argument("--theta2", type=float, required=True)
     p.add_argument("--pairs", type=int, default=4000)
     p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
+    _add_output_flags(p, ("json",))
     p.set_defaults(func=_cmd_demo_composition)
 
     p = sub.add_parser("demo-trivial-failure",
@@ -446,7 +448,7 @@ def build_parser() -> _Parser:
                    default=(25.0, 100.0, 400.0))
     p.add_argument("--threshold", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
+    _add_output_flags(p, ("json",))
     p.set_defaults(func=_cmd_demo_trivial_failure)
 
     return parser

@@ -57,16 +57,6 @@ __all__ = [
     "compose_maps",
 ]
 
-KINDS = (
-    "identity",
-    "linear",
-    "power_radial",
-    "planar_rotation",
-    "convex_gradient_quartic",
-    "translation",
-    "composition",
-)
-
 _SPEC_KEYS = {"kind", "dim", "params", "compose"}
 
 
@@ -439,6 +429,8 @@ _JAC = {
     "translation": _jac_identity,
     "composition": _jac_composition,
 }
+
+KINDS = tuple(_EVAL)  # the gallery's map kinds, in the order error messages list them
 
 
 def _as_point_array(x, dim: int) -> np.ndarray:

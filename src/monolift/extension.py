@@ -146,9 +146,10 @@ def _batch(X, T, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _contract_difference(plus: np.ndarray, minus: np.ndarray, y: np.ndarray,
                          out: np.ndarray) -> np.ndarray:
     """``out = sum_k (plus - minus)[..., k] * y[:, k]`` for arrays of shape
-    (c, h, n), with the bits of :func:`~monolift.core.combine` on the
-    difference, formed one coordinate at a time in one (c, h) scratch array
-    rather than from a (c, h, n) difference."""
+    (c, h, n) (values of f, or one row or column of Df), with the bits of
+    :func:`~monolift.core.combine` on the difference, formed one coordinate
+    at a time in one (c, h) scratch array rather than from a (c, h, n)
+    difference."""
     np.subtract(plus[..., 0], minus[..., 0], out=out)
     out *= y[:, 0]
     term = np.empty_like(out)
@@ -307,18 +308,17 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
         # then D y and y^T D in one array, and the scalar y^T S y
         blocks = np.empty((sl.size, n + 2, n, h))
         S = np.add(plus, minus, out=blocks[:, :n].transpose(0, 3, 1, 2))
-        D = plus - minus
         Sy = np.empty((sl.size, n, h))
         for i in range(n):
-            combine(np.moveaxis(D[..., i, :], -1, 0), y.T, blocks[:, n, i])
-            combine(np.moveaxis(D[..., i], -1, 0), y.T, blocks[:, n + 1, i])
+            _contract_difference(plus[..., i, :], minus[..., i, :], y, blocks[:, n, i])
+            _contract_difference(plus[..., i], minus[..., i], y, blocks[:, n + 1, i])
             combine(np.moveaxis(S[..., i, :], -1, 0), y.T, Sy[:, i])
         E = pair_expectation(scheme, blocks)
         DF[sl, :n, :n], DF[sl, :n, n], DF[sl, n, :n] = E[:, :n], E[:, n], E[:, n + 1]
         DF[sl, n, n] = pair_expectation(
             scheme, combine(np.moveaxis(Sy, 1, 0), y.T, np.empty((sl.size, h))))
         _require_finite_average(DF[sl], sl, plus, minus, "base Jacobian")
-        del plus, minus, blocks, S, D, Sy  # see _paired_values
+        del plus, minus, blocks, S, Sy  # see _paired_values
     return DF
 
 
@@ -328,30 +328,27 @@ def extension_jacobian(field: ExtensionField, p) -> np.ndarray:
     return extension_jacobians(field, np.asarray(x, dtype=float)[None, :], np.array([float(t)]))[0]
 
 
-def full_space_map(field: ExtensionField):
-    """The lift as a plain callable on R^{n+1} (height = last coordinate)."""
-    n = field.dim
+def _half_space_map(n: int, lift):
+    """``lift(X, T)``, on (m, n) bases and (m, 1) heights, as a plain
+    callable on arrays of shape (..., n+1) (height = last coordinate)."""
 
     def lifted(P):
         arr = np.asarray(P, dtype=float)
         flat = arr.reshape(-1, n + 1)
-        out = extend_points(field, flat[:, :n], flat[:, n])
-        return out.reshape(arr.shape)
+        return lift(flat[:, :n], flat[:, n:]).reshape(arr.shape)
 
     return lifted
+
+
+def full_space_map(field: ExtensionField):
+    """The lift as a plain callable on R^{n+1} (height = last coordinate)."""
+    return _half_space_map(field.dim, lambda X, T: extend_points(field, X, T[:, 0]))
 
 
 def trivial_lift_map(spec: MapSpec):
     """The naive lift (x, t) -> (f(x), t), kept for refutation demos."""
-    n = spec.dim
-
-    def lifted(P):
-        arr = np.asarray(P, dtype=float)
-        flat = arr.reshape(-1, n + 1)
-        out = np.concatenate([evaluate_map(spec, flat[:, :n]), flat[:, n:]], axis=1)
-        return out.reshape(arr.shape)
-
-    return lifted
+    return _half_space_map(
+        spec.dim, lambda X, T: np.concatenate([evaluate_map(spec, X), T], axis=1))
 
 
 @dataclass(frozen=True, eq=False)

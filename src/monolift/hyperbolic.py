@@ -3,6 +3,8 @@
 d(p, q) = arccosh(1 + |p - q|^2 / (2 t_p t_q)) for points with positive
 height, computed as 2 asinh(|p - q| / (2 sqrt(t_p t_q))), which neither
 squares |p - q| nor loses nearly equal points to the rounding of 1 + x.
+Where that quotient passes the float range, asinh(x) is log 2x to
+rounding, and d = 2 log|p - q| - log t_p - log t_q.
 ``vertical_comparison`` measures how far the lifted map is from
 a hyperbolic isometry pointwise: the ratio ||DF(x, t)|| t / F_vert(x, t)
 equals 1 exactly for the identity and for diagonal linear maps, and its
@@ -40,7 +42,8 @@ __all__ = [
 @np.errstate(all="ignore")  # an overflowing distance is reported by row; a warning only repeats it
 def hyperbolic_distances(P, Q) -> np.ndarray:
     """Batch distance on (m, n+1) arrays whose last column is the height;
-    a distance that overflows raises :class:`NonFiniteIntegrandError`."""
+    a row whose difference p - q overflows raises
+    :class:`NonFiniteIntegrandError`."""
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if P.shape != Q.shape or P.ndim != 2:
@@ -55,7 +58,9 @@ def hyperbolic_distances(P, Q) -> np.ndarray:
     (mp, ep), (mq, eq) = np.frexp(tp), np.frexp(tq)
     half = (ep + eq) // 2
     root = np.ldexp(np.sqrt(np.ldexp(mp * mq, ep + eq - 2 * half)), half)
-    d = 2.0 * np.arcsinh(_row_norms(P - Q) / (2.0 * root))
+    dist = _row_norms(P - Q)
+    x = dist / (2.0 * root)
+    d = np.where(np.isinf(x), 2.0 * np.log(dist) - np.log(tp) - np.log(tq), 2.0 * np.arcsinh(x))
     bad = ~np.isfinite(d)
     if np.any(bad):
         raise NonFiniteIntegrandError(f"row {np.argmax(bad)}: hyperbolic distance overflowed")

@@ -50,22 +50,17 @@ def lebesgue_density():
     return density
 
 
-def _base_jacobian_norms(spec, pts) -> np.ndarray:
-    """||Df|| at each of ``pts``, with a non-finite Jacobian reported, not
-    passed to the SVD (which fails to converge on it)."""
-    with np.errstate(all="ignore"):
-        jac = evaluate_map_jacobian(spec, pts)
-    if not np.all(np.isfinite(jac)):
-        raise NonFiniteIntegrandError("the map's Jacobian overflowed at an integration point")
-    return spectral_norms(jac)
-
-
 def jacobian_norm_density(spec: MapSpec):
     """x -> ||Df(x)|| as a batch density; a non-finite Df raises
-    :class:`NonFiniteIntegrandError`."""
+    :class:`NonFiniteIntegrandError` rather than reaching the SVD (which
+    fails to converge on it)."""
 
     def density(pts):
-        return _base_jacobian_norms(spec, pts)
+        with np.errstate(all="ignore"):
+            jac = evaluate_map_jacobian(spec, pts)
+        if not np.all(np.isfinite(jac)):
+            raise NonFiniteIntegrandError("the map's Jacobian overflowed at an integration point")
+        return spectral_norms(jac)
 
     return density
 
@@ -110,7 +105,8 @@ def doubling_report(density, centers, radii) -> DoublingReport:
 
     Both balls reuse one set of scaled unit-ball nodes, so for the
     constant density the ratio is exactly 2^dim in floating point.  Each
-    center takes one :func:`ball_integral` call over all its balls.
+    (center, radius) takes one :func:`ball_integral` call over (r, 2r), so
+    the memory held does not grow with the number of radii.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -121,9 +117,8 @@ def doubling_report(density, centers, radii) -> DoublingReport:
     if not np.all(np.isfinite(centers)):
         raise InvalidParameterError("centers must be finite")
     rule = ball_rule(centers.shape[1])
-    both = np.concatenate([radii, 2.0 * radii])
-    masses, doubled = np.hsplit(np.array([ball_integral(rule, density, c, both)
-                                          for c in centers]), 2)
+    masses, doubled = np.moveaxis(np.array(
+        [[ball_integral(rule, density, c, (r, 2.0 * r)) for r in radii] for c in centers]), -1, 0)
     return DoublingReport(centers, radii, masses, doubled, doubled / masses)
 
 
@@ -184,8 +179,8 @@ def unit_ball_norm_average(field: ExtensionField, p) -> float:
     x, t = np.asarray(p[0], dtype=float), float(p[1])
     if t <= 0.0:
         raise NonpositiveHeightError(f"norm average needs height > 0, got {t}")
-    value = ball_integral(ball_rule(field.dim),
-                          lambda y: _base_jacobian_norms(field.spec, x + t * y),
+    density = jacobian_norm_density(field.spec)
+    value = ball_integral(ball_rule(field.dim), lambda y: density(x + t * y),
                           np.zeros(field.dim), 1.0)
     if not math.isfinite(value):
         raise NonFiniteIntegrandError(f"norm average overflowed: {value}")

@@ -52,8 +52,8 @@ __all__ = [
 TENSOR_HERMITE = "tensor_hermite"
 QUASI_RANDOM = "quasi_random"
 
-# bytes of a tensor rule's nodes plus weights, order**dim * (dim + 1) * 8
-_MAX_TENSOR_BYTES = 256 << 20
+# bytes of a rule's nodes plus weights, size * (dim + 1) * 8, for either method
+_MAX_RULE_BYTES = 256 << 20
 _SYMMETRY_BLOCK = 1 << 16  # node rows per block of the reversal-symmetry check
 
 
@@ -94,12 +94,6 @@ def _hermite_1d(order: int):
 
 
 def _tensor_arrays(dim: int, order: int):
-    nbytes = order**dim * (dim + 1) * 8
-    if nbytes > _MAX_TENSOR_BYTES:
-        raise DimensionOverflowError(
-            f"tensor rule with {order}^{dim} nodes needs {nbytes / 2**20:.0f} MiB of nodes and "
-            f"weights, over the {_MAX_TENSOR_BYTES >> 20} MiB budget"
-        )
     x, w = _hermite_1d(order)
     # coordinate-major, written axis by axis from the grid's broadcast views:
     # no full-size temporaries, so the peak stays near the budgeted bytes
@@ -132,10 +126,13 @@ def build_scheme(dim: int, method: str, resolution: int, seed: int = 0) -> Quadr
 
     ``tensor_hermite`` uses a per-axis Gauss-Hermite rule of order
     ``resolution`` (>= 2); ``quasi_random`` uses ``resolution`` (>= 16,
-    rounded up to even) scrambled-Sobol points pushed through the normal
-    inverse CDF and symmetrised.  A resolution whose rule has non-finite
-    nodes or weights raises :class:`ResolutionError`; a negative ``seed``
-    raises :class:`InvalidParameterError` for either method.
+    rounded up to a power of two, which Sobol points need for their balance)
+    scrambled-Sobol points pushed through the normal inverse CDF and
+    symmetrised.  A rule whose nodes plus weights would pass 256 MiB raises
+    :class:`DimensionOverflowError` before anything is allocated, for either
+    method.  A resolution whose rule has non-finite nodes or weights raises
+    :class:`ResolutionError`; a negative ``seed`` raises
+    :class:`InvalidParameterError` for either method.
     """
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InvalidParameterError(f"dim must be a positive integer, got {dim!r}")
@@ -145,14 +142,21 @@ def build_scheme(dim: int, method: str, resolution: int, seed: int = 0) -> Quadr
     if method == TENSOR_HERMITE:
         if resolution < 2:
             raise ResolutionError(f"tensor_hermite needs resolution >= 2, got {resolution}")
-        nodes, weights = _tensor_arrays(dim, resolution)
+        size, rule = resolution**dim, f"tensor rule with {resolution}^{dim} nodes"
     elif method == QUASI_RANDOM:
         if resolution < 16:
             raise ResolutionError(f"quasi_random needs resolution >= 16, got {resolution}")
-        resolution += resolution & 1  # node pairing requires an even count
-        nodes, weights = _quasi_arrays(dim, resolution, seed)
+        resolution = 1 << (resolution - 1).bit_length()  # also even, as node pairing needs
+        size, rule = resolution, f"quasi-random rule with {resolution} nodes"
     else:
         raise InvalidParameterError(f"unknown quadrature method {method!r}")
+    nbytes = size * (dim + 1) * 8
+    if nbytes > _MAX_RULE_BYTES:
+        raise DimensionOverflowError(
+            f"{rule} needs {nbytes / 2**20:.0f} MiB of nodes and weights, "
+            f"over the {_MAX_RULE_BYTES >> 20} MiB budget")
+    nodes, weights = (_tensor_arrays(dim, resolution) if method == TENSOR_HERMITE
+                      else _quasi_arrays(dim, resolution, seed))
     if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
         raise ResolutionError(
             f"{method} at resolution {resolution} gives non-finite nodes or weights")

@@ -414,6 +414,8 @@ def test_scheme_seed_alone_reseeds_the_default_scheme(capsys, tmp_path):
     ["doubling", "--dim", "2", "--centers", "0,0;1", "--radii", "1"],
     ["extend", "--spec", IDENTITY2, "--grid-bounds", "-1", "inf", "--grid-nx", "2"],
     ["hyperbolic", "--spec", IDENTITY2, "--grid-bounds", "-1", "inf", "--grid-nx", "2"],
+    # 2^37 Sobol nodes break the memory budget both rules share
+    ["moments", "--dim", "2", "--method", "quasi_random", "--resolution", "100000000000"],
 ])
 def test_input_errors_exit_1(capsys, argv):
     code = main(argv)
@@ -427,6 +429,12 @@ def test_input_errors_exit_1(capsys, argv):
     ["extend"],                       # missing required --spec
     ["certify-delta", "--spec", IDENTITY2, "--lift", "sideways"],
     ["extend", "--spec", IDENTITY2, "--threads", "2"],
+    # the commands that write only JSON take no other format
+    ["certify-delta", "--spec", IDENTITY2, "--pairs", "10", "--format", "csv"],
+    ["claim-check", "--dims", "2", "--matrices", "10", "--format", "csv"],
+    ["moments", "--dim", "2", "--format", "csv"],
+    ["demo-composition", "--theta1", "0.1", "--theta2", "0.2", "--format", "csv"],
+    ["demo-trivial-failure", "--pairs", "10", "--format", "csv"],
 ])
 def test_usage_errors_exit_1(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -489,6 +497,16 @@ def test_overflow_error_is_the_only_stderr_line(argv, message):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"monolift: error: {message}\n"
+
+
+def test_quasi_random_resolution_prints_no_library_warning():
+    # 1000 rounds up to 1024 Sobol points; scipy warns on any other count
+    proc = subprocess.run(
+        [sys.executable, "-m", "monolift", "extend", "--spec", POWER1, "--x", "0.3,-1.2",
+         "--t", "0.7", "--method", "quasi_random", "--resolution", "1000"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_module_entry_point_subprocess():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import batch_fd_jacobian, gallery_2d, gallery_3d, spec_id
 from monolift import (
+    KINDS,
     MapSpec,
     compose_maps,
     convex_gradient_quartic_map,
@@ -29,6 +30,7 @@ from monolift.errors import (
     MalformedSpecError,
     SingularPointError,
 )
+from monolift import core
 
 ALL_SPECS = gallery_2d() + gallery_3d()
 
@@ -94,6 +96,15 @@ def test_invalid_parameters():
         MapSpec("translation", 3, {"offset": [1.0, 2.0]})
     with pytest.raises(DimensionMismatchError):
         linear_map([[1.0, 0.0]])
+
+
+def test_kinds_are_the_kernel_tables_keys():
+    # one list of kinds: the evaluation table's keys, which the Jacobian table shares
+    assert KINDS == tuple(core._EVAL)
+    assert set(core._JAC) == set(KINDS)
+    with pytest.raises(InvalidParameterError, match="known kinds: identity, linear, power_radial, "
+                       "planar_rotation, convex_gradient_quartic, translation, composition$"):
+        MapSpec("warp", 2)
 
 
 # --- evaluation --------------------------------------------------------------

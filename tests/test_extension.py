@@ -27,6 +27,7 @@ from monolift import (
     planar_rotation_map,
     power_radial_map,
     translation_map,
+    trivial_lift_map,
 )
 from monolift import extension
 from monolift.quadrature import pair_expectation, paired_nodes
@@ -402,3 +403,10 @@ def test_full_space_map_shapes_and_reflection():
     single = G(np.array([1.0, 2.0, 0.5]))
     assert single.shape == (3,)
     assert np.array_equal(single, out[1])
+    # the naive lift (x, t) -> (f(x), t) keeps any (..., n+1) shape the same way
+    spec = power_radial_map(2, 1.0)
+    P = np.random.default_rng(3).normal(size=(4, 5, 3))
+    lifted = trivial_lift_map(spec)(P)
+    assert lifted.shape == P.shape
+    assert np.array_equal(lifted[..., :2], evaluate_map(spec, P[..., :2]))
+    assert np.array_equal(lifted[..., 2], P[..., 2])

@@ -210,15 +210,21 @@ def test_large_lifts_are_not_vanishing():
 
 
 def test_distance_overflow_names_its_row():
-    # only |p - q| / (2 sqrt(t_p t_q)) past the float range overflows
+    # a quotient |p - q| / (2 sqrt(t_p t_q)) past the float range takes the
+    # closed form 2 log|p - q| - log t_p - log t_q, where asinh(x) = log 2x
     P = np.array([[0.0, 1.0], [0.0, 1e-10], [0.0, 1.0]])
     Q = np.array([[1.0, 2.0], [1e300, 1e-10], [0.0, 2.0]])
-    with pytest.raises(NonFiniteIntegrandError, match="row 1: hyperbolic distance overflowed"):
-        hyperbolic_distances(P, Q)
-    # two heights near the subnormal range overflow it at unit separation
-    with pytest.raises(NonFiniteIntegrandError, match="row 2: hyperbolic distance overflowed"):
-        hyperbolic_distances(np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1e-320]]),
+    d = hyperbolic_distances(P, Q)
+    assert d[1] == pytest.approx(2.0 * math.log(1e300) - 2.0 * math.log(1e-10), rel=1e-15)
+    assert d[1] == pytest.approx(1427.6027576563, rel=1e-12)
+    assert np.array_equal(d[[0, 2]], hyperbolic_distances(P[[0, 2]], Q[[0, 2]]))
+    # two heights near the subnormal range pass it at unit separation
+    d = hyperbolic_distances(np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1e-320]]),
                              np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 1e-320]]))
+    assert d[2] == pytest.approx(-2.0 * math.log(1e-320), rel=1e-15)
+    # only a difference p - q that itself overflows has no distance
+    with pytest.raises(NonFiniteIntegrandError, match="row 1: hyperbolic distance overflowed"):
+        hyperbolic_distances([[0.0, 1.0], [-1e308, 1.0]], [[1.0, 2.0], [1e308, 1.0]])
     with pytest.raises(InvalidParameterError, match="finite points"):
         hyperbolic_distances(P, np.where(Q == 1e300, math.nan, Q))
     # a separation of 1e200, or a height of 1e-320 against 1, is a finite distance

@@ -1,6 +1,7 @@
 """Doubling reports and Gaussian moment ratios."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,8 +91,8 @@ def test_ball_integral_of_radii_is_the_scalar_calls(dim):
 
 @pytest.mark.parametrize("dim, rtol", [(2, 0.0), (3, 1e-13)])
 def test_doubling_masses_are_the_ball_integrals(dim, rtol):
-    # one call per center sums each ball as the per-ball call does in dim 2;
-    # the 17142-node dim-3 rule takes einsum's other summation order
+    # one call per (center, radius) sums each ball as the per-ball call does
+    # in dim 2; the 17142-node dim-3 rule takes einsum's other summation order
     rule = ball_rule(dim)
     density = jacobian_norm_density(convex_gradient_quartic_map(dim, 1.0, 0.5))
     centers = np.random.default_rng(4).uniform(-2.0, 2.0, (3, dim))
@@ -103,6 +104,23 @@ def test_doubling_masses_are_the_ball_integrals(dim, rtol):
                         for c in centers])
     np.testing.assert_allclose(report.masses, single, rtol=rtol, atol=0.0)
     np.testing.assert_allclose(report.masses_doubled, doubled, rtol=rtol, atol=0.0)
+
+
+def test_doubling_memory_does_not_grow_with_the_radii():
+    # one ball_integral call per (center, radius), over (r, 2r): the peak is
+    # that of one pair of balls, however many radii are asked for
+    density = jacobian_norm_density(convex_gradient_quartic_map(2, 1.0, 0.5))
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            doubling_report(density, [[0.3, -0.2]], np.linspace(0.5, 2.0, count))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # the first call also allocates state that later calls reuse
+    assert peak(40) < 1.25 * peak(2)
 
 
 def test_doubling_errors():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,27 @@ def test_quasi_random_moments():
 def test_quasi_random_rounds_to_even():
     scheme = build_scheme(2, "quasi_random", 17, seed=1)
     assert scheme.size % 2 == 0 and scheme.size >= 17
+
+
+def test_quasi_random_rounds_to_a_power_of_two():
+    # Sobol points keep their balance only at powers of two, and scipy warns otherwise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert build_scheme(2, "quasi_random", 1000).size == 1024
+        assert build_scheme(2, "quasi_random", 17).size == 32
+        assert build_scheme(3, "quasi_random", 64).size == 64
+
+
+def test_quasi_random_budget_is_checked_before_allocating():
+    # 2^37 nodes, and 2^23 nodes in dim 4 (320 MiB of nodes and weights)
+    tracemalloc.start()
+    try:
+        for dim, resolution in [(2, 10**11), (4, 1 << 23)]:
+            with pytest.raises(DimensionOverflowError, match="256 MiB"):
+                build_scheme(dim, "quasi_random", resolution)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_determinism_bitwise():
