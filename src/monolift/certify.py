@@ -29,10 +29,12 @@ one frame (``_pencil_frame``) and one golden-section search:
   less a rounding allowance.  It searches only the matrices whose P is
   positive definite and gives every other matrix exactly -1.
 * ``matrix_delta`` and ``matrix_delta_many`` search every matrix and
-  report an upper bound attained by an explicit direction.
+  report the c found, clipped to [-1, 1]: the best, at or below delta up
+  to rounding, where P is positive definite, and the least, at or above
+  delta, elsewhere.
 
-When delta > 0 the two agree to about 1e-12.  ``claim_check`` reads only
-the lower bound, and qualifies matrices on it.
+Where P is positive definite the two differ only by the allowance.
+``claim_check`` reads only the lower bound, and qualifies matrices on it.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .errors import (
     InvalidParameterError,
     ZeroMatrixError,
 )
+from .quadrature import check_allocation
 
 __all__ = [
     "PairConfig",
@@ -113,8 +116,10 @@ class PairConfig:
         if self.pairs < 0 or self.crossing_pairs < 0:
             raise InvalidParameterError(
                 f"pair counts must be nonnegative, got {self.pairs} and {self.crossing_pairs}")
-        if self.pairs + self.crossing_pairs == 0 and not self.witness_radii:
+        count = self.pairs + self.crossing_pairs
+        if count == 0 and not self.witness_radii:
             raise InvalidParameterError("at least one pair must be sampled")
+        check_allocation(2 * count * self.dim * 8, f"{count} point pairs in dimension {self.dim}")
         if not all(math.isfinite(R) and R > 0.0 for R in self.witness_radii):
             raise InvalidParameterError(
                 f"witness radii must be finite and positive, got {self.witness_radii}")
@@ -341,8 +346,8 @@ def _golden_max(objective, grid: np.ndarray):
 
 
 def _pencil_frame(mats: np.ndarray):
-    """Rescaled stack A, its singular values sigma, W = V^T U, W diag(sigma) and
-    P = sym(W diag(sigma)) = V^T (sym A) V.
+    """Rescaled stack A, its singular values sigma, WS = V^T U diag(sigma) and
+    P = sym(WS) = V^T (sym A) V.
 
     In this right singular basis |Av| = |diag(sigma) z|, so ratios stay accurate next
     to a kernel; singular values below _RANK_RATIO sigma_max count as 0, as in _delta_2x2.
@@ -350,9 +355,8 @@ def _pencil_frame(mats: np.ndarray):
     A = _pow2_rescaled(mats)
     U, sv, Vt = np.linalg.svd(A)
     sv = np.where(sv > _RANK_RATIO * sv[:, :1], sv, 0.0)
-    W = Vt @ U
-    WS = W * sv[:, None, :]
-    return A, sv, W, WS, 0.5 * (WS + np.swapaxes(WS, 1, 2))
+    WS = (Vt @ U) * sv[:, None, :]
+    return A, sv, WS, 0.5 * (WS + np.swapaxes(WS, 1, 2))
 
 
 def _pencil_scale(s: np.ndarray, sv: np.ndarray) -> np.ndarray:
@@ -380,36 +384,6 @@ def _pencil_search(A, sv, P, sign):
     return _golden_max(objective, np.sort(grid, axis=1))
 
 
-def _delta_pencil(mats: np.ndarray) -> np.ndarray:
-    """Attained value of delta for n >= 3, an upper bound (module docstring).
-
-    The search maximises c where P is positive definite and minimises it elsewhere.
-    The attained value is the least ratio over the two lowest pencil eigenvectors at
-    the best mu and their combinations with mu |Av| = |v|, the minimiser when the
-    lowest eigenvalue is double (as for symmetric A); on a kernel it also takes the
-    limit of the ratio there, -||W[kernel, range]||, which no finite mu reaches when
-    c is flat (diag(1, 1, 0) has infimum 0).
-    """
-    A, sv, W, _, P = _pencil_frame(mats)
-    sign = np.where(np.linalg.eigvalsh(P)[:, :1] > 0.0, 1.0, -1.0)
-    s, _ = _pencil_search(A, sv, P, sign)
-    d = _pencil_scale(s[:, None], sv)[:, 0]
-    Y = np.linalg.eigh(P * d[:, :, None] * d[:, None, :])[1] * d[:, :, None]  # z = B_mu^(-1/2) y
-    y1, y2 = Y[:, :, 0], Y[:, :, 1]
-    h = np.exp(2.0 * s)[:, None] * sv * sv - 1.0   # z^T diag(h) z = mu^2 |Av|^2 - |v|^2
-    h11, h12, h22 = ((h * a * b).sum(axis=1)[:, None] for a, b in ((y1, y1), (y1, y2), (y2, y2)))
-    q = -(h12 + np.copysign(np.sqrt(np.maximum(h12 * h12 - h11 * h22, 0.0)), h12))
-    Z = np.stack([y1, y2, q * y1 + h11 * y2, h22 * y1 + q * y2], axis=1)
-    num = ((Z @ P) * Z).sum(axis=2)
-    den = np.sqrt(((Z * sv[:, None, :]) ** 2).sum(axis=2) * (Z * Z).sum(axis=2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        attained = np.min(np.where(den > 0.0, num / den, np.inf), axis=1)
-    kernel = sv == 0.0
-    limit = -np.linalg.svd(W * (kernel[:, :, None] & ~kernel[:, None, :]), compute_uv=False)[:, 0]
-    attained = np.where(kernel.any(axis=1), np.minimum(attained, limit), attained)
-    return np.clip(attained, -1.0, 1.0)
-
-
 def _matrix_stack(mats) -> np.ndarray:
     """``mats`` as a float stack of square, finite, nonzero matrices."""
     arr = np.asarray(mats, dtype=float)
@@ -430,8 +404,9 @@ def _delta_exact(arr: np.ndarray) -> np.ndarray:
 def matrix_delta(A) -> float:
     """min over unit v of v^T A v / |A v| (directions with Av = 0 excluded).
 
-    Exact for n <= 2; for n >= 3 the least ratio attained in the pencil search
-    (see the module docstring), an upper bound on delta.
+    Exact for n <= 2; for n >= 3 the value of the pencil search (module
+    docstring): at or below delta up to rounding where sym A is positive
+    definite, at or above it elsewhere.
     """
     return float(matrix_delta_many(as_square_matrix(A)[None, :, :])[0])
 
@@ -439,7 +414,12 @@ def matrix_delta(A) -> float:
 def matrix_delta_many(mats) -> np.ndarray:
     """Vectorised :func:`matrix_delta` over a stack of same-size matrices."""
     arr = _matrix_stack(mats)
-    return _delta_pencil(arr) if arr.shape[1] >= 3 else _delta_exact(arr)
+    if arr.shape[1] <= 2:
+        return _delta_exact(arr)
+    A, sv, _, P = _pencil_frame(arr)
+    sign = np.where(np.linalg.eigvalsh(P)[:, :1] > 0.0, 1.0, -1.0)
+    _, f = _pencil_search(A, sv, P, sign)
+    return np.clip(sign[:, 0] * f, -1.0, 1.0)
 
 
 def matrix_delta_lower_many(mats) -> np.ndarray:
@@ -453,7 +433,7 @@ def matrix_delta_lower_many(mats) -> np.ndarray:
     arr = _matrix_stack(mats)
     if arr.shape[1] <= 2:
         return _delta_exact(arr)
-    A, sv, _, WS, P = _pencil_frame(arr)
+    A, sv, WS, P = _pencil_frame(arr)
     lower = np.full(len(A), -1.0)
     pd = np.linalg.eigvalsh(P)[:, 0] > 0.0
     A, sv, WS, P = A[pd], sv[pd], WS[pd], P[pd]
@@ -551,6 +531,7 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
         raise InvalidParameterError(f"dims must be one or more positive integers, got {dims}")
     if seed < 0:
         raise InvalidParameterError(f"seed must be a non-negative integer, got {seed}")
+    check_allocation(count * max(dims) ** 2 * 8, f"{count} matrices of size {max(dims)}")
     stats = []
     for dim in dims:
         rng = np.random.default_rng([seed, dim])
@@ -594,6 +575,8 @@ class TripleConfig:
         if self.triples < 1 or self.buckets < 1:
             raise InvalidParameterError(
                 f"triples and buckets must be at least 1, got {self.triples} and {self.buckets}")
+        check_allocation((3 * self.triples * self.dim + self.buckets) * 8,
+                         f"{self.triples} triples in dimension {self.dim} and {self.buckets} buckets")
         # |y - z| >= 10^lo and |x - z| >= s 10^lo, lo the low end of _LOG_Y_OFFSET
         _check_sampling(self.box, 10.0 ** _LOG_Y_OFFSET[0] * _S_RANGE[0])
 

@@ -135,8 +135,8 @@ def _emit_json(args, payload):
 
 
 def _emit_report(args, payload, columns, rows, meta):
-    """CSV when asked for, JSON otherwise."""
-    if args.format == "csv":
+    """JSON when asked for, CSV otherwise."""
+    if args.format != "json":
         _emit_csv(args, columns, rows, meta)
     else:
         _emit_json(args, payload)
@@ -285,6 +285,8 @@ def _cmd_hyperbolic(args):
     scheme = _scheme_for(args, spec.dim)
     field = gaussian_extension(spec, scheme)
     if args.pairs:
+        if args.format == "csv":
+            raise InvalidParameterError("hyperbolic --pairs writes JSON only, not --format csv")
         P, Q = sample_height_pairs(spec.dim, args.pairs, seed=args.seed)
         report = bilipschitz_sample(field, P, Q)
         payload = {"meta": _meta(args, spec, scheme, args.seed)}
@@ -430,7 +432,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     _add_scheme_flags(p)
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_hyperbolic)
+    # no default format: the grid writes CSV unless told otherwise, --pairs only JSON
+    p.set_defaults(func=_cmd_hyperbolic, format=None)
 
     p = sub.add_parser("demo-composition", help="monotone rotations whose composite is not")
     p.add_argument("--theta1", type=float, required=True)

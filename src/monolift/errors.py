@@ -27,7 +27,7 @@ class ResolutionError(MonoliftError, ValueError):
 
 
 class DimensionOverflowError(MonoliftError, ValueError):
-    """Tensor-product rule would exceed the hard memory budget."""
+    """A quadrature rule, lattice or sample would exceed the memory budget."""
 
 
 class NonFiniteIntegrandError(MonoliftError, ArithmeticError):

@@ -68,7 +68,13 @@ from .errors import (
     NonpositiveHeightError,
     SingularPointError,
 )
-from .quadrature import QuadratureScheme, default_scheme, pair_expectation, paired_nodes
+from .quadrature import (
+    QuadratureScheme,
+    check_allocation,
+    default_scheme,
+    pair_expectation,
+    paired_nodes,
+)
 
 __all__ = [
     "ExtensionField",
@@ -398,6 +404,8 @@ def lattice_points(dim: int = 2, bounds: tuple[float, float] = (-2.0, 2.0), nx: 
     if nx < 1 or heights.size == 0:
         raise InvalidParameterError(
             f"a lattice needs nx >= 1 and at least one height, got nx = {nx}")
+    check_allocation(nx**dim * heights.size * (dim + 1) * 8,
+                     f"a {nx}^{dim} lattice at {heights.size} heights")
     axis = np.linspace(bounds[0], bounds[1], nx)
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     base = np.stack([g.reshape(-1) for g in grids], axis=1)

@@ -28,6 +28,7 @@ from .errors import (
     VanishingVerticalError,
 )
 from .extension import ExtensionField, extend_points, extension_jacobians
+from .quadrature import check_allocation
 
 __all__ = [
     "hyperbolic_distances",
@@ -170,6 +171,7 @@ def sample_height_pairs(dim: int, count: int, seed: int = 0) -> tuple[np.ndarray
         raise InvalidParameterError(f"pair count must be at least 1, got {count}")
     if seed < 0:
         raise InvalidParameterError(f"seed must be a non-negative integer, got {seed}")
+    check_allocation(2 * count * (dim + 1) * 8, f"{count} point pairs in dimension {dim + 1}")
     rng = np.random.default_rng(seed)
 
     def draw():

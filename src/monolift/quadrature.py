@@ -43,6 +43,7 @@ __all__ = [
     "QUASI_RANDOM",
     "QuadratureScheme",
     "build_scheme",
+    "check_allocation",
     "default_scheme",
     "gaussian_expectation",
     "pair_expectation",
@@ -52,8 +53,9 @@ __all__ = [
 TENSOR_HERMITE = "tensor_hermite"
 QUASI_RANDOM = "quasi_random"
 
-# bytes of a rule's nodes plus weights, size * (dim + 1) * 8, for either method
-_MAX_RULE_BYTES = 256 << 20
+# the most bytes one array set may take: a rule's nodes plus weights, a lattice,
+# or a sample of pairs, triples or matrices
+_MAX_ALLOCATION_BYTES = 256 << 20
 _SYMMETRY_BLOCK = 1 << 16  # node rows per block of the reversal-symmetry check
 
 
@@ -150,11 +152,7 @@ def build_scheme(dim: int, method: str, resolution: int, seed: int = 0) -> Quadr
         size, rule = resolution, f"quasi-random rule with {resolution} nodes"
     else:
         raise InvalidParameterError(f"unknown quadrature method {method!r}")
-    nbytes = size * (dim + 1) * 8
-    if nbytes > _MAX_RULE_BYTES:
-        raise DimensionOverflowError(
-            f"{rule} needs {nbytes / 2**20:.0f} MiB of nodes and weights, "
-            f"over the {_MAX_RULE_BYTES >> 20} MiB budget")
+    check_allocation(size * (dim + 1) * 8, f"the nodes and weights of a {rule}")
     nodes, weights = (_tensor_arrays(dim, resolution) if method == TENSOR_HERMITE
                       else _quasi_arrays(dim, resolution, seed))
     if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
@@ -162,6 +160,15 @@ def build_scheme(dim: int, method: str, resolution: int, seed: int = 0) -> Quadr
             f"{method} at resolution {resolution} gives non-finite nodes or weights")
     _require_reversal_symmetry(nodes)
     return QuadratureScheme(dim, method, resolution, seed, nodes, weights)
+
+
+def check_allocation(nbytes: int, what: str) -> None:
+    """Raise :class:`DimensionOverflowError` when ``what`` would take more than
+    the 256 MiB budget.  Callers check before they allocate anything."""
+    if nbytes > _MAX_ALLOCATION_BYTES:
+        raise DimensionOverflowError(
+            f"{what} would take {nbytes / 2**20:.0f} MiB, "
+            f"over the {_MAX_ALLOCATION_BYTES >> 20} MiB budget")
 
 
 def _require_reversal_symmetry(nodes: np.ndarray) -> None:

@@ -409,6 +409,22 @@ def test_matrix_delta_lower_many_rows_are_batch_independent(n, rng):
     assert np.all(lower <= matrix_delta_many(mats))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_one_pencil_search_serves_both_constants(n, rng):
+    # positive definite, indefinite and rank-one rows: the lower bound never
+    # passes the searched value, and where sym A is positive definite the two
+    # are the same best c(mu), apart from the lower bound's rounding allowance
+    mats = np.concatenate([rng.standard_normal((30, n, n)) + 3.0 * np.eye(n),
+                           rng.standard_normal((30, n, n)),
+                           [np.outer(rng.standard_normal(n), rng.standard_normal(n))
+                            for _ in range(10)]])
+    lower, value = matrix_delta_lower_many(mats), matrix_delta_many(mats)
+    spd = np.linalg.eigvalsh(mats + np.swapaxes(mats, 1, 2))[:, 0] > 0.0
+    assert 20 <= spd.sum() <= 50
+    assert np.all(lower <= value)
+    assert np.all(value[spd] - lower[spd] <= 1e-13)
+
+
 def test_matrix_delta_lower_many_guards():
     assert np.array_equal(matrix_delta_lower_many(-np.eye(3)[None].repeat(3, axis=0)), [-1.0] * 3)
     assert np.array_equal(matrix_delta_lower_many([[[2.0]], [[-0.5]]]), [1.0, -1.0])

@@ -297,6 +297,17 @@ def test_hyperbolic_pairs(capsys):
     assert payload["pairs"] == 60
 
 
+def test_hyperbolic_default_formats(capsys):
+    # sampled pairs print JSON with or without --format json; the grid prints CSV
+    pairs = ["hyperbolic", "--spec", IDENTITY2, "--pairs", "3"]
+    grid = ["hyperbolic", "--spec", IDENTITY2, "--grid-nx", "2", "--heights", "1"]
+    outs = [run(capsys, *argv) for argv in (pairs, pairs + ["--format", "json"],
+                                             grid, grid + ["--format", "csv"])]
+    assert [code for code, _, _ in outs] == [0] * 4
+    assert outs[0][1] == outs[1][1] and json.loads(outs[0][1])["pairs"] == 3
+    assert outs[2][1] == outs[3][1] and outs[2][1].startswith("#")
+
+
 @pytest.mark.parametrize("scale", [1e100, 1e200])
 def test_hyperbolic_pairs_scale_invariant(capsys, scale):
     # the lift of c I is c (x, n t) and the hyperbolic metric is invariant
@@ -416,6 +427,16 @@ def test_scheme_seed_alone_reseeds_the_default_scheme(capsys, tmp_path):
     ["hyperbolic", "--spec", IDENTITY2, "--grid-bounds", "-1", "inf", "--grid-nx", "2"],
     # 2^37 Sobol nodes break the memory budget both rules share
     ["moments", "--dim", "2", "--method", "quasi_random", "--resolution", "100000000000"],
+    # lattices and samples that break the same budget, checked before allocating
+    ["extend", "--spec", '{"kind":"identity","dim":3}', "--grid-nx", "3000"],
+    ["hyperbolic", "--spec", '{"kind":"identity","dim":3}', "--grid-nx", "3000"],
+    ["claim-check", "--dims", "2", "--matrices", "10000000000"],
+    ["certify-delta", "--spec", POWER1, "--pairs", "10000000000"],
+    ["certify-qs", "--spec", POWER1, "--triples", "10000000000"],
+    ["certify-qs", "--spec", POWER1, "--buckets", "100000000000"],
+    ["hyperbolic", "--spec", IDENTITY2, "--pairs", "10000000000"],
+    # sampled pairs are reported in JSON only
+    ["hyperbolic", "--spec", IDENTITY2, "--pairs", "3", "--format", "csv"],
 ])
 def test_input_errors_exit_1(capsys, argv):
     code = main(argv)
