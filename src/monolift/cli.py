@@ -281,12 +281,12 @@ def _cmd_moments(args):
 
 
 def _cmd_hyperbolic(args):
+    if args.pairs and args.format == "csv":
+        raise InvalidParameterError("hyperbolic --pairs writes JSON only, not --format csv")
     spec = _load_spec(args.spec)
     scheme = _scheme_for(args, spec.dim)
     field = gaussian_extension(spec, scheme)
     if args.pairs:
-        if args.format == "csv":
-            raise InvalidParameterError("hyperbolic --pairs writes JSON only, not --format csv")
         P, Q = sample_height_pairs(spec.dim, args.pairs, seed=args.seed)
         report = bilipschitz_sample(field, P, Q)
         payload = {"meta": _meta(args, spec, scheme, args.seed)}
@@ -348,11 +348,12 @@ def _add_grid_flags(p):
     p.add_argument("--heights", type=float, nargs="+", default=(0.25, 0.5, 1.0, 2.0))
 
 
-def _add_output_flags(p, formats=("csv", "json")):
+def _add_output_flags(p, formats=("csv", "json"), pick_default=True):
     """``--out``, and ``--format`` among the ``formats`` the command
-    writes, the first by default."""
+    writes: the first by default, or None unless ``pick_default``, for a
+    command that picks its format from its other flags."""
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=formats, default=formats[0])
+    p.add_argument("--format", choices=formats, default=formats[0] if pick_default else None)
 
 
 def build_parser() -> _Parser:
@@ -431,9 +432,9 @@ def build_parser() -> _Parser:
                    help="sample this many point pairs instead of the ratio grid")
     p.add_argument("--seed", type=int, default=0)
     _add_scheme_flags(p)
-    _add_output_flags(p)
     # no default format: the grid writes CSV unless told otherwise, --pairs only JSON
-    p.set_defaults(func=_cmd_hyperbolic, format=None)
+    _add_output_flags(p, pick_default=False)
+    p.set_defaults(func=_cmd_hyperbolic)
 
     p = sub.add_parser("demo-composition", help="monotone rotations whose composite is not")
     p.add_argument("--theta1", type=float, required=True)

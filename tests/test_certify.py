@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from monolift import (
     DeltaCertificate,
@@ -355,6 +356,56 @@ def test_matrix_delta_bounds_against_dense_reference(n):
     tight = upper >= 0.05
     assert tight.sum() >= 60
     assert np.all(upper[tight] - lower[tight] <= 1e-9)
+
+
+def attained_sphere_delta(A, points, keep=4):
+    """Least v^T A v / (|Av| |v|) over ``points``, then BFGS from the ``keep``
+    best points; the ratio is scale-invariant, so BFGS runs in all of R^n.
+
+    Every value is attained, so it bounds delta above.  As in
+    dense_sphere_delta, directions with |Av| < 1e-3 ||A|| |v| are skipped.
+    """
+    floor = 1e-3 * np.linalg.norm(A, 2)
+    S, G = A + A.T, A.T @ A
+
+    def ratio(V):
+        AV = V @ A.T
+        r = np.linalg.norm(AV, axis=-1) * np.linalg.norm(V, axis=-1)
+        ok = r >= floor * np.linalg.norm(V, axis=-1) ** 2
+        return np.where(ok, np.einsum("...i,...i", AV, V) / np.where(ok, r, 1.0), np.inf)
+
+    def ratio_and_grad(x):
+        Ax = A @ x
+        r, s, q = np.linalg.norm(Ax), np.linalg.norm(x), x @ Ax
+        grad = S @ x / (r * s) - q * (G @ x) / (r**3 * s) - q * x / (r * s**3)
+        return q / (r * s), grad
+
+    h = ratio(points)
+    best = h.min()
+    for x0 in points[np.argsort(h)[:keep]]:
+        x = minimize(ratio_and_grad, x0, jac=True, method="BFGS", options={"gtol": 1e-13}).x
+        best = min(best, float(ratio(x)))
+    return best
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_matrix_delta_lower_many_tight_against_attained_ratios(n):
+    # from above: an attained ratio within 1e-12 of the certified lower bound
+    # pins delta, and the searched value, on every row where the bound is tight
+    rng = np.random.default_rng([2026, n])
+    mats = oracle_matrices(n, rng)
+    if n == 3:
+        points = fibonacci_sphere(16384)
+    else:
+        points = rng.standard_normal((16384, n))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+    lower, value = matrix_delta_lower_many(mats), matrix_delta_many(mats)
+    tight = np.flatnonzero(lower >= 0.05)
+    assert len(tight) >= 60
+    attained = np.array([attained_sphere_delta(mats[k], points) for k in tight])
+    assert np.all(attained - lower[tight] >= -1e-12)
+    assert np.all(attained - lower[tight] <= 1e-12)
+    assert np.all(np.abs(attained - value[tight]) <= 1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4])
