@@ -3,9 +3,10 @@
 Dimension 2 gets a polar product rule (Gauss-Legendre radially, trapezoid
 in the angle, which is spectrally accurate on the circle).  Higher
 dimensions fall back to quasirandom rejection sampling from the enclosing
-cube, with Sobol points scrambled under seed 0, so every rule is
-deterministic.  Only that fallback imports ``scipy.stats``, inside the
-function, so building a rule in dimension 1 or 2 does not load it.
+cube, with 2^15 Sobol points scrambled under seed 0
+(:func:`~monolift.quadrature.sobol_points`), so every rule is deterministic.
+The cube points are checked against the shared 256 MiB budget before they
+are drawn.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
+from .quadrature import check_allocation, sobol_points
 
 __all__ = ["BallRule", "ball_rule", "ball_integral"]
 
 _RADIAL = 32             # Gauss-Legendre radii (twice as many points in dim 1)
 _ANGULAR = 64            # trapezoid angles in dim 2
-_SOBOL_POINTS = 2**15    # cube points drawn in dim >= 3, before rejection
+_LOG2_SOBOL_POINTS = 15  # 2^15 cube points drawn in dim >= 3, before rejection
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,13 +66,14 @@ def _polar_rule():
 
 
 def _cube_rejection_rule(dim):
-    from scipy.stats import qmc
-
-    engine = qmc.Sobol(d=dim, scramble=True, seed=0)
-    u = 2.0 * engine.random(_SOBOL_POINTS) - 1.0
+    count = 1 << _LOG2_SOBOL_POINTS
+    check_allocation(count * dim * 8, f"the {count} cube points of a ball rule in dimension {dim}")
+    # C order: einsum's bits for each point's |u|^2 depend on the layout
+    u = np.ascontiguousarray(2.0 * sobol_points(dim, count, 0) - 1.0)
     keep = np.einsum("ki,ki->k", u, u) <= 1.0
     nodes = u[keep]
-    weights = np.full(nodes.shape[0], 2.0**dim / _SOBOL_POINTS)
+    # each point carries the cube's volume 2^dim over the count, a float up to dim 1024
+    weights = np.full(nodes.shape[0], 2.0 ** (dim - _LOG2_SOBOL_POINTS))
     return BallRule(dim, nodes, weights)
 
 

@@ -35,6 +35,9 @@ one frame (``_pencil_frame``) and one golden-section search:
 
 Where P is positive definite the two differ only by the allowance.
 ``claim_check`` reads only the lower bound, and qualifies matrices on it.
+Both search a stack ``_SEARCH_BLOCK`` matrices at a time: rows are
+independent, so the bits are those of one call on the whole stack, and the
+working set beyond the input is one block's.
 """
 
 from __future__ import annotations
@@ -86,6 +89,7 @@ _RANK_RATIO = 1e-14        # singular values below this fraction of sigma_max co
 _PENCIL_GRID = 32          # evenly spaced log(mu) points per matrix before refinement
 _GOLDEN_STEPS = 60         # bracket shrinks by 0.618^60 ~ 3e-13
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SEARCH_BLOCK = 1024       # matrices per block of the n >= 3 search, about 0.6 MB at n = 3
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +415,21 @@ def matrix_delta(A) -> float:
     return float(matrix_delta_many(as_square_matrix(A)[None, :, :])[0])
 
 
+def _blockwise(search, arr: np.ndarray) -> np.ndarray:
+    """``search`` over the stack ``arr``, ``_SEARCH_BLOCK`` matrices at a time."""
+    return np.concatenate([search(arr[s:s + _SEARCH_BLOCK])
+                           for s in range(0, max(len(arr), 1), _SEARCH_BLOCK)])
+
+
 def matrix_delta_many(mats) -> np.ndarray:
     """Vectorised :func:`matrix_delta` over a stack of same-size matrices."""
     arr = _matrix_stack(mats)
     if arr.shape[1] <= 2:
         return _delta_exact(arr)
+    return _blockwise(_delta_searched, arr)
+
+
+def _delta_searched(arr: np.ndarray) -> np.ndarray:
     A, sv, _, P = _pencil_frame(arr)
     sign = np.where(np.linalg.eigvalsh(P)[:, :1] > 0.0, 1.0, -1.0)
     _, f = _pencil_search(A, sv, P, sign)
@@ -433,6 +447,10 @@ def matrix_delta_lower_many(mats) -> np.ndarray:
     arr = _matrix_stack(mats)
     if arr.shape[1] <= 2:
         return _delta_exact(arr)
+    return _blockwise(_delta_lower_searched, arr)
+
+
+def _delta_lower_searched(arr: np.ndarray) -> np.ndarray:
     A, sv, WS, P = _pencil_frame(arr)
     lower = np.full(len(A), -1.0)
     pd = np.linalg.eigvalsh(P)[:, 0] > 0.0

@@ -19,14 +19,18 @@ one contiguous vector over the nodes.  :func:`pair_expectation` reduces
 along a contiguous last (node) axis, so its bits do not depend on the
 layout a caller holds its values in.
 
-``scipy.stats`` and ``scipy.special`` are imported inside the Sobol builder,
-not at module level: they cost most of a process's start-up, and only
-quasi-random rules use them.
+Sobol points come from :func:`sobol_points`, which draws scipy's scrambled
+Sobol rule bit for bit with numpy alone: the Joe-Kuo direction numbers are
+read from the table scipy ships beside its Sobol engine, once per process
+on the first draw, and nothing imports ``scipy.stats``.  ``scipy.special``
+(``ndtri``) is imported inside the quasi-random builder, so only
+quasi-random Gaussian rules load it.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +52,7 @@ __all__ = [
     "gaussian_expectation",
     "pair_expectation",
     "paired_nodes",
+    "sobol_points",
 ]
 
 TENSOR_HERMITE = "tensor_hermite"
@@ -57,6 +62,8 @@ QUASI_RANDOM = "quasi_random"
 # or a sample of pairs, triples or matrices
 _MAX_ALLOCATION_BYTES = 256 << 20
 _SYMMETRY_BLOCK = 1 << 16  # node rows per block of the reversal-symmetry check
+_SOBOL_BITS = 30           # bits per Sobol coordinate, scipy's default
+_SCRAMBLE_DIMS = 256       # dimensions per block of the scramble's (dims, 30, 30) draw
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,14 +114,100 @@ def _tensor_arrays(dim: int, order: int):
     return nodes.T, weights
 
 
+@functools.cache
+def _sobol_table():
+    """Each dimension's primitive polynomial and first direction numbers, from
+    the Joe-Kuo table (S. Joe and F. Y. Kuo, SIAM J. Sci. Comput. 30, 2008)
+    that scipy ships beside its Sobol engine.  Read once per process, on the
+    first Sobol draw, and kept as uint32 (1.6 MB), as scipy's engine keeps it."""
+    import scipy  # the package only, for the path of its table
+
+    path = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
+    with np.load(path) as table:
+        arrays = table["poly"].astype(np.uint32), table["vinit"].astype(np.uint32)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=4)
+def _sobol_directions(dim: int) -> np.ndarray:
+    """Unscrambled direction numbers of the first ``dim`` dimensions, 30 per
+    dimension; read-only, uint32.
+
+    Number j of a dimension whose primitive polynomial has degree m and inner
+    coefficients a_1 .. a_{m-1} follows the Bratley-Fox recurrence
+    v_j = v_{j-m} ^ (v_{j-m} << m) ^ XOR_k a_k (v_{j-k} << k) from the table's
+    first m numbers; the first dimension is all ones.  Each v_j is below
+    2^(j+1), and is stored shifted left by 29 - j, to fill 30 bits.
+    """
+    poly, vinit = (a[:dim] for a in _sobol_table())
+    degree = np.frexp(poly)[1] - 1          # 0 for the first dimension's polynomial, 1
+    top = int(degree.max())
+    tap = np.arange(top)[:, None]
+    # taps[k] gates v_{j-1-k} << (k+1): polynomial bit m-1-k, always set at k = m-1
+    taps = ((poly >> np.maximum(degree - 1 - tap, 0)) & 1 & (tap < degree)).astype(np.uint32)
+    v = np.zeros((_SOBOL_BITS, dim), dtype=np.uint32)   # v[j, d], number j of dimension d
+    v[:top] = vinit[:, :top].T
+    v[:, 0] = 1
+    dims = np.arange(dim)
+    for j in range(1, _SOBOL_BITS):
+        new = v[j - degree, dims]  # v_{j-m}; dimensions with m > j keep their table entry
+        for k in range(min(j, top)):
+            new ^= (v[j - 1 - k] << (k + 1)) * taps[k]
+        np.copyto(v[j], new, where=(degree > 0) & (degree <= j))
+    v <<= np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)[:, None]
+    out = np.ascontiguousarray(v.T)
+    out.flags.writeable = False
+    return out
+
+
+def sobol_points(dim: int, count: int, seed: int) -> np.ndarray:
+    """The first ``count`` (>= 1) points of scipy's scrambled Sobol rule:
+    ``scipy.stats.qmc.Sobol(d=dim, scramble=True, seed=seed).random(count)``,
+    bit for bit, drawn with numpy alone.  The (count, dim) result is the
+    transpose of a coordinate-major array, where scipy's is C-ordered.
+
+    The scramble is scipy's: from ``np.random.default_rng(seed)`` a digital
+    shift of 30 random bits per dimension, then per dimension a random lower
+    triangular 30 x 30 bit matrix with a unit diagonal (a linear matrix
+    scramble) applied to every direction number over GF(2).  Point i is the
+    shift XOR the scrambled numbers at the set bits of the Gray code of i,
+    built by doubling: points [2^k, 2^(k+1)) are points [0, 2^k) reversed,
+    XOR number k.  A ``dim`` beyond the table (21201 dimensions) raises
+    :class:`InvalidParameterError`.
+    """
+    most = len(_sobol_table()[0])
+    if dim > most:
+        raise InvalidParameterError(f"Sobol rules have at most {most} dimensions, got {dim}")
+    directions = _sobol_directions(dim)
+    rng = np.random.default_rng(seed)
+    top_first = np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)  # bit i counted from the top
+    shift = (rng.integers(0, 2, (dim, _SOBOL_BITS), dtype=np.uint32)
+             @ (np.uint32(1) << np.arange(_SOBOL_BITS, dtype=np.uint32)))
+    scrambled = np.empty((dim, _SOBOL_BITS), dtype=np.uint32)
+    unit = np.eye(_SOBOL_BITS, dtype=np.uint32)
+    for s in range(0, dim, _SCRAMBLE_DIMS):  # the draws continue one stream, as one draw would
+        e = min(s + _SCRAMBLE_DIMS, dim)
+        lower = np.tril(rng.integers(0, 2, (e - s, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32), -1)
+        columns = ((lower | unit) << top_first[:, None]).sum(axis=1, dtype=np.uint32)
+        bits = (directions[s:e, :, None] >> top_first) & 1
+        scrambled[s:e] = np.bitwise_xor.reduce(bits * columns[:, None, :], axis=2)
+    points = np.empty((dim, count), dtype=np.uint32)
+    points[:, 0] = shift
+    n = 1
+    for k in range((count - 1).bit_length()):
+        e = min(2 * n, count)
+        np.bitwise_xor(points[:, n - 1::-1][:, :e - n], scrambled[:, k, None], out=points[:, n:e])
+        n = e
+    return points.T * (1.0 / (1 << _SOBOL_BITS))
+
+
 def _quasi_arrays(dim: int, count: int, seed: int):
     from scipy.special import ndtri
-    from scipy.stats import qmc
 
     half = count // 2
-    engine = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    u = engine.random(half)
-    u = np.clip(u, 1e-16, 1.0 - 1e-16)
+    u = np.clip(sobol_points(dim, half, seed), 1e-16, 1.0 - 1e-16)
     z = ndtri(u).T
     nodes = np.empty((dim, count))  # coordinate-major
     nodes[:, :half] = z

@@ -2,11 +2,13 @@
 
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from monolift import certify
 from monolift import (
     DeltaCertificate,
     PairConfig,
@@ -538,6 +540,39 @@ def test_claim_check_small_run():
         assert stats.qualified > 0
         assert stats.worst_gap > 0.0  # strict margin, not just non-violation
         assert stats.sampled == 400
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_blocked_search_is_one_call_on_the_stack(n, rng, monkeypatch):
+    # blocks of 7 rows, a short last one included, give the bits of one call
+    mats = np.concatenate([rng.standard_normal((25, n, n)),
+                           rng.standard_normal((25, n, n)) + 2.0 * np.eye(n)])
+    mats = mats[rng.permutation(len(mats))]
+    monkeypatch.setattr(certify, "_SEARCH_BLOCK", len(mats))
+    lower, value = matrix_delta_lower_many(mats), matrix_delta_many(mats)
+    monkeypatch.setattr(certify, "_SEARCH_BLOCK", 7)
+    assert np.array_equal(matrix_delta_lower_many(mats), lower)
+    assert np.array_equal(matrix_delta_many(mats), value)
+
+
+def test_claim_check_working_set_is_the_input_plus_one_block():
+    # five blocks of matrices: the peak is the input stack, one stack-sized
+    # temporary (the shifted or the qualified matrices) and one block's search
+    block = certify._SEARCH_BLOCK
+    one = np.random.default_rng(0).standard_normal((block, 3, 3)) + 2.0 * np.eye(3)
+    block_peak = traced_peak(lambda: matrix_delta_lower_many(one))
+    count = 5 * block
+    peak = traced_peak(lambda: claim_check(dims=(3,), count=count))
+    assert peak < 2 * count * 9 * 8 + block_peak
 
 
 # ---------------------------------------------------------------------------

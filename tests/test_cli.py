@@ -427,6 +427,10 @@ def test_scheme_seed_alone_reseeds_the_default_scheme(capsys, tmp_path):
     ["hyperbolic", "--spec", IDENTITY2, "--grid-bounds", "-1", "inf", "--grid-nx", "2"],
     # 2^37 Sobol nodes break the memory budget both rules share
     ["moments", "--dim", "2", "--method", "quasi_random", "--resolution", "100000000000"],
+    # a Sobol rule past the direction table's 21201 dimensions, and a ball
+    # rule whose 2^15 cube points in dim 2000 break the budget
+    ["moments", "--dim", "21202", "--method", "quasi_random", "--resolution", "16"],
+    ["doubling", "--dim", "2000", "--centers=" + ",".join(["0"] * 2000)],
     # lattices and samples that break the same budget, checked before allocating
     ["extend", "--spec", '{"kind":"identity","dim":3}', "--grid-nx", "3000"],
     ["hyperbolic", "--spec", '{"kind":"identity","dim":3}', "--grid-nx", "3000"],
@@ -508,6 +512,9 @@ def test_usage_errors_exit_1(capsys, argv):
     (["claim-check", "--dims", "2.6", "--matrices", "5"],
      "expected a comma-separated integer list, got '2.6'"),
     (["doubling", "--centers", ";", "--radii", "1"], "no center was given in ';'"),
+    # a Sobol rule past the direction table
+    (["moments", "--dim", "21202", "--method", "quasi_random", "--resolution", "16"],
+     "Sobol rules have at most 21201 dimensions, got 21202"),
 ])
 def test_overflow_error_is_the_only_stderr_line(argv, message):
     # the program's own finite check reports the overflow; no numpy
@@ -521,7 +528,7 @@ def test_overflow_error_is_the_only_stderr_line(argv, message):
 
 
 def test_quasi_random_resolution_prints_no_library_warning():
-    # 1000 rounds up to 1024 Sobol points; scipy warns on any other count
+    # 1000 rounds up to 1024 Sobol points, a power of two, as their balance needs
     proc = subprocess.run(
         [sys.executable, "-m", "monolift", "extend", "--spec", POWER1, "--x", "0.3,-1.2",
          "--t", "0.7", "--method", "quasi_random", "--resolution", "1000"],

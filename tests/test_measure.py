@@ -19,6 +19,7 @@ from monolift import (
 )
 from monolift.errors import (
     DimensionMismatchError,
+    DimensionOverflowError,
     InvalidParameterError,
     NonFiniteIntegrandError,
     ZeroMassError,
@@ -87,6 +88,17 @@ def test_ball_integral_of_radii_is_the_scalar_calls(dim):
     assert np.array_equal(ball_integral(rule, density, center, radii.reshape(1, 5, 1)),
                           many.reshape(1, 5, 1))
     assert isinstance(ball_integral(rule, density, center, 0.3), float)
+
+
+def test_ball_rule_budget_is_checked_before_drawing():
+    # 2^15 cube points in dim 2000 would take 500 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionOverflowError, match="256 MiB"):
+            ball_rule(2000)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("dim, rtol", [(2, 0.0), (3, 1e-13)])

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc  # the oracle of sobol_points; the package never imports it
 
 from conftest import riemann_gaussian_moment_1d
-from monolift import build_scheme, default_scheme, gaussian_expectation
-from monolift.quadrature import _require_reversal_symmetry
+from monolift import build_scheme, default_scheme, gaussian_expectation, quadrature
+from monolift.quadrature import _require_reversal_symmetry, sobol_points
 from monolift.errors import (
     DimensionOverflowError,
     InvalidParameterError,
@@ -122,8 +123,38 @@ def test_quasi_random_rounds_to_even():
     assert scheme.size % 2 == 0 and scheme.size >= 17
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 17])
+def test_sobol_points_are_scipys_bit_for_bit(dim):
+    for count in (16, 1024, 1 << 15):
+        for seed in (0, 5, 576, 2**31 - 2):
+            expected = qmc.Sobol(d=dim, scramble=True, seed=seed).random(count)
+            assert np.array_equal(sobol_points(dim, count, seed), expected)
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties")
+def test_sobol_points_of_any_count_and_a_blocked_scramble(monkeypatch):
+    # counts that are not powers of two stop inside a doubling; scrambles drawn
+    # three dimensions at a time continue the one stream of scipy's single draw
+    for count in (1, 3, 1000):
+        expected = qmc.Sobol(d=3, scramble=True, seed=1).random(count)
+        assert np.array_equal(sobol_points(3, count, 1), expected)
+    monkeypatch.setattr(quadrature, "_SCRAMBLE_DIMS", 3)
+    expected = qmc.Sobol(d=20, scramble=True, seed=9).random(64)
+    assert np.array_equal(sobol_points(20, 64, 9), expected)
+
+
+def test_sobol_dimension_limit():
+    # the direction table covers 21201 dimensions; beyond it a Gaussian rule
+    # whose nodes fit the budget is still refused, before anything is drawn
+    assert sobol_points(21201, 1, 0).shape == (1, 21201)
+    for make in (lambda: sobol_points(21202, 16, 0),
+                 lambda: build_scheme(21202, "quasi_random", 16)):
+        with pytest.raises(InvalidParameterError, match="at most 21201 dimensions, got 21202"):
+            make()
+
+
 def test_quasi_random_rounds_to_a_power_of_two():
-    # Sobol points keep their balance only at powers of two, and scipy warns otherwise
+    # Sobol points keep their balance only at powers of two
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert build_scheme(2, "quasi_random", 1000).size == 1024

@@ -78,6 +78,7 @@ def test_unread_parameter_check_finds_one():
 
 
 POWER1 = '{"kind":"power_radial","dim":2,"params":{"p":1.0}}'
+POWER4 = '{"kind":"power_radial","dim":4,"params":{"p":1.0}}'
 
 # commands that build no Sobol rule: the tensor rule up to dim 3, the polar
 # ball rule in dim 2, and no rule at all for claim-check
@@ -91,17 +92,30 @@ NO_SOBOL_ARGVS = [
     ["hyperbolic", "--spec", POWER1, "--pairs", "20"],
 ]
 
+# commands that build one: the default dim-4 Gaussian rule and the dim-3 ball rule
+SOBOL_ARGVS = [
+    ["extend", "--spec", POWER4, "--x", "0.3,-1.2,0.5,0.1", "--t", "0.7"],
+    ["moments", "--dim", "4", "--p", "2"],
+    ["doubling", "--dim", "3", "--centers=0,0,0;1,0.5,-0.2"],
+]
+
 # run in a fresh interpreter: this process has imported scipy.stats already
 CHILD = """
 import contextlib, hashlib, io, json, sys
 import monolift.cli
-def heavy():
-    return sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.special")))
-out = {"import": heavy(), "codes": []}
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        out["codes"].append(monolift.cli.main(argv))
-out["commands"] = heavy()
+def loaded(*prefixes):
+    return sorted(m for m in sys.modules if m.startswith(prefixes))
+def run(argvs):
+    codes = []
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(monolift.cli.main(argv))
+    return codes
+no_sobol, sobol = json.loads(sys.argv[1])
+out = {"import": loaded("scipy.stats", "scipy.special"), "codes": run(no_sobol)}
+out["commands"] = loaded("scipy.stats", "scipy.special")
+out["codes"] += run(sobol)
+out["sobol_commands"] = loaded("scipy.stats")
 from monolift import ball_rule, default_scheme
 out["sobol"] = [hashlib.sha256(r.nodes.tobytes()).hexdigest()
                 for r in (default_scheme(4), ball_rule(3))]
@@ -110,18 +124,20 @@ print(json.dumps(out))
 """
 
 
-def test_scipy_stats_is_imported_only_to_build_a_sobol_rule():
+def test_no_command_imports_scipy_stats():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(monolift.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(NO_SOBOL_ARGVS)],
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps([NO_SOBOL_ARGVS, SOBOL_ARGVS])],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout)
     assert child["import"] == []
-    assert child["codes"] == [0] * len(NO_SOBOL_ARGVS)
+    assert child["codes"] == [0] * (len(NO_SOBOL_ARGVS) + len(SOBOL_ARGVS))
+    # commands without a Sobol rule load neither scipy.stats nor scipy.special
     assert child["commands"] == []
-    # the Sobol builders import it themselves, and build the same bits
-    assert child["built"]
+    # Sobol rules are drawn with numpy alone, to the bits this process draws
+    assert child["sobol_commands"] == []
+    assert not child["built"]
     assert child["sobol"] == [hashlib.sha256(r.nodes.tobytes()).hexdigest()
                               for r in (default_scheme(4), ball_rule(3))]
