@@ -5,6 +5,8 @@ in the angle, which is spectrally accurate on the circle).  Higher
 dimensions fall back to quasirandom rejection sampling from the enclosing
 cube, with 2^15 Sobol points scrambled under seed 0
 (:func:`~monolift.quadrature.sobol_points`), so every rule is deterministic.
+The ball's share of the cube falls fast with the dimension: 3 points are
+kept in dim 13, and none from dim 14 on, which raises.
 The cube points are checked against the shared 256 MiB budget before they
 are drawn.
 """
@@ -71,6 +73,9 @@ def _cube_rejection_rule(dim):
     # C order: einsum's bits for each point's |u|^2 depend on the layout
     u = np.ascontiguousarray(2.0 * sobol_points(dim, count, 0) - 1.0)
     keep = np.einsum("ki,ki->k", u, u) <= 1.0
+    if not np.any(keep):
+        raise InvalidParameterError(f"the ball rule in dimension {dim} keeps none of its "
+                                    f"{count} cube points inside the unit ball")
     nodes = u[keep]
     # each point carries the cube's volume 2^dim over the count, a float up to dim 1024
     weights = np.full(nodes.shape[0], 2.0 ** (dim - _LOG2_SOBOL_POINTS))

@@ -61,6 +61,7 @@ from .errors import (
     DegenerateTripleError,
     DimensionMismatchError,
     InvalidParameterError,
+    NonFiniteIntegrandError,
     ZeroMatrixError,
 )
 from .quadrature import check_allocation
@@ -242,9 +243,9 @@ def two_point_delta(F, cfg: PairConfig) -> DeltaCertificate:
     in which every pair collapses raises :class:`DegenerateMapError`.
     """
     A, B = sample_pairs(cfg)
-    FA = np.asarray(F(A), dtype=float)
-    FB = np.asarray(F(B), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing F is reported below
+        FA = np.asarray(F(A), dtype=float)
+        FB = np.asarray(F(B), dtype=float)
         dX = A - B
         dF = FA - FB
         den = np.linalg.norm(dF, axis=1) * np.linalg.norm(dX, axis=1)
@@ -629,7 +630,8 @@ def quasisymmetry_profile(spec: MapSpec, cfg: TripleConfig) -> EtaProfile:
     """Sample |f(x)-f(z)| / |f(y)-f(z)| against |x-z| / |y-z|.
 
     Triples whose denominators vanish are skipped; more than 1% of them
-    degenerating raises :class:`DegenerateTripleError`.
+    degenerating raises :class:`DegenerateTripleError`, and any triple whose
+    image separations overflow :class:`NonFiniteIntegrandError`.
     """
     if cfg.dim != spec.dim:
         raise DimensionMismatchError(f"config dim {cfg.dim} vs map dim {spec.dim}")
@@ -646,11 +648,16 @@ def quasisymmetry_profile(spec: MapSpec, cfg: TripleConfig) -> EtaProfile:
     x = z + rx[:, None] * dx
     y = z + ry[:, None] * dy
 
-    fx, fy, fz = evaluate_map(spec, np.stack([x, y, z]))
     ns = np.linalg.norm(x - z, axis=1)
     nd = np.linalg.norm(y - z, axis=1)
-    qn = np.linalg.norm(fx - fz, axis=1)
-    qd = np.linalg.norm(fy - fz, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing f is reported below
+        fx, fy, fz = evaluate_map(spec, np.stack([x, y, z]))
+        qn = np.linalg.norm(fx - fz, axis=1)
+        qd = np.linalg.norm(fy - fz, axis=1)
+    overflow = int(np.sum(~(np.isfinite(qn) & np.isfinite(qd))))
+    if overflow:
+        raise NonFiniteIntegrandError(f"triple separations overflow: |f(x) - f(z)| or "
+                                      f"|f(y) - f(z)| is not finite for {overflow} of {m} triples")
     keep = (nd > 1e-300) & (qd > 1e-300) & (ns > 1e-300) & (qn > 1e-300)
     skipped = int(m - keep.sum())
     if skipped > 0.01 * m:

@@ -124,22 +124,13 @@ def _output(args):
         yield handle
 
 
-def _emit_csv(args, columns, rows, meta):
+def _emit(args, payload, columns=None, rows=None, meta=None):
+    """The table as CSV when given one and ``--format`` is not json, else ``payload`` as JSON."""
     with _output(args) as handle:
-        write_csv(handle, columns, rows, meta)
-
-
-def _emit_json(args, payload):
-    with _output(args) as handle:
-        write_json(handle, payload)
-
-
-def _emit_report(args, payload, columns, rows, meta):
-    """JSON when asked for, CSV otherwise."""
-    if args.format != "json":
-        _emit_csv(args, columns, rows, meta)
-    else:
-        _emit_json(args, payload)
+        if columns is not None and args.format != "json":
+            write_csv(handle, columns, rows, meta)
+        else:
+            write_json(handle, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +147,13 @@ def _cmd_extend(args):
     table = ExtensionTable(np.column_stack([X, T]), extend_points(field, X, T))
     columns, rows, meta = table.columns(), table.rows(), _meta(args, spec, scheme, scheme.seed)
     if args.format == "json":
-        _emit_json(args, {"meta": meta, "columns": columns, "rows": rows.tolist()})
+        _emit(args, {"meta": meta, "columns": columns, "rows": rows.tolist()})
     elif args.x is not None:
         sys.stdout.write(csv_line(rows[0]) + "\n")
         if args.out:
-            _emit_csv(args, columns, rows, meta)
+            _emit(args, None, columns, rows, meta)
     else:
-        _emit_csv(args, columns, rows, meta)
+        _emit(args, None, columns, rows, meta)
     return 0
 
 
@@ -173,12 +164,8 @@ def _cmd_jacobian(args):
     x = _floats(args.x)
     DF = extension_jacobian(field, (x, args.t))
     if args.format == "json":
-        payload = {
-            "meta": _meta(args, spec, scheme, scheme.seed),
-            "x": x.tolist(), "t": args.t,
-            "jacobian": DF.tolist(),
-        }
-        _emit_json(args, payload)
+        _emit(args, {"meta": _meta(args, spec, scheme, scheme.seed),
+                     "x": x.tolist(), "t": args.t, "jacobian": DF.tolist()})
         return 0
     with _output(args) as handle:
         handle.write(f"# x={csv_line(x)} t={args.t} spec={spec.digest()} scheme="
@@ -210,7 +197,7 @@ def _cmd_certify_delta(args):
     cert = two_point_delta(F, cfg)
     payload = {"meta": _meta(args, spec, seed=args.seed, lift=args.lift)}
     payload.update(cert.json_dict())
-    _emit_json(args, payload)
+    _emit(args, payload)
     return 0
 
 
@@ -226,7 +213,7 @@ def _cmd_certify_qs(args):
         "envelope": [None if not np.isfinite(v) else v for v in profile.envelope],
         "skipped": profile.skipped,
     }
-    _emit_report(args, payload, columns=["s", "q"], rows=profile.csv_rows(), meta=meta)
+    _emit(args, payload, columns=["s", "q"], rows=profile.csv_rows(), meta=meta)
     return 0
 
 
@@ -235,7 +222,7 @@ def _cmd_claim_check(args):
                          seed=args.seed, delta_floor=args.delta_floor)
     payload = {"meta": _meta(args, seed=args.seed)}
     payload.update(report.json_dict())
-    _emit_json(args, payload)
+    _emit(args, payload)
     return 2 if report.total_violations else 0
 
 
@@ -259,7 +246,7 @@ def _cmd_doubling(args):
         "constant_hat": report.constant_hat,
         "ratios": report.ratios.tolist(),
     }
-    _emit_report(args, payload, columns=report.columns(), rows=report.rows(), meta=meta)
+    _emit(args, payload, columns=report.columns(), rows=report.rows(), meta=meta)
     return 0
 
 
@@ -276,7 +263,7 @@ def _cmd_moments(args):
         "ball_mass": ratio.ball_mass,
         "ratio": ratio.ratio,
     }
-    _emit_json(args, payload)
+    _emit(args, payload)
     return 0
 
 
@@ -291,7 +278,7 @@ def _cmd_hyperbolic(args):
         report = bilipschitz_sample(field, P, Q)
         payload = {"meta": _meta(args, spec, scheme, args.seed)}
         payload.update(report.json_dict())
-        _emit_json(args, payload)
+        _emit(args, payload)
         return 0
     X, T = _lattice(args, spec.dim)
     report = vertical_comparison(field, X, T)
@@ -302,7 +289,7 @@ def _cmd_hyperbolic(args):
         "ratio_min": float(report.ratios.min()),
         "ratio_max": float(report.ratios.max()),
     }
-    _emit_report(args, payload, columns=report.columns(), rows=report.rows(), meta=meta)
+    _emit(args, payload, columns=report.columns(), rows=report.rows(), meta=meta)
     return 0
 
 
@@ -311,7 +298,7 @@ def _cmd_demo_composition(args):
                                            pairs=args.pairs, seed=args.seed)
     payload = {"meta": _meta(args, seed=args.seed)}
     payload.update(report.json_dict())
-    _emit_json(args, payload)
+    _emit(args, payload)
     return 0
 
 
@@ -329,7 +316,7 @@ def _cmd_demo_trivial_failure(args):
     payload = {"meta": _meta(args, spec, seed=args.seed),
                "threshold": args.threshold, "refuted": bool(found)}
     payload.update(cert.json_dict())
-    _emit_json(args, payload)
+    _emit(args, payload)
     return 0 if found else 2
 
 

@@ -116,23 +116,17 @@ def _require_finite(values: np.ndarray, rows: np.ndarray, what: str) -> None:
 
 def _require_finite_average(average: np.ndarray, rows: np.ndarray, plus: np.ndarray,
                             minus: np.ndarray, what: str) -> None:
-    """Raise if the Gaussian ``average`` of ``rows`` is not all finite.
+    """Raise if the Gaussian ``average`` of ``rows`` is not all finite, naming
+    the first row with a non-finite value in ``plus`` or ``minus`` as "``what``
+    at a quadrature node", or else the first with a non-finite average.
 
-    The first row with a non-finite value in ``plus`` or ``minus`` is named
-    as "``what`` at a quadrature node"; if there is none, the first row with
-    a non-finite average as "Gaussian average".
-
-    Every value enters the horizontal part (the A block) once, through a pair
-    sum with a weight, and inf * w, inf - inf, 0 * inf and NaN all stay
-    non-finite; so a non-finite value always makes its row's average
-    non-finite, and the values are scanned only when an average is.
+    Every value enters the horizontal part (the A block) once, through a
+    weighted pair sum, where inf * w, inf - inf, 0 * inf and NaN stay
+    non-finite; so the values are scanned only when an average is.
     """
-    if np.all(np.isfinite(average)):
-        return
-    for row, p, m in zip(rows, plus, minus):
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(m))):
-            raise NonFiniteIntegrandError(f"row {row}: {what} at a quadrature node overflowed")
-    _require_finite(average, rows, "Gaussian average")
+    if not np.all(np.isfinite(average)):
+        _require_finite(np.concatenate([plus, minus], axis=1), rows, f"{what} at a quadrature node")
+        _require_finite(average, rows, "Gaussian average")
 
 
 def _batch(X, T, n: int) -> tuple[np.ndarray, np.ndarray]:

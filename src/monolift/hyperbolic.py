@@ -25,6 +25,7 @@ from .errors import (
     InvalidParameterError,
     NonFiniteIntegrandError,
     NonpositiveHeightError,
+    SingularPointError,
     VanishingVerticalError,
 )
 from .extension import ExtensionField, extend_points, extension_jacobians
@@ -103,15 +104,30 @@ def _vanishing_verticals(field: ExtensionField, X: np.ndarray, T: np.ndarray,
     L is estimated by the degree-3 Gaussian rule, weight 1/(2n) on each of
     y = +-sqrt(n) e_k, from Frobenius norms (>= the operator norm): 2n base
     Jacobians per row, where the averaged DF would cost the whole node set
-    and understate L wherever Df turns.
+    and understate L wherever Df turns.  A probe point where Df is undefined
+    is left out of its row's mean; a row with no other raises
+    :class:`SingularPointError`.
     """
     n = field.dim
     rn = math.sqrt(n)
     steps = rn * np.abs(T)[:, None, None] * np.eye(n)
-    pts = np.concatenate([X[:, None, :] + steps, X[:, None, :] - steps], axis=1)
+    pts = np.concatenate([X[:, None, :] + steps, X[:, None, :] - steps], axis=1).reshape(-1, n)
+    defined = np.ones(pts.shape[0], dtype=bool)
     with np.errstate(all="ignore"):  # an overflowing Jacobian makes the bound infinite
-        J = evaluate_map_jacobian(field.spec, pts.reshape(-1, n))
-    slope = _row_norms(J).reshape(-1, 2 * n).mean(axis=1)
+        try:
+            J = evaluate_map_jacobian(field.spec, pts)
+        except SingularPointError:  # leave out the probe points where Df is undefined
+            J = np.zeros((pts.shape[0], n, n))
+            for i, p in enumerate(pts):
+                try:
+                    J[i] = evaluate_map_jacobian(field.spec, p[None])[0]
+                except SingularPointError:
+                    defined[i] = False
+    probes = defined.reshape(-1, 2 * n).sum(axis=1)
+    if not np.all(probes):
+        raise SingularPointError(
+            f"row {np.argmin(probes)}: Df is undefined at every probe point of the rounding bound")
+    slope = _row_norms(J).reshape(-1, 2 * n).sum(axis=1) / probes
     bound = np.finfo(float).eps * (
         (n + 2) * rn * _row_norms(images[:, :n])
         + slope * (rn * _row_norms(X) + (3 * n + 7) * n * np.abs(T)))

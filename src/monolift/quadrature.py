@@ -61,7 +61,6 @@ QUASI_RANDOM = "quasi_random"
 # the most bytes one array set may take: a rule's nodes plus weights, a lattice,
 # or a sample of pairs, triples or matrices
 _MAX_ALLOCATION_BYTES = 256 << 20
-_SYMMETRY_BLOCK = 1 << 16  # node rows per block of the reversal-symmetry check
 _SOBOL_BITS = 30           # bits per Sobol coordinate, scipy's default
 _SCRAMBLE_DIMS = 256       # dimensions per block of the scramble's (dims, 30, 30) draw
 
@@ -109,6 +108,7 @@ def _tensor_arrays(dim: int, order: int):
     nodes = np.empty((dim, order**dim))
     for row, axis in zip(nodes, np.meshgrid(*([x] * dim), indexing="ij", copy=False)):
         row.reshape(axis.shape)[...] = axis
+    # C order: node N-1-i has the reversed multi-index of node i, so it is -node i bitwise
     weights = functools.reduce(np.multiply.outer, [w] * dim).reshape(-1)
     weights /= weights.sum()
     return nodes.T, weights
@@ -251,7 +251,6 @@ def build_scheme(dim: int, method: str, resolution: int, seed: int = 0) -> Quadr
     if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
         raise ResolutionError(
             f"{method} at resolution {resolution} gives non-finite nodes or weights")
-    _require_reversal_symmetry(nodes)
     return QuadratureScheme(dim, method, resolution, seed, nodes, weights)
 
 
@@ -262,19 +261,6 @@ def check_allocation(nbytes: int, what: str) -> None:
         raise DimensionOverflowError(
             f"{what} would take {nbytes / 2**20:.0f} MiB, "
             f"over the {_MAX_ALLOCATION_BYTES >> 20} MiB budget")
-
-
-def _require_reversal_symmetry(nodes: np.ndarray) -> None:
-    """Raise unless ``nodes[::-1]`` is bitwise ``-nodes``, which the paired sum
-    in :func:`gaussian_expectation` relies on.  Checked block by block, with
-    no full-size temporary; for finite floats x + y == 0 exactly iff y == -x.
-    """
-    half = (nodes.shape[0] + 1) // 2
-    rev = nodes[::-1]
-    for s in range(0, half, _SYMMETRY_BLOCK):
-        e = min(s + _SYMMETRY_BLOCK, half)
-        if np.any(nodes[s:e] + rev[s:e]):
-            raise RuntimeError(f"quadrature node set lost reversal symmetry near node {s}")
 
 
 def default_scheme(dim: int, seed: int = 0, method: str | None = None,

@@ -1,10 +1,11 @@
 """Deterministic CSV / JSON writers.
 
 Floats are rendered with the shortest round-trip decimal form so that a
-rerun with identical inputs produces byte-identical files.  The digits are
-Python's ``repr`` of the float, the same shortest unique digits as
-``np.format_float_positional(x, unique=True, trim="-")``, written in
-positional form: no exponent, no trailing ``.0``, and -0.0 as 0.
+rerun with identical inputs produces byte-identical files, in positional
+form: no exponent, no trailing ``.0``, and -0.0 as 0.  The digits are
+Python's ``repr`` of the float; where ``repr`` would write an exponent,
+``np.format_float_positional(x, unique=True, trim="-")`` writes the same
+shortest unique digits positionally.
 """
 
 from __future__ import annotations
@@ -18,15 +19,9 @@ __all__ = ["format_float", "csv_line", "write_csv", "write_json"]
 
 def format_float(x) -> str:
     text = repr(float(x) + 0.0)  # + 0.0 normalises -0.0
-    if "e" not in text:
-        return text[:-2] if text.endswith(".0") else text
-    mantissa, exponent = text.split("e")
-    sign = "-" if mantissa[0] == "-" else ""
-    digits = mantissa.lstrip("-").replace(".", "")
-    point = int(exponent) + 1  # digits before the decimal point
-    if point <= 0:
-        return f"{sign}0.{'0' * -point}{digits}"
-    return sign + digits + "0" * (point - len(digits))
+    if "e" in text:
+        return np.format_float_positional(float(x), unique=True, trim="-")
+    return text[:-2] if text.endswith(".0") else text
 
 
 def csv_line(values) -> str:

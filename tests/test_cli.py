@@ -308,6 +308,21 @@ def test_hyperbolic_default_formats(capsys):
     assert outs[2][1] == outs[3][1] and outs[2][1].startswith("#")
 
 
+def test_hyperbolic_probe_at_a_singular_point(capsys):
+    # at x = (-sqrt 2, 0), t = 1 one probe point x + sqrt(n) t e_1 of the
+    # rounding bound is the origin, where |x|^(-1/2) x has no differential;
+    # the lift and DF never evaluate Df there, so the row is kept
+    spec = '{"kind":"power_radial","dim":2,"params":{"p":-0.5}}'
+    code, out, err = run(capsys, "hyperbolic", "--spec", spec, "--grid-bounds",
+                         repr(-math.sqrt(2)), repr(math.sqrt(2)), "--grid-nx", "3",
+                         "--heights", "1")
+    assert code == 0 and err == ""
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    header, rows = lines[0].split(","), [list(map(float, r.split(","))) for r in lines[1:]]
+    assert len(rows) == 9
+    assert all(row[header.index("fvert")] > 0.0 for row in rows)
+
+
 @pytest.mark.parametrize("scale", [1e100, 1e200])
 def test_hyperbolic_pairs_scale_invariant(capsys, scale):
     # the lift of c I is c (x, n t) and the hyperbolic metric is invariant
@@ -468,6 +483,31 @@ def test_usage_errors_exit_1(capsys, argv):
     assert info.value.code == 1
 
 
+def _scaling(c):
+    return {"kind": "linear", "dim": 2, "params": {"matrix": [[c, 0.0], [0.0, c]]}}
+
+
+def _sampled_overflows():
+    """certify-qs and certify-delta --lift none|trivial on maps that overflow
+    on the sampling box: 1e308 I, the quartic with b = 1e308, |x|^300 x and
+    two composed 1e200 scalings, with the triples and pairs that overflow."""
+    specs = [(_scaling(1e308), (200, 200, 200)),
+             ({"kind": "convex_gradient_quartic", "dim": 2, "params": {"a": 1.0, "b": 1e308}},
+              (200, 200, 200)),
+             ({"kind": "power_radial", "dim": 2, "params": {"p": 300.0}}, (196, 194, 188)),
+             ({"kind": "composition", "dim": 2, "compose": [_scaling(1e200)] * 2},
+              (200, 200, 200))]
+    for spec, (qs, none, trivial) in specs:
+        spec = json.dumps(spec)
+        yield (["certify-qs", "--spec", spec, "--triples", "200"],
+               "triple separations overflow: |f(x) - f(z)| or |f(y) - f(z)| "
+               f"is not finite for {qs} of 200 triples")
+        for lift, k in (("none", none), ("trivial", trivial)):
+            yield (["certify-delta", "--spec", spec, "--pairs", "200", "--lift", lift],
+                   "pair separations overflow: |F(a) - F(b)| |a - b| or <F(a) - F(b), a - b> "
+                   f"is not finite for {k} of 200 pairs")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["extend", "--spec", POWER1, "--x", "1e200,0", "--t", "0"],
      "row 0: map evaluation at t = 0 overflowed"),
@@ -515,6 +555,13 @@ def test_usage_errors_exit_1(capsys, argv):
     # a Sobol rule past the direction table
     (["moments", "--dim", "21202", "--method", "quasi_random", "--resolution", "16"],
      "Sobol rules have at most 21201 dimensions, got 21202"),
+    # a map that overflows at the sampled points
+    *_sampled_overflows(),
+    # no cube point of the ball rule falls inside the ball past dim 13
+    (["moments", "--dim", "14"],
+     "the ball rule in dimension 14 keeps none of its 32768 cube points inside the unit ball"),
+    (["doubling", "--dim", "14", "--centers", ",".join(["0"] * 14)],
+     "the ball rule in dimension 14 keeps none of its 32768 cube points inside the unit ball"),
 ])
 def test_overflow_error_is_the_only_stderr_line(argv, message):
     # the program's own finite check reports the overflow; no numpy

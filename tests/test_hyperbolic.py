@@ -7,6 +7,8 @@ import pytest
 
 from monolift import (
     bilipschitz_sample,
+    compose_maps,
+    evaluate_map,
     gaussian_extension,
     hyperbolic_distances,
     identity_map,
@@ -14,6 +16,7 @@ from monolift import (
     planar_rotation_map,
     power_radial_map,
     sample_height_pairs,
+    translation_map,
     vertical_comparison,
 )
 from monolift.errors import (
@@ -21,6 +24,7 @@ from monolift.errors import (
     InvalidParameterError,
     NonFiniteIntegrandError,
     NonpositiveHeightError,
+    SingularPointError,
     VanishingVerticalError,
 )
 
@@ -96,6 +100,20 @@ def test_vertical_comparison_guards():
     degenerate = gaussian_extension(planar_rotation_map(math.pi / 2))
     with pytest.raises(VanishingVerticalError):
         vertical_comparison(degenerate, np.array([[1.0, 0.0]]), np.array([1.0]))
+
+
+def test_vertical_comparison_singular_probe_points():
+    # the rounding bound probes Df at x +- sqrt(n) t e_k; a probe point at a
+    # singularity is left out, and only a row with no other is refused
+    f = power_radial_map(1, -0.5)
+    report = vertical_comparison(gaussian_extension(f), np.array([[1.0], [3.0]]),
+                                 np.array([1.0, 1.0]))
+    assert np.all(report.verticals > 0.0)
+    # P o (y -> y - P(2)) o P is singular at 0 and at 2: both probes of x = 1, t = 1
+    g = compose_maps(f, translation_map(-evaluate_map(f, np.array([[2.0]]))[0]), f)
+    with pytest.raises(SingularPointError, match="row 1: Df is undefined at every probe point"):
+        vertical_comparison(gaussian_extension(g), np.array([[3.0], [1.0]]),
+                            np.array([1.0, 1.0]))
 
 
 def test_sample_height_pairs():
