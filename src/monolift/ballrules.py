@@ -5,6 +5,8 @@ in the angle, which is spectrally accurate on the circle).  Higher
 dimensions fall back to quasirandom rejection sampling from the enclosing
 cube, with 2^15 Sobol points scrambled under seed 0
 (:func:`~monolift.quadrature.sobol_points`), so every rule is deterministic.
+The kept points share the exact volume pi^(d/2) / Gamma(d/2 + 1) of the
+unit ball equally, so the rule integrates constants exactly.
 The ball's share of the cube falls fast with the dimension: 3 points are
 kept in dim 13, and none from dim 14 on, which raises.
 The cube points are checked against the shared 256 MiB budget before they
@@ -13,6 +15,7 @@ are drawn.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +32,7 @@ _LOG2_SOBOL_POINTS = 15  # 2^15 cube points drawn in dim >= 3, before rejection
 
 @dataclass(frozen=True, eq=False)
 class BallRule:
-    """Nodes inside the unit ball of R^dim; weights sum to ~vol(B^dim)."""
+    """Nodes inside the unit ball of R^dim; weights sum to vol(B^dim) up to rounding."""
 
     dim: int
     nodes: np.ndarray
@@ -77,8 +80,8 @@ def _cube_rejection_rule(dim):
         raise InvalidParameterError(f"the ball rule in dimension {dim} keeps none of its "
                                     f"{count} cube points inside the unit ball")
     nodes = u[keep]
-    # each point carries the cube's volume 2^dim over the count, a float up to dim 1024
-    weights = np.full(nodes.shape[0], 2.0 ** (dim - _LOG2_SOBOL_POINTS))
+    volume = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
+    weights = np.full(nodes.shape[0], volume / nodes.shape[0])
     return BallRule(dim, nodes, weights)
 
 

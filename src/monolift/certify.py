@@ -22,8 +22,21 @@ B_mu = (mu A^T A + I / mu) / 2 and c(mu) the least eigenvalue of the
 pencil (P, B_mu).  As |Av| |v| <= v^T B_mu v (AM-GM, with equality when
 mu |Av| = |v|), delta >= c(mu) for every mu when P is positive definite,
 and then delta = max c(mu) by Brickman's convexity theorem and the
-S-lemma; otherwise delta = min c(mu).  Both searches over log mu share
-one frame (``_pencil_frame``) and one golden-section search:
+S-lemma; otherwise delta = min c(mu).  The optimal mu is 1/|Av| for the
+optimal v, so log mu is searched over [-log sigma_max, -log sigma_min],
+with golden-section steps that share one frame (``_pencil_frame``):
+
+* Where P is positive definite, c is unimodal in s = log mu.  For then
+  1/c(s) = max_v (e^s |Av|^2 + e^-s |v|^2) / (2 v^T P v); each term is
+  a e^s + b e^-s with a, b >= 0 over a positive constant, so it is
+  convex in s, and so is their maximum.  Golden section finds the maximum
+  of c from the two ends of the interval, with no grid.
+* Elsewhere the search looks for the least c, which can dip narrowly
+  (a real eigenvector with lambda < 0 attains -1 at mu = 1/|lambda|), so
+  it starts from a grid over the interval plus -log |lambda| for each
+  eigenvalue of A and refines the best grid point.
+
+The two constants read that search:
 
 * ``matrix_delta_lower_many`` gives a certified lower bound, the best c
   less a rounding allowance.  It searches only the matrices whose P is
@@ -87,8 +100,9 @@ __all__ = [
 ]
 
 _RANK_RATIO = 1e-14        # singular values below this fraction of sigma_max count as 0
-_PENCIL_GRID = 32          # evenly spaced log(mu) points per matrix before refinement
-_GOLDEN_STEPS = 60         # bracket shrinks by 0.618^60 ~ 3e-13
+_PENCIL_GRID = 32          # evenly spaced log(mu) points per indefinite row before refinement
+_GOLDEN_STEPS = 60         # after the grid: a bracket of at most 2/31 of the interval, times 0.618^60
+_DEFINITE_STEPS = _GOLDEN_STEPS + 6  # from the whole interval: 0.618^66 < 2/31 * 0.618^60
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SEARCH_BLOCK = 1024       # matrices per block of the n >= 3 search, about 0.6 MB at n = 3
 
@@ -328,9 +342,10 @@ def _delta_2x2(mats: np.ndarray) -> np.ndarray:
     return np.where(winds, -1.0, delta)
 
 
-def _golden_max(objective, grid: np.ndarray):
+def _golden_max(objective, grid: np.ndarray, steps: int):
     """Best abscissa and value of ``objective`` per row: the best point of the
-    row's sorted ``grid``, refined by golden-section search between its neighbours."""
+    row's sorted ``grid``, refined by ``steps`` golden-section steps between its
+    neighbours."""
     # a column at a time: small temporaries, which is faster and keeps the heap small
     values = np.concatenate([objective(grid[:, j:j + 1]) for j in range(grid.shape[1])], axis=1)
     x = np.take_along_axis(grid, np.argmax(values, axis=1)[:, None], axis=1)
@@ -338,7 +353,7 @@ def _golden_max(objective, grid: np.ndarray):
     b = np.min(np.where(grid > x, grid, grid[:, -1:]), axis=1, keepdims=True)
     x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     f1, f2 = objective(x1), objective(x2)
-    for _ in range(_GOLDEN_STEPS):
+    for _ in range(steps):
         right = f1 < f2
         a, b = np.where(right, x1, a), np.where(right, b, x2)
         xn = np.where(right, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
@@ -370,23 +385,28 @@ def _pencil_scale(s: np.ndarray, sv: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(0.5 * (mu * (sv * sv)[:, None, :] + 1.0 / mu))
 
 
-def _pencil_search(A, sv, P, sign):
-    """Best log(mu) and value of sign * c(mu) per row of the frame (A, sv, P).
+def _pencil_search(A, sv, P, definite: bool):
+    """Best log(mu) and value of sign * c(mu) per row of the frame (A, sv, P):
+    sign +1 where ``definite`` (P positive definite on every row), -1 elsewhere.
 
-    The log(mu) grid spans [-log sigma_max, -log sigma_min] and adds -log |lambda|
-    for each eigenvalue of A, where c can dip narrowly (a real eigenvector with
-    lambda < 0 attains -1); _golden_max refines the best grid point.
+    Definite rows run golden section over the whole log(mu) interval; the
+    others start from a grid that adds -log |lambda| for each eigenvalue of A
+    (module docstring).
     """
+    sign = 1.0 if definite else -1.0
+
     def objective(s):  # P scaled on both sides by d
         d = _pencil_scale(s, sv)
         return sign * np.linalg.eigvalsh(P[:, None] * d[..., :, None] * d[..., None, :])[..., 0]
 
-    lam = np.linalg.eigvals(A)
     lo, hi = -np.log(sv[:, :1]), -np.log(np.maximum(sv[:, -1:], _RANK_RATIO * sv[:, :1]))
+    if definite:
+        return _golden_max(objective, np.concatenate([lo, hi], axis=1), _DEFINITE_STEPS)
+    lam = np.linalg.eigvals(A)
     with np.errstate(divide="ignore"):
         grid = np.concatenate([lo + np.linspace(0.0, 1.0, _PENCIL_GRID) * (hi - lo),
                                np.clip(-np.log(np.abs(lam)), lo, hi)], axis=1)
-    return _golden_max(objective, np.sort(grid, axis=1))
+    return _golden_max(objective, np.sort(grid, axis=1), _GOLDEN_STEPS)
 
 
 def _matrix_stack(mats) -> np.ndarray:
@@ -430,11 +450,19 @@ def matrix_delta_many(mats) -> np.ndarray:
     return _blockwise(_delta_searched, arr)
 
 
+def _definite(P: np.ndarray) -> np.ndarray:
+    """Rows whose P is positive definite."""
+    return np.linalg.eigvalsh(P)[:, 0] > 0.0
+
+
 def _delta_searched(arr: np.ndarray) -> np.ndarray:
     A, sv, _, P = _pencil_frame(arr)
-    sign = np.where(np.linalg.eigvalsh(P)[:, :1] > 0.0, 1.0, -1.0)
-    _, f = _pencil_search(A, sv, P, sign)
-    return np.clip(sign[:, 0] * f, -1.0, 1.0)
+    pd = _definite(P)
+    delta = np.empty(len(A))
+    for rows, sign in ((pd, 1.0), (~pd, -1.0)):
+        if rows.any():
+            delta[rows] = sign * _pencil_search(A[rows], sv[rows], P[rows], sign > 0.0)[1]
+    return np.clip(delta, -1.0, 1.0)
 
 
 def matrix_delta_lower_many(mats) -> np.ndarray:
@@ -454,9 +482,9 @@ def matrix_delta_lower_many(mats) -> np.ndarray:
 def _delta_lower_searched(arr: np.ndarray) -> np.ndarray:
     A, sv, WS, P = _pencil_frame(arr)
     lower = np.full(len(A), -1.0)
-    pd = np.linalg.eigvalsh(P)[:, 0] > 0.0
+    pd = _definite(P)
     A, sv, WS, P = A[pd], sv[pd], WS[pd], P[pd]
-    s, f = _pencil_search(A, sv, P, 1.0)
+    s, f = _pencil_search(A, sv, P, True)
     # each entry of the scaled pencil carries a few ulps of its size, eigvalsh about n
     d = _pencil_scale(s[:, None], sv)[:, 0]
     N = np.abs(WS) * d[:, :, None] * d[:, None, :]

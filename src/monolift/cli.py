@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -343,7 +344,9 @@ def _add_output_flags(p, formats=("csv", "json"), pick_default=True):
     p.add_argument("--format", choices=formats, default=formats[0] if pick_default else None)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every later one."""
     parser = _Parser(prog="monolift", description=__doc__)
     parser.add_argument("--version", action="version", version=f"monolift {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -446,8 +449,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; returns its exit code.
+
+    One parser serves every call in a process: it is built on the first call,
+    not at import, so importing the module stays cheap, and parsing leaves it
+    unchanged, since every default is immutable.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except MonoliftError as exc:

@@ -17,11 +17,16 @@ import numpy as np
 __all__ = ["format_float", "csv_line", "write_csv", "write_json"]
 
 
-def format_float(x) -> str:
-    text = repr(float(x) + 0.0)  # + 0.0 normalises -0.0
+def _positional(x: float) -> str:
+    """The module's rule for a Python float that is not -0.0."""
+    text = repr(x)
     if "e" in text:
-        return np.format_float_positional(float(x), unique=True, trim="-")
+        return np.format_float_positional(x, unique=True, trim="-")
     return text[:-2] if text.endswith(".0") else text
+
+
+def format_float(x) -> str:
+    return _positional(float(x) + 0.0)  # + 0.0 normalises -0.0
 
 
 def csv_line(values) -> str:
@@ -33,13 +38,16 @@ def csv_line(values) -> str:
 
 
 def write_csv(handle, columns, rows, meta=None) -> None:
-    """Write a table to the open text ``handle``, with '# key=value'
-    metadata lines above the header."""
-    for key in meta or {}:
-        handle.write(f"# {key}={meta[key]}\n")
-    handle.write(",".join(columns) + "\n")
-    for row in rows:
-        handle.write(csv_line(row.tolist() if isinstance(row, np.ndarray) else row) + "\n")
+    """Write a table of numbers to the open text ``handle``, with '# key=value'
+    metadata lines above the header; every cell is formatted as
+    :func:`format_float` formats it, and the text is written at once."""
+    table = np.asarray(rows, dtype=float)
+    width = table.shape[-1] if table.size else 1
+    cells = [_positional(v) for v in (table + 0.0).ravel().tolist()]
+    lines = [",".join(columns)]
+    lines += [",".join(cells[i:i + width]) for i in range(0, len(cells), width)]
+    handle.write("".join(f"# {key}={meta[key]}\n" for key in meta or {})
+                 + "\n".join(lines) + "\n")
 
 
 def write_json(handle, payload) -> None:

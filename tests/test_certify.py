@@ -478,6 +478,53 @@ def test_one_pencil_search_serves_both_constants(n, rng):
     assert np.all(value[spd] - lower[spd] <= 1e-13)
 
 
+def swept_pencil_max(mats, points=4097):
+    """Largest c(mu) of the pencil (sym A, (mu A^T A + I/mu) / 2) over ``points``
+    evenly spaced log(mu) from -log sigma_max - 1 to -log sigma_min + 1, each
+    found in A's right singular basis, where the pencil's right side is diagonal."""
+    _, sv, Vt = np.linalg.svd(mats)
+    P = Vt @ (0.5 * (mats + np.swapaxes(mats, 1, 2))) @ np.swapaxes(Vt, 1, 2)
+    s = np.linspace(-np.log(sv[:, 0]) - 1.0, -np.log(sv[:, -1]) + 1.0, points, axis=1)
+    mu = np.exp(s)[..., None]
+    d = 1.0 / np.sqrt(0.5 * (mu * sv[:, None, :] ** 2 + 1.0 / mu))
+    return np.linalg.eigvalsh(P[:, None] * d[..., :, None] * d[..., None, :])[..., 0].max(axis=1)
+
+
+def test_definite_block_searches_without_the_grid(monkeypatch, rng):
+    # where sym A is positive definite c(mu) is unimodal in log mu: golden section
+    # alone, 2 ends + 2 + 66 steps, after one eigvalsh that sorts the rows
+    mats = rng.standard_normal((40, 3, 3)) + 4.0 * np.eye(3)
+    assert np.all(np.linalg.eigvalsh(mats + np.swapaxes(mats, 1, 2))[:, 0] > 0.0)
+    calls = {"eigvalsh": 0, "eigvals": 0}
+    for name in calls:
+        def counted(*args, _name=name, _solve=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _solve(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for search in (matrix_delta_lower_many, matrix_delta_many):
+        calls.update(eigvalsh=0, eigvals=0)
+        search(mats)
+        assert calls == {"eigvalsh": 71, "eigvals": 0}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_definite_search_reaches_the_swept_maximum(n):
+    # symmetric positive definite plus skew parts, with sigma spread up to 1e6:
+    # the search is never below the best of a 4097-point sweep of c(mu)
+    rng = np.random.default_rng([19, n])
+    m = 60
+    Q = np.linalg.qr(rng.standard_normal((m, n, n)))[0]
+    top = rng.uniform(0.0, 6.0, m)
+    lam = 10.0 ** (rng.uniform(0.0, 1.0, (m, n)) * top[:, None])
+    lam[:, 0], lam[:, 1] = 1.0, 10.0 ** top
+    K = rng.standard_normal((m, n, n)) * (0.3 * 10.0 ** (rng.uniform(-6.0, 0.0, m) + top / 2))[:, None, None]
+    mats = Q @ (lam[:, :, None] * np.swapaxes(Q, 1, 2)) + K - np.swapaxes(K, 1, 2)
+    assert np.all(np.linalg.eigvalsh(mats + np.swapaxes(mats, 1, 2))[:, 0] > 0.0)
+    sv = np.linalg.svd(mats, compute_uv=False)
+    assert np.max(sv[:, 0] / sv[:, -1]) > 5e5
+    assert np.all(matrix_delta_many(mats) >= swept_pencil_max(mats) - 1e-13)
+
+
 def test_matrix_delta_lower_many_guards():
     assert np.array_equal(matrix_delta_lower_many(-np.eye(3)[None].repeat(3, axis=0)), [-1.0] * 3)
     assert np.array_equal(matrix_delta_lower_many([[[2.0]], [[-0.5]]]), [1.0, -1.0])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
-from monolift.cli import main
+from monolift.cli import build_parser, main
 from monolift.core import parse_map_spec
 from monolift.extension import extend_points, gaussian_extension, lattice_points
 from monolift.tableio import csv_line
@@ -572,6 +572,36 @@ def test_overflow_error_is_the_only_stderr_line(argv, message):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"monolift: error: {message}\n"
+
+
+def test_one_parser_serves_every_call():
+    assert build_parser() is build_parser()
+
+
+# each command twice, with and without the flags that change its defaults
+SHARED_PARSER_ARGVS = [
+    ("extend", "--spec", IDENTITY2, "--grid-nx", "2", "--heights", "0.5", "--format", "json"),
+    ("extend", "--spec", IDENTITY2, "--grid-nx", "2"),
+    ("extend", "--spec", POWER1, "--x", "0.3,-1.2", "--t", "0.7"),
+    ("claim-check", "--dims", "2,3", "--matrices", "30", "--seed", "3", "--delta-floor", "0.2"),
+    ("claim-check", "--dims", "3", "--matrices", "30"),
+    ("hyperbolic", "--spec", ROTATION, "--pairs", "4", "--seed", "2"),
+    ("hyperbolic", "--spec", ROTATION, "--grid-nx", "2", "--heights", "1"),
+    ("doubling", "--centers", "0,0;1,0", "--radii", "0.5,1", "--format", "json"),
+    ("doubling",),
+    ("moments", "--dim", "3", "--p", "2"),
+    ("moments",),
+    ("certify-qs", "--spec", ROTATION, "--triples", "50", "--buckets", "4"),
+    ("certify-delta", "--spec", ROTATION, "--pairs", "50"),
+    ("extend", "--spec", IDENTITY2, "--x", "1,nan"),
+]
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    forward = [run(capsys, *argv) for argv in SHARED_PARSER_ARGVS]
+    backward = [run(capsys, *argv) for argv in reversed(SHARED_PARSER_ARGVS)][::-1]
+    assert forward == backward
+    assert [code for code, _, _ in forward] == [0] * (len(SHARED_PARSER_ARGVS) - 1) + [1]
 
 
 def test_quasi_random_resolution_prints_no_library_warning():

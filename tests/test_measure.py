@@ -158,6 +158,15 @@ def test_moment_ratio_lebesgue_constants():
     assert r.ratio == pytest.approx(1.0 / math.pi, abs=1e-12)
 
 
+@pytest.mark.parametrize("dim", range(3, 14))
+def test_moment_ratio_ball_mass_is_the_unit_ball_volume(dim):
+    # the rejection rule's kept points share the exact volume pi^(d/2) / Gamma(d/2 + 1)
+    r = gaussian_moment_ratio(lebesgue_density(), 1.0, dim,
+                              scheme=build_scheme(dim, "quasi_random", 16))
+    volume = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
+    assert r.ball_mass == pytest.approx(volume, rel=1e-12, abs=0.0)
+
+
 def test_moment_ratio_second_moment():
     r = gaussian_moment_ratio(lebesgue_density(), 2.0, 2)
     assert r.integral == pytest.approx(2.0, abs=1e-10)
