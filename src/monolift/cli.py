@@ -164,15 +164,19 @@ def _cmd_jacobian(args):
     field = gaussian_extension(spec, scheme)
     x = _floats(args.x)
     DF = extension_jacobian(field, (x, args.t))
+    meta = _meta(args, spec, scheme, scheme.seed)
     if args.format == "json":
-        _emit(args, {"meta": _meta(args, spec, scheme, scheme.seed),
-                     "x": x.tolist(), "t": args.t, "jacobian": DF.tolist()})
+        _emit(args, {"meta": meta, "x": x.tolist(), "t": args.t, "jacobian": DF.tolist()})
         return 0
+    # headerless: a line naming the point and the rule, a '# key=value' line
+    # for each meta key it does not carry, then the n+1 rows of DF
+    first = ("spec", "scheme", "numpy", "scipy")
     with _output(args) as handle:
-        handle.write(f"# x={csv_line(x)} t={args.t} spec={spec.digest()} scheme="
-                     f"{scheme.descriptor()} numpy={np.__version__} scipy={scipy.__version__}\n")
-        for row in DF:
-            handle.write(csv_line(row) + "\n")
+        handle.write(f"# x={csv_line(x)} t={args.t} "
+                     + " ".join(f"{key}={meta[key]}" for key in first) + "\n"
+                     + "".join(f"# {key}={value}\n" for key, value in meta.items()
+                               if key not in first)
+                     + "".join(csv_line(row) + "\n" for row in DF))
     return 0
 
 

@@ -16,7 +16,7 @@ same bits in any layout.
 array and reject non-finite coordinates.  :func:`map_values` and
 :func:`map_jacobians` are the same kernels without that input check: they
 take an (M, n) array the caller has already shown to be finite, as the lift
-does once per chunk from a bound on its points rather than by a scan of
+does once per run of rows from a bound on its points rather than by a scan of
 every node.
 """
 

@@ -32,26 +32,34 @@ the weighted pair sums give
 
     E[A] from S,   E[A y] from D y,   E[y^T A] from y^T D,   E[y^T A y] from y^T S y.
 
-One private generator, ``_paired_values``, builds the points x +- t y in
-chunks and evaluates f (for ``extend_points``) or Df (for
-``extension_jacobians``) there; each caller keeps only its contraction.
+One private generator, ``_paired_values``, builds the points x +- t y and
+evaluates f (for ``extend_points``) or Df (for ``extension_jacobians``)
+there, in pieces of a run of rows times one node block of
+:func:`~monolift.quadrature.pair_blocks` (at most 2^13 paired nodes); each
+caller keeps only its contraction, and adds each block's weighted pair
+sums to the run's totals with :func:`~monolift.quadrature.add_pair_block`,
+block by block, in the order :func:`~monolift.quadrature.pair_expectation`
+uses.  So a row's bits do not depend on its batch or on how it is split,
+and the working set is one piece whatever the rule's size.
 
 Every array of the hot loop is coordinate-major: the points x +- t y sit
-in an (n, c, 2, h) buffer for c rows and h paired nodes, the kernels fill
-one contiguous vector over the nodes per coordinate (or matrix entry),
-the contractions with y are n multiply-adds of such vectors, and each
-caller writes its integrands into (c, ..., h) arrays that
-:func:`~monolift.quadrature.pair_expectation` reduces over the last axis
-with no copy: one for the vector integrands and one for the scalar.
+in an (n, c, 2, b) buffer for c rows and the b paired nodes of a block,
+the kernels fill one contiguous vector over the nodes per coordinate (or
+matrix entry), the contractions with y are n multiply-adds of such
+vectors, and each caller writes its integrands into (c, ..., b) arrays
+that are reduced over the last axis with no copy: one for the vector
+integrands and one for the scalar.
 
-Bad input fails loudly, naming its first bad row, but each chunk of rows
+Bad input fails loudly, naming its first bad row, but each run of rows
 is checked on (rows x n) data rather than node by node.  The points
 x +- t y are checked before the kernel runs, from the exact per-row bound
 |x_k| + |t| max|y_k| over the paired nodes.  The values of f (or Df) are
 checked through the Gaussian averages, which any non-finite value makes
-non-finite; only then are the values scanned, to name the row and whether
-a value or only its average overflowed.  A chunk's bad point is named
-before its bad values, and a bad value before an overflowing average.
+non-finite; only then are the run's rows evaluated again one at a time, to
+name the row and whether a value or only its average overflowed.  A run's
+bad point is named before its bad values, and a bad value before an
+overflowing average; a node where Df is undefined names the first row of
+the run that has one.
 """
 
 from __future__ import annotations
@@ -70,9 +78,10 @@ from .errors import (
 )
 from .quadrature import (
     QuadratureScheme,
+    add_pair_block,
     check_allocation,
     default_scheme,
-    pair_expectation,
+    pair_blocks,
     paired_nodes,
 )
 
@@ -90,19 +99,14 @@ __all__ = [
     "lattice_points",
 ]
 
-# cap on points-per-chunk * nodes; keeps the intermediate arrays in cache.
-# It also keeps each row's value bitwise independent of its batch: numpy's
-# einsum reduces a lone output over the (contiguous, last) node axis in
-# buffered blocks of 2^13 pairs, but several outputs each over the whole axis.
-# The vector integrands (f's pair sums, the S rows, D y and y^T D) always
-# have several outputs per row; the scalar ones (F_vert and y^T S y) have one
-# per row, so one row alone and rows in a chunk take different orders beyond
-# 2^13 pairs.  Under this cap only schemes of at most 2^13 pairs put several
-# rows in a chunk.  Re-measured with the node axis last (numpy 2.4.6): at a
-# cap of 2^17, rows of the 2^15- and 2^16-node QMC rules share a chunk, and
-# their F_vert and y^T S y differ in the last bits from the same rows lifted
-# alone, while every vector integrand stays equal.
-# Caps of 2^18 and 2^20 made the dim-2 and dim-3 lifts no faster.
+# cap on the node evaluations of one piece of the lift (a run of rows times
+# one node block); keeps the intermediate arrays in cache.  A rule of more
+# than 2^13 pairs takes two rows per piece; a smaller rule is one block, and
+# takes as many rows as fit.  Each row's bits are independent of its batch
+# at any cap, because no einsum reduces more than one block of 2^13 pairs
+# (quadrature.pair_blocks), the size at which numpy's einsum buffers a lone
+# output's reduction; caps of 2^18 and 2^20 made the dim-2 and dim-3 lifts
+# no faster.
 _TARGET_EVALS = 1 << 15
 
 
@@ -114,18 +118,23 @@ def _require_finite(values: np.ndarray, rows: np.ndarray, what: str) -> None:
             f"row {rows[np.argmin(ok)]}: {what} overflowed")
 
 
-def _require_finite_average(average: np.ndarray, rows: np.ndarray, plus: np.ndarray,
-                            minus: np.ndarray, what: str) -> None:
+def _require_finite_average(average: np.ndarray, rows: np.ndarray, field: ExtensionField,
+                            kernel, X: np.ndarray, T: np.ndarray, what: str) -> None:
     """Raise if the Gaussian ``average`` of ``rows`` is not all finite, naming
-    the first row with a non-finite value in ``plus`` or ``minus`` as "``what``
-    at a quadrature node", or else the first with a non-finite average.
+    the first row with a non-finite ``kernel`` value as "``what`` at a
+    quadrature node", or else the first with a non-finite average.
 
     Every value enters the horizontal part (the A block) once, through a
     weighted pair sum, where inf * w, inf - inf, 0 * inf and NaN stay
-    non-finite; so the values are scanned only when an average is.
+    non-finite, and a non-finite block sum stays so through the later ones;
+    so the values are scanned only when an average is, by evaluating the
+    rows again one at a time, block by block.
     """
     if not np.all(np.isfinite(average)):
-        _require_finite(np.concatenate([plus, minus], axis=1), rows, f"{what} at a quadrature node")
+        for j in range(rows.size):
+            for _, plus, minus in _run_values(field, kernel, X, T, rows[j:j + 1]):
+                _require_finite(np.stack([plus, minus]), rows[j:j + 1],
+                                f"{what} at a quadrature node")
         _require_finite(average, rows, "Gaussian average")
 
 
@@ -146,9 +155,9 @@ def _batch(X, T, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _contract_difference(plus: np.ndarray, minus: np.ndarray, y: np.ndarray,
                          out: np.ndarray) -> np.ndarray:
     """``out = sum_k (plus - minus)[..., k] * y[:, k]`` for arrays of shape
-    (c, h, n) (values of f, or one row or column of Df), with the bits of
+    (c, b, n) (values of f, or one row or column of Df), with the bits of
     :func:`~monolift.core.combine` on the difference, formed one coordinate
-    at a time in one (c, h) scratch array rather than from a (c, h, n)
+    at a time in one (c, b) scratch array rather than from a (c, b, n)
     difference."""
     np.subtract(plus[..., 0], minus[..., 0], out=out)
     out *= y[:, 0]
@@ -160,57 +169,70 @@ def _contract_difference(plus: np.ndarray, minus: np.ndarray, y: np.ndarray,
     return out
 
 
+def _run_values(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray, run: np.ndarray):
+    """Yield ``(block, plus, minus)`` for each of the
+    :func:`~monolift.quadrature.pair_blocks` in order: ``plus`` and
+    ``minus`` are views of ``kernel`` at x + |t| y and x - |t| y for the
+    ``run`` rows of (X, T) and the block's paired nodes y, of shape
+    (c, b, ...), with one contiguous vector over the nodes per coordinate
+    (or entry).  x - t y is bitwise x + t (-y), the point at the reflected
+    node.  A node where the kernel is undefined raises
+    :class:`SingularPointError` naming the first row of the run that has
+    one, found by evaluating the rows again one at a time."""
+    n, y = field.dim, paired_nodes(field.scheme)
+    xs, t = X[run].T[:, :, None], np.abs(T[run])[:, None]
+    for block in pair_blocks(field.scheme):
+        buf = np.empty((n, run.size, 2, block.stop - block.start))
+        ty = buf[:, :, 1]
+        np.multiply(t, y[block].T[:, None, :], out=ty)
+        np.add(xs, ty, out=buf[:, :, 0])
+        np.subtract(xs, ty, out=ty)
+        try:
+            values = kernel(field.spec, buf.transpose(1, 2, 3, 0).reshape(-1, n))
+        except SingularPointError as exc:
+            if run.size == 1:
+                raise SingularPointError(f"row {run[0]}: {exc}") from exc
+            for j in range(run.size):
+                for _ in _run_values(field, kernel, X, T, run[j:j + 1]):
+                    pass
+            raise
+        del buf, ty  # the generator's frame would hold the points through the yield
+        values = values.reshape((run.size, 2, -1) + values.shape[1:])
+        yield block, values[:, 0], values[:, 1]
+        del values
+
+
 def _paired_values(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
                    rows: np.ndarray):
     """Evaluate ``kernel`` (``map_values`` or ``map_jacobians``) at
     x + |t| y and x - |t| y for ``rows`` of (X, T) and the paired nodes y.
 
-    Yields ``(chunk, plus, minus)`` per run of rows of about
-    ``_TARGET_EVALS`` node evaluations; ``plus`` and ``minus`` are views of
-    the values at the two points, of shape (c, h, ...) for h paired nodes,
-    with one contiguous vector over the nodes per coordinate (or entry).
-    Callers drop them before the next chunk, so that only one chunk's
-    points or values are held at a time.
-    x - t y is bitwise x + t (-y), the point at the reflected node.
+    Yields ``(run, blocks)`` per run of rows, where ``blocks`` is the
+    :func:`_run_values` of the run: one piece per node block, each of at
+    most ``_TARGET_EVALS`` node evaluations.  Callers reduce each piece
+    with :func:`~monolift.quadrature.add_pair_block` and drop it before the
+    next, so that only one piece's points or values are held at a time.
 
-    Each chunk's points are checked once, from an (c, n) bound rather than
-    a scan of every node: a row whose x + t y or x - t y has a non-finite
-    coordinate raises :class:`NonFiniteIntegrandError`, and a node where the
-    kernel is undefined :class:`SingularPointError`, each naming the first
-    bad row.  The values are not checked here; each caller checks its
-    averages with :func:`_require_finite_average`, which names a row with
-    a non-finite value before one whose average alone overflowed.
+    Each run's points are checked once, before any is evaluated, from an
+    (c, n) bound rather than a scan of every node: a row whose x + t y or
+    x - t y has a non-finite coordinate raises
+    :class:`NonFiniteIntegrandError` naming the first bad row.  The values
+    are not checked here; each caller checks its averages with
+    :func:`_require_finite_average`, which names a row with a non-finite
+    value before one whose average alone overflowed.
     """
-    n = field.dim
-    y = paired_nodes(field.scheme)
-    h = y.shape[0]
-    ymax = np.abs(y).max(axis=0)
-    step = max(1, _TARGET_EVALS // field.scheme.size)
+    blocks = pair_blocks(field.scheme)
+    # the nodes are closed under negation, so their largest coordinate k
+    # is the largest |y_k| over the paired nodes, read without a copy
+    ymax = field.scheme.nodes.max(axis=0)
+    step = max(1, _TARGET_EVALS // (2 * (blocks[0].stop - blocks[0].start)))
     for i in range(0, rows.size, step):
-        sl = rows[i:i + step]
-        x, t = X[sl], np.abs(T[sl])[:, None]
+        run = rows[i:i + step]
         # exact: the node attaining ymax_k puts one of its points at
         # +-fl(|x_k| + fl(|t| ymax_k)), and rounding is monotone
-        _require_finite(np.abs(x) + t * ymax, sl, "x + t y at a quadrature node")
-        buf = np.empty((n, sl.size, 2, h))
-        xs, ty = x.T[:, :, None], buf[:, :, 1]
-        np.multiply(t, y.T[:, None, :], out=ty)
-        np.add(xs, ty, out=buf[:, :, 0])
-        np.subtract(xs, ty, out=ty)
-        pts = buf.transpose(1, 2, 3, 0)
-        try:
-            values = kernel(field.spec, pts.reshape(-1, n))
-        except SingularPointError as exc:
-            for row, row_pts in zip(sl, pts):
-                try:
-                    kernel(field.spec, row_pts.reshape(-1, n))
-                except SingularPointError:
-                    raise SingularPointError(f"row {row}: {exc}") from exc
-            raise
-        del buf, ty, pts  # the generator's frame would hold the points through the yield
-        values = values.reshape((sl.size, 2, h) + values.shape[1:])
-        yield sl, values[:, 0], values[:, 1]
-        del values
+        _require_finite(np.abs(X[run]) + np.abs(T[run])[:, None] * ymax, run,
+                        "x + t y at a quadrature node")
+        yield run, _run_values(field, kernel, X, T, run)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +273,6 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
     X, T = _batch(X, T, n)
     scheme = field.scheme
     y = paired_nodes(scheme)
-    h = y.shape[0]
     out = np.empty((X.shape[0], n + 1))
 
     boundary = np.flatnonzero(T == 0.0)
@@ -262,16 +283,20 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
         out[boundary, n] = 0.0
 
     rows = np.flatnonzero(T != 0.0)
-    for sl, plus, minus in _paired_values(field, map_values, X, T, rows):
-        # pair sums <f(x+ty) - f(x-ty), y> and f(x+ty) + f(x-ty), node axis last
-        vert = pair_expectation(
-            scheme, _contract_difference(plus, minus, y, np.empty((sl.size, h))))
-        out[sl, n] = np.where(T[sl] < 0.0, -vert, vert)
-        sums = np.empty((sl.size, n, h))
-        np.add(plus, minus, out=sums.transpose(0, 2, 1))
-        out[sl, :n] = pair_expectation(scheme, sums)
-        _require_finite_average(out[sl], sl, plus, minus, "map evaluation")
-        del plus, minus, sums  # see _paired_values
+    for run, blocks in _paired_values(field, map_values, X, T, rows):
+        vert = horiz = None
+        for block, plus, minus in blocks:
+            # pair sums <f(x+ty) - f(x-ty), y> and f(x+ty) + f(x-ty), node axis last
+            c, b = plus.shape[:2]
+            vert = add_pair_block(
+                scheme, block, _contract_difference(plus, minus, y[block], np.empty((c, b))), vert)
+            sums = np.empty((c, n, b))
+            np.add(plus, minus, out=sums.transpose(0, 2, 1))
+            horiz = add_pair_block(scheme, block, sums, horiz)
+            del plus, minus, sums  # see _run_values
+        out[run, n] = np.where(T[run] < 0.0, -vert, vert)
+        out[run, :n] = horiz
+        _require_finite_average(out[run], run, field, map_values, X, T, "map evaluation")
     return out
 
 
@@ -301,24 +326,27 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
             f"row {low[0]}: lifted Jacobian needs height > 0, got {T[low[0]]}")
     scheme = field.scheme
     y = paired_nodes(scheme)
-    h = y.shape[0]
     DF = np.empty((X.shape[0], n + 1, n + 1))
-    for sl, plus, minus in _paired_values(field, map_jacobians, X, T, np.arange(X.shape[0])):
-        # pair sums of the block integrand, node axis last: the rows of S,
-        # then D y and y^T D in one array, and the scalar y^T S y
-        blocks = np.empty((sl.size, n + 2, n, h))
-        S = np.add(plus, minus, out=blocks[:, :n].transpose(0, 3, 1, 2))
-        Sy = np.empty((sl.size, n, h))
-        for i in range(n):
-            _contract_difference(plus[..., i, :], minus[..., i, :], y, blocks[:, n, i])
-            _contract_difference(plus[..., i], minus[..., i], y, blocks[:, n + 1, i])
-            combine(np.moveaxis(S[..., i, :], -1, 0), y.T, Sy[:, i])
-        E = pair_expectation(scheme, blocks)
-        DF[sl, :n, :n], DF[sl, :n, n], DF[sl, n, :n] = E[:, :n], E[:, n], E[:, n + 1]
-        DF[sl, n, n] = pair_expectation(
-            scheme, combine(np.moveaxis(Sy, 1, 0), y.T, np.empty((sl.size, h))))
-        _require_finite_average(DF[sl], sl, plus, minus, "base Jacobian")
-        del plus, minus, blocks, S, Sy  # see _paired_values
+    for run, blocks in _paired_values(field, map_jacobians, X, T, np.arange(X.shape[0])):
+        E = yAy = None
+        for block, plus, minus in blocks:
+            # pair sums of the block integrand, node axis last: the rows of S,
+            # then D y and y^T D in one array, and the scalar y^T S y
+            yb, (c, b) = y[block], plus.shape[:2]
+            sums = np.empty((c, n + 2, n, b))
+            S = np.add(plus, minus, out=sums[:, :n].transpose(0, 3, 1, 2))
+            Sy = np.empty((c, n, b))
+            for i in range(n):
+                _contract_difference(plus[..., i, :], minus[..., i, :], yb, sums[:, n, i])
+                _contract_difference(plus[..., i], minus[..., i], yb, sums[:, n + 1, i])
+                combine(np.moveaxis(S[..., i, :], -1, 0), yb.T, Sy[:, i])
+            E = add_pair_block(scheme, block, sums, E)
+            yAy = add_pair_block(
+                scheme, block, combine(np.moveaxis(Sy, 1, 0), yb.T, np.empty((c, b))), yAy)
+            del plus, minus, sums, S, Sy  # see _run_values
+        DF[run, :n, :n], DF[run, :n, n], DF[run, n, :n] = E[:, :n], E[:, n], E[:, n + 1]
+        DF[run, n, n] = yAy
+        _require_finite_average(DF[run], run, field, map_jacobians, X, T, "base Jacobian")
     return DF
 
 

@@ -19,6 +19,17 @@ one contiguous vector over the nodes.  :func:`pair_expectation` reduces
 along a contiguous last (node) axis, so its bits do not depend on the
 layout a caller holds its values in.
 
+There is one reduction rule.  The paired nodes are cut into the
+:func:`pair_blocks`, runs of at most 2^13 consecutive nodes; each block's
+weighted pair sums are one einsum, :func:`add_pair_block` adds the block
+sums left to right, and the centre node of an odd count is added last.
+einsum reduces up to 2^13 contiguous terms per output in one pass whether
+it has one output or many, so a result's bits depend neither on how many
+rows share the reduction nor on whether the caller holds all the pair sums
+(:func:`gaussian_expectation`) or one block at a time (the lift, whose
+working set is then one block whatever the rule's size).  Rules of at most
+2^13 pairs are one block.
+
 Sobol points come from :func:`sobol_points`, which draws scipy's scrambled
 Sobol rule bit for bit with numpy alone: the Joe-Kuo direction numbers are
 read from the table scipy ships beside its Sobol engine, once per process
@@ -50,6 +61,8 @@ __all__ = [
     "check_allocation",
     "default_scheme",
     "gaussian_expectation",
+    "add_pair_block",
+    "pair_blocks",
     "pair_expectation",
     "paired_nodes",
     "sobol_points",
@@ -63,6 +76,9 @@ QUASI_RANDOM = "quasi_random"
 _MAX_ALLOCATION_BYTES = 256 << 20
 _SOBOL_BITS = 30           # bits per Sobol coordinate, scipy's default
 _SCRAMBLE_DIMS = 256       # dimensions per block of the scramble's (dims, 30, 30) draw
+# paired nodes per block of the node reduction: numpy's einsum buffers a lone
+# output's reduction in blocks of this size, so no einsum here reduces more
+_BLOCK_PAIRS = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,21 +296,47 @@ def paired_nodes(scheme: QuadratureScheme) -> np.ndarray:
     return scheme.nodes[:(scheme.size + 1) // 2]
 
 
-def pair_expectation(scheme: QuadratureScheme, pair_sums):
-    """E[g] from the pair sums ``g(y) + g(-y)`` at the :func:`paired_nodes`.
+def pair_blocks(scheme: QuadratureScheme) -> list[slice]:
+    """The blocks of the node reduction, in order: runs of at most 2^13
+    consecutive :func:`paired_nodes`; the last holds the centre node of an
+    odd node count."""
+    h = (scheme.size + 1) // 2
+    return [slice(a, min(a + _BLOCK_PAIRS, h)) for a in range(0, h, _BLOCK_PAIRS)]
 
-    ``pair_sums`` holds them along its last axis, the node axis; at the
-    centre node the pair sum is 2 g(0), weighted with half the centre
-    weight.  Each pair is weighted once, with the weight of its first node.
-    The sums are made contiguous (no copy when the caller built them so),
-    so the result does not depend on the caller's layout.
+
+def add_pair_block(scheme: QuadratureScheme, block: slice, pair_sums, total=None):
+    """``total`` (None at the first block) plus the weighted pair sums of one
+    of the :func:`pair_blocks`.
+
+    ``pair_sums`` holds the sums ``g(y) + g(-y)`` at the block's paired
+    nodes along its last axis, which must have unit stride.  The pairs of
+    the block are weighted in one einsum, each pair with the weight of its
+    first node, and added to ``total``; at the centre node the pair sum is
+    2 g(0), weighted with half the centre weight and added after them.
+    """
+    half = scheme.size // 2
+    pairs = min(block.stop, half) - block.start
+    if pairs > 0:
+        part = np.einsum("...n,n->...", pair_sums[..., :pairs],
+                         scheme.weights[block.start:block.start + pairs])
+        total = part if total is None else total + part
+    if block.stop > half:
+        total = total + (0.5 * scheme.weights[half]) * pair_sums[..., pairs]
+    return total
+
+
+def pair_expectation(scheme: QuadratureScheme, pair_sums):
+    """E[g] from the pair sums ``g(y) + g(-y)`` at the :func:`paired_nodes`,
+    held along the last axis of ``pair_sums``, reduced block by block with
+    :func:`add_pair_block`.  The sums are made contiguous (no copy when the
+    caller built them so), so the result does not depend on the caller's
+    layout.
     """
     s = np.ascontiguousarray(pair_sums)
-    half = scheme.size // 2
-    out = np.einsum("...n,n->...", s[..., :half], scheme.weights[:half])
-    if scheme.size % 2:
-        out = out + (0.5 * scheme.weights[half]) * s[..., half]
-    return out
+    total = None
+    for block in pair_blocks(scheme):
+        total = add_pair_block(scheme, block, s[..., block], total)
+    return total
 
 
 def gaussian_expectation(scheme: QuadratureScheme, values, axis: int = 0):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
+from monolift import __version__
 from monolift.cli import build_parser, main
 from monolift.core import parse_map_spec
 from monolift.extension import extend_points, gaussian_extension, lattice_points
@@ -153,7 +154,10 @@ def test_jacobian_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("# x=0,0 t=1.0 spec=")
     assert " scheme=tensor_hermite:" in lines[0]
-    M = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    # the meta keys the first line does not carry, then the headerless rows
+    assert lines[1:4] == [f"# tool=monolift {__version__}", "# subcommand=jacobian",
+                          "# seed=0"]
+    M = np.array([[float(v) for v in line.split(",")] for line in lines[4:]])
     assert np.allclose(M, np.diag([1.0, 1.0, 2.0]), atol=1e-10)
 
 

@@ -1,5 +1,7 @@
 """Lift operator: closed forms, boundary trace, reflection, grids."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,8 +32,13 @@ from monolift import (
     trivial_lift_map,
 )
 from monolift import extension
-from monolift.quadrature import pair_expectation, paired_nodes
-from monolift.errors import DimensionMismatchError, InvalidParameterError, NonFiniteIntegrandError
+from monolift.quadrature import pair_blocks, pair_expectation, paired_nodes
+from monolift.errors import (
+    DimensionMismatchError,
+    InvalidParameterError,
+    NonFiniteIntegrandError,
+    SingularPointError,
+)
 
 from conftest import gallery_2d, gallery_3d, monotone_gallery_2d
 
@@ -238,6 +245,62 @@ def test_chunk_checks_name_row_in_order(X, T, row, what):
 
 
 BIG = np.finfo(float).max
+# two 2^13-pair node blocks, so two rows share a run of the lift
+TWO_BLOCKS = build_scheme(2, "quasi_random", 1 << 15, seed=1)
+
+
+def later_block_overflow_height():
+    """A height at which |t y|^2 overflows at a node of the second block of
+    TWO_BLOCKS but at none of the first, so that the lift of x = 0 has a
+    non-finite |x|x only in the second block."""
+    y = paired_nodes(TWO_BLOCKS)
+    r = np.hypot(y[:, 0], y[:, 1])
+    first, second = (r[b].max() for b in pair_blocks(TWO_BLOCKS))
+    assert second > first
+    return np.sqrt(BIG) / np.sqrt(first * second)
+
+
+@pytest.mark.parametrize("X, T, row, what", [
+    # a bad map value is named before an earlier row's overflowing average
+    ([[1e154, 0.0], [1e200, 0.0]], [1.0, 1.0], 1, None),
+    # also when the bad value is in a later block than the overflow
+    ([[1e154, 0.0], [0.0, 0.0]], [1.0, later_block_overflow_height()], 1, None),
+    # a bad point is named before any value or average of its run
+    ([[1e154, 0.0], [1.0, 0.0]], [1.0, 1e308], 1, "x \\+ t y"),
+    ([[1.0, 0.0], [1e200, 0.0]], [1e308, 1.0], 0, "x \\+ t y"),
+    # the second run: rows 0 and 1 are fine
+    ([[0.0, 0.0], [1.0, 0.0], [1e154, 0.0], [1e200, 0.0]], [1.0] * 4, 3, None),
+])
+def test_chunk_checks_name_row_in_order_across_blocks(X, T, row, what):
+    # the checks keep their order when each row is reduced block by block
+    field = gaussian_extension(power_radial_map(2, 1.0), TWO_BLOCKS)
+    for fn, value in ((extend_points, "map evaluation"), (extension_jacobians, "base Jacobian")):
+        with pytest.raises(NonFiniteIntegrandError, match=f"row {row}: {what or value}"):
+            fn(field, np.array(X), np.array(T))
+
+
+def test_later_block_overflow_height_overflows_only_there():
+    y = paired_nodes(TWO_BLOCKS)
+    t = later_block_overflow_height()
+    first, second = pair_blocks(TWO_BLOCKS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.all(np.isfinite(evaluate_map(power_radial_map(2, 1.0), t * y[first])))
+        assert not np.all(np.isfinite(evaluate_map(power_radial_map(2, 1.0), t * y[second])))
+
+
+def test_singular_node_names_first_row_across_blocks():
+    # order 27 in dim 3: a block of 2^13 pairs, then 1649 pairs and the
+    # centre node.  Row 1 meets the origin at a node of the first block,
+    # row 0 only at the centre node, in the second; row 0 is named.
+    scheme = build_scheme(3, "tensor_hermite", 27)
+    y = paired_nodes(scheme)
+    assert len(pair_blocks(scheme)) == 2 and not np.any(y[-1])
+    field = gaussian_extension(power_radial_map(3, -0.5), scheme)
+    X = np.stack([np.zeros(3), -y[5]])
+    assert not np.any(X[1] + y[5])
+    for rows in (X, X[::-1]):
+        with pytest.raises(SingularPointError, match="row 0: "):
+            extension_jacobians(field, rows, np.ones(2))
 
 
 @pytest.mark.parametrize("scheme", [build_scheme(2, "tensor_hermite", 7),
@@ -289,6 +352,49 @@ def test_batch_equals_rows_bitwise(scheme, rng):
         t = -T[i] if i % 3 == 0 else T[i]
         assert np.array_equal(lifted[i], extend_point(field, (X[i], t)))
         assert np.array_equal(jacobians[i], extension_jacobian(field, (X[i], T[i])))
+
+
+@pytest.mark.parametrize("scheme", [
+    TWO_BLOCKS,
+    build_scheme(4, "quasi_random", 1 << 16, seed=5),
+    build_scheme(3, "tensor_hermite", 27),  # 9841 pairs and the centre: a ragged last block
+], ids=lambda s: s.descriptor())
+def test_batch_equals_rows_bitwise_across_blocks(scheme, rng):
+    # rows that share a run are reduced block by block, each block's sums
+    # added in order, so a row's bits are those it gets alone
+    dim = scheme.dim
+    m = 5
+    X = rng.uniform(-2.0, 2.0, size=(m, dim))
+    T = rng.uniform(0.2, 2.0, size=m)
+    signs = np.where(np.arange(m) % 2 == 0, -1.0, 1.0)
+    for spec in (power_radial_map(dim, 0.5), convex_gradient_quartic_map(dim, 1.0, 0.5)):
+        field = gaussian_extension(spec, scheme)
+        lifted = extend_points(field, X, signs * T)
+        jacobians = extension_jacobians(field, X, T)
+        for i in range(m):
+            assert np.array_equal(lifted[i], extend_point(field, (X[i], signs[i] * T[i])))
+            assert np.array_equal(jacobians[i], extension_jacobian(field, (X[i], T[i])))
+
+
+@pytest.mark.parametrize("fn", [extend_points, extension_jacobians])
+def test_lift_working_set_does_not_grow_with_the_rule(fn):
+    # the lift holds one piece of at most _TARGET_EVALS evaluations at a
+    # time, whatever the rule's size: the traced peak above the built rule
+    # is the same for 2^16 and 2^18 nodes (about 1.3 MiB for the lift and
+    # 3.9 MiB for the Jacobian in dim 4), where whole rows took 2x and 6x
+    # the rule's bytes
+    X, T = np.array([[0.3, -0.2, 0.1, 0.5]]), np.array([0.7])
+    peaks = []
+    for size in (1 << 16, 1 << 18):
+        field = gaussian_extension(power_radial_map(4, 1.0), build_scheme(4, "quasi_random", size))
+        fn(field, X, T)
+        tracemalloc.start()
+        try:
+            fn(field, X, T)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + (64 << 10), peaks
 
 
 def full_node_sums(field, x, t):

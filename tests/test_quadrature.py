@@ -12,7 +12,7 @@ from scipy.stats import qmc  # the oracle of sobol_points; the package never imp
 
 from conftest import riemann_gaussian_moment_1d
 from monolift import build_scheme, default_scheme, gaussian_expectation, quadrature
-from monolift.quadrature import sobol_points
+from monolift.quadrature import pair_blocks, pair_expectation, paired_nodes, sobol_points
 from monolift.errors import (
     DimensionOverflowError,
     InvalidParameterError,
@@ -211,6 +211,36 @@ def test_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * (scheme.nodes.nbytes + scheme.weights.nbytes)
+
+
+@pytest.mark.parametrize("scheme", [build_scheme(2, "quasi_random", 1 << 15, seed=3),
+                                    build_scheme(3, "tensor_hermite", 27),
+                                    build_scheme(2, "tensor_hermite", 20)],
+                         ids=lambda s: s.descriptor())
+def test_pair_expectation_reduces_in_blocks(scheme, rng):
+    # the paired nodes are cut into runs of at most 2^13 nodes, the odd
+    # rule's centre node in the last; each block is one einsum, the block
+    # sums are added left to right and the centre term last.  So a row's
+    # bits do not depend on how many rows share the reduction.
+    h = paired_nodes(scheme).shape[0]
+    blocks = pair_blocks(scheme)
+    assert [b.start for b in blocks] == list(range(0, h, 1 << 13)) and blocks[-1].stop == h
+    assert all(b.stop - b.start <= 1 << 13 for b in blocks)
+    sums = rng.normal(size=(5, 3, h))
+    half = scheme.size // 2
+    for s in (sums[2, 1], sums[2, 1, None], sums[:, 1], sums):
+        expected = None
+        for b in blocks:
+            stop = min(b.stop, half)
+            part = np.einsum("...n,n->...", s[..., b.start:stop], scheme.weights[b.start:stop])
+            expected = part if expected is None else expected + part
+        if scheme.size % 2:
+            expected = expected + (0.5 * scheme.weights[half]) * s[..., half]
+        assert np.array_equal(pair_expectation(scheme, s), expected)
+    rows = pair_expectation(scheme, sums)
+    for i in range(5):
+        assert np.array_equal(pair_expectation(scheme, sums[i, 1]), rows[i, 1])
+        assert np.array_equal(pair_expectation(scheme, sums[i]), rows[i])
 
 
 def test_build_errors():
