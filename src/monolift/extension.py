@@ -132,7 +132,7 @@ def _require_finite_average(average: np.ndarray, rows: np.ndarray, field: Extens
     """
     if not np.all(np.isfinite(average)):
         for j in range(rows.size):
-            for _, plus, minus in _run_values(field, kernel, X, T, rows[j:j + 1]):
+            for _, _, plus, minus in _paired_values(field, kernel, X, T, rows[j:j + 1]):
                 _require_finite(np.stack([plus, minus]), rows[j:j + 1],
                                 f"{what} at a quadrature node")
         _require_finite(average, rows, "Gaussian average")
@@ -169,58 +169,35 @@ def _contract_difference(plus: np.ndarray, minus: np.ndarray, y: np.ndarray,
     return out
 
 
-def _run_values(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray, run: np.ndarray):
-    """Yield ``(block, plus, minus)`` for each of the
-    :func:`~monolift.quadrature.pair_blocks` in order: ``plus`` and
-    ``minus`` are views of ``kernel`` at x + |t| y and x - |t| y for the
-    ``run`` rows of (X, T) and the block's paired nodes y, of shape
-    (c, b, ...), with one contiguous vector over the nodes per coordinate
-    (or entry).  x - t y is bitwise x + t (-y), the point at the reflected
-    node.  A node where the kernel is undefined raises
-    :class:`SingularPointError` naming the first row of the run that has
-    one, found by evaluating the rows again one at a time."""
-    n, y = field.dim, paired_nodes(field.scheme)
-    xs, t = X[run].T[:, :, None], np.abs(T[run])[:, None]
-    for block in pair_blocks(field.scheme):
-        buf = np.empty((n, run.size, 2, block.stop - block.start))
-        ty = buf[:, :, 1]
-        np.multiply(t, y[block].T[:, None, :], out=ty)
-        np.add(xs, ty, out=buf[:, :, 0])
-        np.subtract(xs, ty, out=ty)
-        try:
-            values = kernel(field.spec, buf.transpose(1, 2, 3, 0).reshape(-1, n))
-        except SingularPointError as exc:
-            if run.size == 1:
-                raise SingularPointError(f"row {run[0]}: {exc}") from exc
-            for j in range(run.size):
-                for _ in _run_values(field, kernel, X, T, run[j:j + 1]):
-                    pass
-            raise
-        del buf, ty  # the generator's frame would hold the points through the yield
-        values = values.reshape((run.size, 2, -1) + values.shape[1:])
-        yield block, values[:, 0], values[:, 1]
-        del values
-
-
 def _paired_values(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
                    rows: np.ndarray):
     """Evaluate ``kernel`` (``map_values`` or ``map_jacobians``) at
     x + |t| y and x - |t| y for ``rows`` of (X, T) and the paired nodes y.
 
-    Yields ``(run, blocks)`` per run of rows, where ``blocks`` is the
-    :func:`_run_values` of the run: one piece per node block, each of at
-    most ``_TARGET_EVALS`` node evaluations.  Callers reduce each piece
-    with :func:`~monolift.quadrature.add_pair_block` and drop it before the
-    next, so that only one piece's points or values are held at a time.
+    Yields ``(run, block, plus, minus)`` for each run of rows and each of
+    the :func:`~monolift.quadrature.pair_blocks` in order: ``plus`` and
+    ``minus`` are views of the kernel's values for the ``run`` rows at the
+    block's paired nodes, of shape (c, b, ...), with one contiguous vector
+    over the nodes per coordinate (or entry), and each piece holds at most
+    ``_TARGET_EVALS`` node evaluations.  x - t y is bitwise x + t (-y), the
+    point at the reflected node.  Callers add each piece to the run's
+    totals with :func:`~monolift.quadrature.add_pair_block`, from the block
+    that starts at 0 to the one that ends at the last pair, and drop it
+    before the next, so that only one piece's points or values are held at
+    a time.
 
-    Each run's points are checked once, before any is evaluated, from an
-    (c, n) bound rather than a scan of every node: a row whose x + t y or
-    x - t y has a non-finite coordinate raises
+    Each run's points are checked before its first block is evaluated,
+    from an (c, n) bound rather than a scan of every node: a row whose
+    x + t y or x - t y has a non-finite coordinate raises
     :class:`NonFiniteIntegrandError` naming the first bad row.  The values
     are not checked here; each caller checks its averages with
     :func:`_require_finite_average`, which names a row with a non-finite
-    value before one whose average alone overflowed.
+    value before one whose average alone overflowed.  A node where the
+    kernel is undefined raises :class:`SingularPointError` naming the first
+    row of the run that has one, found by evaluating the rows again one at
+    a time.
     """
+    n, y = field.dim, paired_nodes(field.scheme)
     blocks = pair_blocks(field.scheme)
     # the nodes are closed under negation, so their largest coordinate k
     # is the largest |y_k| over the paired nodes, read without a copy
@@ -232,7 +209,26 @@ def _paired_values(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
         # +-fl(|x_k| + fl(|t| ymax_k)), and rounding is monotone
         _require_finite(np.abs(X[run]) + np.abs(T[run])[:, None] * ymax, run,
                         "x + t y at a quadrature node")
-        yield run, _run_values(field, kernel, X, T, run)
+        xs, t = X[run].T[:, :, None], np.abs(T[run])[:, None]
+        for block in blocks:
+            buf = np.empty((n, run.size, 2, block.stop - block.start))
+            ty = buf[:, :, 1]
+            np.multiply(t, y[block].T[:, None, :], out=ty)
+            np.add(xs, ty, out=buf[:, :, 0])
+            np.subtract(xs, ty, out=ty)
+            try:
+                values = kernel(field.spec, buf.transpose(1, 2, 3, 0).reshape(-1, n))
+            except SingularPointError as exc:
+                if run.size == 1:
+                    raise SingularPointError(f"row {run[0]}: {exc}") from exc
+                for j in range(run.size):
+                    for _ in _paired_values(field, kernel, X, T, run[j:j + 1]):
+                        pass
+                raise
+            del buf, ty  # the generator's frame would hold the points through the yield
+            values = values.reshape((run.size, 2, -1) + values.shape[1:])
+            yield run, block, values[:, 0], values[:, 1]
+            del values
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,20 +279,21 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
         out[boundary, n] = 0.0
 
     rows = np.flatnonzero(T != 0.0)
-    for run, blocks in _paired_values(field, map_values, X, T, rows):
-        vert = horiz = None
-        for block, plus, minus in blocks:
-            # pair sums <f(x+ty) - f(x-ty), y> and f(x+ty) + f(x-ty), node axis last
-            c, b = plus.shape[:2]
-            vert = add_pair_block(
-                scheme, block, _contract_difference(plus, minus, y[block], np.empty((c, b))), vert)
-            sums = np.empty((c, n, b))
-            np.add(plus, minus, out=sums.transpose(0, 2, 1))
-            horiz = add_pair_block(scheme, block, sums, horiz)
-            del plus, minus, sums  # see _run_values
-        out[run, n] = np.where(T[run] < 0.0, -vert, vert)
-        out[run, :n] = horiz
-        _require_finite_average(out[run], run, field, map_values, X, T, "map evaluation")
+    for run, block, plus, minus in _paired_values(field, map_values, X, T, rows):
+        if block.start == 0:
+            vert = horiz = None
+        # pair sums <f(x+ty) - f(x-ty), y> and f(x+ty) + f(x-ty), node axis last
+        c, b = plus.shape[:2]
+        vert = add_pair_block(
+            scheme, block, _contract_difference(plus, minus, y[block], np.empty((c, b))), vert)
+        sums = np.empty((c, n, b))
+        np.add(plus, minus, out=sums.transpose(0, 2, 1))
+        horiz = add_pair_block(scheme, block, sums, horiz)
+        del plus, minus, sums  # drop the piece before the next is made
+        if block.stop == y.shape[0]:
+            out[run, n] = np.where(T[run] < 0.0, -vert, vert)
+            out[run, :n] = horiz
+            _require_finite_average(out[run], run, field, map_values, X, T, "map evaluation")
     return out
 
 
@@ -327,26 +324,28 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
     scheme = field.scheme
     y = paired_nodes(scheme)
     DF = np.empty((X.shape[0], n + 1, n + 1))
-    for run, blocks in _paired_values(field, map_jacobians, X, T, np.arange(X.shape[0])):
-        E = yAy = None
-        for block, plus, minus in blocks:
-            # pair sums of the block integrand, node axis last: the rows of S,
-            # then D y and y^T D in one array, and the scalar y^T S y
-            yb, (c, b) = y[block], plus.shape[:2]
-            sums = np.empty((c, n + 2, n, b))
-            S = np.add(plus, minus, out=sums[:, :n].transpose(0, 3, 1, 2))
-            Sy = np.empty((c, n, b))
-            for i in range(n):
-                _contract_difference(plus[..., i, :], minus[..., i, :], yb, sums[:, n, i])
-                _contract_difference(plus[..., i], minus[..., i], yb, sums[:, n + 1, i])
-                combine(np.moveaxis(S[..., i, :], -1, 0), yb.T, Sy[:, i])
-            E = add_pair_block(scheme, block, sums, E)
-            yAy = add_pair_block(
-                scheme, block, combine(np.moveaxis(Sy, 1, 0), yb.T, np.empty((c, b))), yAy)
-            del plus, minus, sums, S, Sy  # see _run_values
-        DF[run, :n, :n], DF[run, :n, n], DF[run, n, :n] = E[:, :n], E[:, n], E[:, n + 1]
-        DF[run, n, n] = yAy
-        _require_finite_average(DF[run], run, field, map_jacobians, X, T, "base Jacobian")
+    for run, block, plus, minus in _paired_values(field, map_jacobians, X, T,
+                                                  np.arange(X.shape[0])):
+        if block.start == 0:
+            E = yAy = None
+        # pair sums of the block integrand, node axis last: the rows of S,
+        # then D y and y^T D in one array, and the scalar y^T S y
+        yb, (c, b) = y[block], plus.shape[:2]
+        sums = np.empty((c, n + 2, n, b))
+        S = np.add(plus, minus, out=sums[:, :n].transpose(0, 3, 1, 2))
+        Sy = np.empty((c, n, b))
+        for i in range(n):
+            _contract_difference(plus[..., i, :], minus[..., i, :], yb, sums[:, n, i])
+            _contract_difference(plus[..., i], minus[..., i], yb, sums[:, n + 1, i])
+            combine(np.moveaxis(S[..., i, :], -1, 0), yb.T, Sy[:, i])
+        E = add_pair_block(scheme, block, sums, E)
+        yAy = add_pair_block(
+            scheme, block, combine(np.moveaxis(Sy, 1, 0), yb.T, np.empty((c, b))), yAy)
+        del plus, minus, sums, S, Sy  # drop the piece before the next is made
+        if block.stop == y.shape[0]:
+            DF[run, :n, :n], DF[run, :n, n], DF[run, n, :n] = E[:, :n], E[:, n], E[:, n + 1]
+            DF[run, n, n] = yAy
+            _require_finite_average(DF[run], run, field, map_jacobians, X, T, "base Jacobian")
     return DF
 
 

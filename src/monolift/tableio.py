@@ -3,9 +3,9 @@
 Floats are rendered with the shortest round-trip decimal form so that a
 rerun with identical inputs produces byte-identical files, in positional
 form: no exponent, no trailing ``.0``, and -0.0 as 0.  The digits are
-Python's ``repr`` of the float; where ``repr`` writes an exponent, the
-decimal point is moved instead, which gives the bytes of
-``np.format_float_positional(x, unique=True, trim="-")``.
+Python's ``repr`` of the float; where ``repr`` would write an exponent,
+``np.format_float_positional(x, unique=True, trim="-")`` writes the same
+shortest unique digits positionally.
 """
 
 from __future__ import annotations
@@ -20,17 +20,9 @@ __all__ = ["format_float", "csv_line", "write_csv", "write_json"]
 def _positional(x: float) -> str:
     """The module's rule for a Python float that is not -0.0."""
     text = repr(x)
-    mantissa, e, exponent = text.partition("e")
-    if not e:
-        return text[:-2] if text.endswith(".0") else text
-    # repr writes d.ddd, with no trailing zero, times 10^e for e < -4 or
-    # e > 15: move the point, padding with zeros on the side it moves to
-    sign = "-" if x < 0.0 else ""
-    head, _, tail = mantissa.lstrip("-").partition(".")
-    digits, point = head + tail, len(head) + int(exponent)
-    if point <= 0:
-        return f"{sign}0.{'0' * -point}{digits}"
-    return sign + digits.ljust(point, "0")
+    if "e" in text:
+        return np.format_float_positional(x, unique=True, trim="-")
+    return text[:-2] if text.endswith(".0") else text
 
 
 def format_float(x) -> str:

@@ -249,43 +249,24 @@ BIG = np.finfo(float).max
 TWO_BLOCKS = build_scheme(2, "quasi_random", 1 << 15, seed=1)
 
 
-def later_block_overflow_height():
-    """A height at which |t y|^2 overflows at a node of the second block of
-    TWO_BLOCKS but at none of the first, so that the lift of x = 0 has a
-    non-finite |x|x only in the second block."""
+def test_bad_value_in_later_block_is_named_before_earlier_overflow():
+    # rows are reduced block by block, yet a bad map value is still named
+    # before an earlier row's overflowing average when it lies in a later
+    # node block than that overflow: at height t, |t y|^2 overflows at a
+    # node of TWO_BLOCKS' second block but at none of its first
     y = paired_nodes(TWO_BLOCKS)
     r = np.hypot(y[:, 0], y[:, 1])
-    first, second = (r[b].max() for b in pair_blocks(TWO_BLOCKS))
-    assert second > first
-    return np.sqrt(BIG) / np.sqrt(first * second)
-
-
-@pytest.mark.parametrize("X, T, row, what", [
-    # a bad map value is named before an earlier row's overflowing average
-    ([[1e154, 0.0], [1e200, 0.0]], [1.0, 1.0], 1, None),
-    # also when the bad value is in a later block than the overflow
-    ([[1e154, 0.0], [0.0, 0.0]], [1.0, later_block_overflow_height()], 1, None),
-    # a bad point is named before any value or average of its run
-    ([[1e154, 0.0], [1.0, 0.0]], [1.0, 1e308], 1, "x \\+ t y"),
-    ([[1.0, 0.0], [1e200, 0.0]], [1e308, 1.0], 0, "x \\+ t y"),
-    # the second run: rows 0 and 1 are fine
-    ([[0.0, 0.0], [1.0, 0.0], [1e154, 0.0], [1e200, 0.0]], [1.0] * 4, 3, None),
-])
-def test_chunk_checks_name_row_in_order_across_blocks(X, T, row, what):
-    # the checks keep their order when each row is reduced block by block
-    field = gaussian_extension(power_radial_map(2, 1.0), TWO_BLOCKS)
-    for fn, value in ((extend_points, "map evaluation"), (extension_jacobians, "base Jacobian")):
-        with pytest.raises(NonFiniteIntegrandError, match=f"row {row}: {what or value}"):
-            fn(field, np.array(X), np.array(T))
-
-
-def test_later_block_overflow_height_overflows_only_there():
-    y = paired_nodes(TWO_BLOCKS)
-    t = later_block_overflow_height()
     first, second = pair_blocks(TWO_BLOCKS)
+    t = np.sqrt(BIG) / np.sqrt(r[first].max() * r[second].max())
+    spec = power_radial_map(2, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.all(np.isfinite(evaluate_map(power_radial_map(2, 1.0), t * y[first])))
-        assert not np.all(np.isfinite(evaluate_map(power_radial_map(2, 1.0), t * y[second])))
+        assert np.all(np.isfinite(evaluate_map(spec, t * y[first])))
+        assert not np.all(np.isfinite(evaluate_map(spec, t * y[second])))
+    field = gaussian_extension(spec, TWO_BLOCKS)
+    X, T = np.array([[1e154, 0.0], [0.0, 0.0]]), np.array([1.0, t])
+    for fn, value in ((extend_points, "map evaluation"), (extension_jacobians, "base Jacobian")):
+        with pytest.raises(NonFiniteIntegrandError, match=f"row 1: {value}"):
+            fn(field, X, T)
 
 
 def test_singular_node_names_first_row_across_blocks():
@@ -337,6 +318,8 @@ def test_point_bound_is_exact(scheme, k, a, jitter, signs):
     build_scheme(3, "tensor_hermite", 20),
     build_scheme(4, "quasi_random", 1 << 16, seed=5),
     build_scheme(4, "quasi_random", 1 << 15, seed=5),
+    TWO_BLOCKS,
+    build_scheme(3, "tensor_hermite", 27),  # 9841 pairs and the centre: a ragged last block
 ], ids=lambda s: s.descriptor())
 def test_batch_equals_rows_bitwise(scheme, rng):
     # a batch spanning several chunks gives each row exactly the value it
@@ -352,28 +335,6 @@ def test_batch_equals_rows_bitwise(scheme, rng):
         t = -T[i] if i % 3 == 0 else T[i]
         assert np.array_equal(lifted[i], extend_point(field, (X[i], t)))
         assert np.array_equal(jacobians[i], extension_jacobian(field, (X[i], T[i])))
-
-
-@pytest.mark.parametrize("scheme", [
-    TWO_BLOCKS,
-    build_scheme(4, "quasi_random", 1 << 16, seed=5),
-    build_scheme(3, "tensor_hermite", 27),  # 9841 pairs and the centre: a ragged last block
-], ids=lambda s: s.descriptor())
-def test_batch_equals_rows_bitwise_across_blocks(scheme, rng):
-    # rows that share a run are reduced block by block, each block's sums
-    # added in order, so a row's bits are those it gets alone
-    dim = scheme.dim
-    m = 5
-    X = rng.uniform(-2.0, 2.0, size=(m, dim))
-    T = rng.uniform(0.2, 2.0, size=m)
-    signs = np.where(np.arange(m) % 2 == 0, -1.0, 1.0)
-    for spec in (power_radial_map(dim, 0.5), convex_gradient_quartic_map(dim, 1.0, 0.5)):
-        field = gaussian_extension(spec, scheme)
-        lifted = extend_points(field, X, signs * T)
-        jacobians = extension_jacobians(field, X, T)
-        for i in range(m):
-            assert np.array_equal(lifted[i], extend_point(field, (X[i], signs[i] * T[i])))
-            assert np.array_equal(jacobians[i], extension_jacobian(field, (X[i], T[i])))
 
 
 @pytest.mark.parametrize("fn", [extend_points, extension_jacobians])
