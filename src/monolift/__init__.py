@@ -24,7 +24,6 @@ from .certify import (
     matrix_delta,
     matrix_delta_lower_many,
     matrix_delta_many,
-    matrix_gamma,
     quasisymmetry_profile,
     sample_pairs,
     trivial_extension_witness,

@@ -88,7 +88,6 @@ __all__ = [
     "matrix_delta",
     "matrix_delta_many",
     "matrix_delta_lower_many",
-    "matrix_gamma",
     "claim_constant",
     "ClaimReport",
     "claim_check",
@@ -490,18 +489,6 @@ def _delta_lower_searched(arr: np.ndarray) -> np.ndarray:
     N = np.abs(WS) * d[:, :, None] * d[:, None, :]
     lower[pd] = f - 4 * A.shape[1] * np.finfo(float).eps * np.sqrt((N * N).sum(axis=(1, 2)))
     return lower
-
-
-def matrix_gamma(A) -> float:
-    """min over unit v of v^T A v / ||A||, i.e. lambda_min(sym A) / ||A||.
-
-    The quadratic-form minimum over the sphere is the smallest eigenvalue
-    of the symmetric part, so this constant is computed exactly rather
-    than by sampling.
-    """
-    A = _matrix_stack(as_square_matrix(A)[None])[0]
-    lam = float(np.linalg.eigvalsh(0.5 * (A + A.T))[0])
-    return lam / float(np.linalg.norm(A, 2))
 
 
 def claim_constant(delta):

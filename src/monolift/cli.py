@@ -103,7 +103,8 @@ def _meta(args, spec=None, scheme=None, seed=None, **extra):
     if spec is not None:
         meta["spec"] = spec.digest()
     if scheme is not None:
-        meta["scheme"] = scheme.descriptor()
+        # the descriptor names the rule; the node count is what it kept
+        meta["scheme"], meta["nodes"] = scheme.descriptor(), scheme.size
     if seed is not None:
         meta["seed"] = seed
     meta.update(extra)
@@ -170,7 +171,7 @@ def _cmd_jacobian(args):
         return 0
     # headerless: a line naming the point and the rule, a '# key=value' line
     # for each meta key it does not carry, then the n+1 rows of DF
-    first = ("spec", "scheme", "numpy", "scipy")
+    first = ("spec", "scheme", "nodes", "numpy", "scipy")
     with _output(args) as handle:
         handle.write(f"# x={csv_line(x)} t={args.t} "
                      + " ".join(f"{key}={meta[key]}" for key in first) + "\n"
@@ -181,18 +182,19 @@ def _cmd_jacobian(args):
 
 
 def _target_map(args, spec):
-    """The map certify-delta actually samples: base, Gaussian lift, or trivial lift."""
+    """The map certify-delta actually samples (base, Gaussian lift, or trivial
+    lift), its dimension, and the scheme of the Gaussian lift, else None."""
     if args.lift == "none":
-        return batch_map(spec), spec.dim
+        return batch_map(spec), spec.dim, None
     if args.lift == "trivial":
-        return trivial_lift_map(spec), spec.dim + 1
+        return trivial_lift_map(spec), spec.dim + 1, None
     scheme = _scheme_for(args, spec.dim)
-    return full_space_map(gaussian_extension(spec, scheme)), spec.dim + 1
+    return full_space_map(gaussian_extension(spec, scheme)), spec.dim + 1, scheme
 
 
 def _cmd_certify_delta(args):
     spec = _load_spec(args.spec)
-    F, dim = _target_map(args, spec)
+    F, dim, scheme = _target_map(args, spec)
     cfg = PairConfig(
         dim=dim, pairs=args.pairs, seed=args.seed,
         log_radius_range=(args.log_radius[0], args.log_radius[1]),
@@ -200,7 +202,7 @@ def _cmd_certify_delta(args):
         witness_radii=tuple(args.witness_radii or ()),
     )
     cert = two_point_delta(F, cfg)
-    payload = {"meta": _meta(args, spec, seed=args.seed, lift=args.lift)}
+    payload = {"meta": _meta(args, spec, scheme, args.seed, lift=args.lift)}
     payload.update(cert.json_dict())
     _emit(args, payload)
     return 0

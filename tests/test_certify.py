@@ -24,7 +24,6 @@ from monolift import (
     matrix_delta,
     matrix_delta_lower_many,
     matrix_delta_many,
-    matrix_gamma,
     planar_rotation_map,
     power_radial_map,
     quasisymmetry_profile,
@@ -248,17 +247,12 @@ def test_matrix_delta_2x2_never_above_dense_sweep(rng):
             assert ref - d <= 1e-9
 
 
-def test_matrix_gamma_closed_forms():
-    assert matrix_gamma(np.diag([1.0, 3.0])) == pytest.approx(1.0 / 3.0, abs=1e-10)
-    assert matrix_gamma(np.eye(4)) == pytest.approx(1.0, abs=1e-10)
-    theta = 0.3
-    assert matrix_gamma(rotation_matrix(theta)) == pytest.approx(math.cos(theta), abs=1e-10)
-    with pytest.raises(ZeroMatrixError):
-        matrix_gamma(np.zeros((2, 2)))
-
-
 def test_delta_gamma_claim_chain(rng):
-    # for delta > 0: gamma <= delta and gamma >= delta * c(delta)
+    # for delta > 0: gamma <= delta and gamma >= delta * c(delta), where
+    # gamma = min over unit v of <Av, v> / ||A|| = lambda_min(sym A) / ||A||
+    def matrix_gamma(A):
+        return np.linalg.eigvalsh(0.5 * (A + A.T))[0] / np.linalg.norm(A, 2)
+
     mats = rng.standard_normal((300, 2, 2)) + rng.uniform(0.5, 2.5, 300)[:, None, None] * np.eye(2)
     deltas = matrix_delta_many(mats)
     for A, d in zip(mats, deltas):

@@ -53,9 +53,10 @@ def test_extend_grid_csv_metadata(capsys, tmp_path):
     assert lines[3] == "# subcommand=extend"
     assert lines[4].startswith("# spec=")
     assert lines[5].startswith("# scheme=tensor_hermite:")
-    assert lines[6].startswith("# seed=")
-    assert lines[7] == "x1,x2,t,F1,F2,Fn1"
-    assert len(lines) == 8 + 9
+    assert lines[6] == "# nodes=368"
+    assert lines[7].startswith("# seed=")
+    assert lines[8] == "x1,x2,t,F1,F2,Fn1"
+    assert len(lines) == 9 + 9
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -153,7 +154,7 @@ def test_jacobian_csv(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("# x=0,0 t=1.0 spec=")
-    assert " scheme=tensor_hermite:" in lines[0]
+    assert " scheme=tensor_hermite:" in lines[0] and " nodes=368 " in lines[0]
     # the meta keys the first line does not carry, then the headerless rows
     assert lines[1:4] == [f"# tool=monolift {__version__}", "# subcommand=jacobian",
                           "# seed=0"]
@@ -195,6 +196,25 @@ def test_certify_delta_trivial_lift_fails_witnesses(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["delta_hat"] <= 0.1
+
+
+@pytest.mark.parametrize("argv, scheme, nodes", [
+    (["certify-delta", "--spec", POWER1, "--lift", "gaussian", "--pairs", "20"],
+     "tensor_hermite:r20:seed0:dim2", 368),
+    (["certify-delta", "--spec", POWER1, "--lift", "gaussian", "--pairs", "20", "--resolution", "5"],
+     "tensor_hermite:r5:seed0:dim2", 25),
+    (["extend", "--spec", '{"kind":"identity","dim":3}', "--x", "0,0,0", "--format", "json"],
+     "tensor_hermite:r20:seed0:dim3", 5888),
+    (["certify-delta", "--spec", POWER1, "--lift", "trivial", "--pairs", "20"], None, None),
+    (["certify-delta", "--spec", POWER1, "--pairs", "20"], None, None),
+])
+def test_artifacts_name_the_scheme_and_its_kept_nodes(capsys, argv, scheme, nodes):
+    # the descriptor names the rule, the node count what it kept of it;
+    # only a lift has a scheme
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta.get("scheme") == scheme and meta.get("nodes") == nodes
 
 
 def test_certify_delta_rerun_byte_identical(capsys, tmp_path):

@@ -247,6 +247,9 @@ def test_chunk_checks_name_row_in_order(X, T, row, what):
 BIG = np.finfo(float).max
 # two 2^13-pair node blocks, so two rows share a run of the lift
 TWO_BLOCKS = build_scheme(2, "quasi_random", 1 << 15, seed=1)
+# order 37 in dim 3 keeps 16975 nodes: a block of 2^13 pairs, then 296 pairs
+# and the centre node, a ragged last block
+ODD_TWO_BLOCKS = build_scheme(3, "tensor_hermite", 37)
 
 
 def test_bad_value_in_later_block_is_named_before_earlier_overflow():
@@ -270,10 +273,9 @@ def test_bad_value_in_later_block_is_named_before_earlier_overflow():
 
 
 def test_singular_node_names_first_row_across_blocks():
-    # order 27 in dim 3: a block of 2^13 pairs, then 1649 pairs and the
-    # centre node.  Row 1 meets the origin at a node of the first block,
-    # row 0 only at the centre node, in the second; row 0 is named.
-    scheme = build_scheme(3, "tensor_hermite", 27)
+    # row 1 meets the origin at a node of the first block, row 0 only at
+    # the centre node, in the second; row 0 is named
+    scheme = ODD_TWO_BLOCKS
     y = paired_nodes(scheme)
     assert len(pair_blocks(scheme)) == 2 and not np.any(y[-1])
     field = gaussian_extension(power_radial_map(3, -0.5), scheme)
@@ -319,11 +321,13 @@ def test_point_bound_is_exact(scheme, k, a, jitter, signs):
     build_scheme(4, "quasi_random", 1 << 16, seed=5),
     build_scheme(4, "quasi_random", 1 << 15, seed=5),
     TWO_BLOCKS,
-    build_scheme(3, "tensor_hermite", 27),  # 9841 pairs and the centre: a ragged last block
+    ODD_TWO_BLOCKS,
 ], ids=lambda s: s.descriptor())
 def test_batch_equals_rows_bitwise(scheme, rng):
     # a batch spanning several chunks gives each row exactly the value it
     # gets when lifted alone, for the lift and for its Jacobian
+    if scheme in (TWO_BLOCKS, ODD_TWO_BLOCKS):
+        assert len(pair_blocks(scheme)) == 2
     dim = scheme.dim
     field = gaussian_extension(convex_gradient_quartic_map(dim, 1.0, 0.5), scheme)
     m = 2 * max(1, extension._TARGET_EVALS // scheme.size) + 1
