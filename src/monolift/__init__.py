@@ -52,7 +52,6 @@ from .extension import (
     ExtensionField,
     ExtensionTable,
     extend_grid,
-    extend_point,
     extend_points,
     extension_jacobian,
     extension_jacobians,

@@ -6,8 +6,7 @@ together by an explicit algebraic bound:
 * the two-point constant of a map F, the infimum of
   <F(a) - F(b), a - b> / (|F(a) - F(b)| |a - b|) over sampled pairs;
 * the matrix constant of a single matrix A, the minimum over unit v of
-  v^T A v / |A v| (directions with A v = 0 excluded), together with the
-  companion constant gamma(A) = min_v v^T A v / (||A|| |v|^2).
+  v^T A v / |A v| (directions with A v = 0 excluded).
 
 For a matrix with constant delta the smallest singular value is bounded
 below by c(delta) ||A|| with

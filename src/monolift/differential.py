@@ -2,9 +2,10 @@
 
 The lifted Jacobian DF itself, ``extension_jacobians`` and
 ``extension_jacobian``, is computed in :mod:`monolift.extension` by the same
-paired evaluation as the lift, and re-exported here.  This module provides
-the central-difference Jacobian that cross-checks it independently and the
-batched spectral norms of stacks of such matrices (a closed form for 2x2).
+paired evaluation as the lift; ``extension_jacobian`` is re-exported here.
+This module provides the central-difference Jacobian that cross-checks it
+independently and the batched spectral norms of stacks of such matrices (a
+closed form for 2x2).
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteIntegrandError
-# computed next to the lift; re-exported because perfbench/ imports them from here
-from .extension import extension_jacobian, extension_jacobians
+# computed next to the lift; re-exported because perfbench/ imports it from here
+from .extension import extension_jacobian
 
 __all__ = [
     "extension_jacobian",
-    "extension_jacobians",
     "finite_difference_jacobian",
     "spectral_norms",
 ]

@@ -32,15 +32,15 @@ the weighted pair sums give
 
     E[A] from S,   E[A y] from D y,   E[y^T A] from y^T D,   E[y^T A y] from y^T S y.
 
-One private generator, ``_paired_values``, builds the points x +- t y and
+One private driver, ``_pair_averages``, builds the points x +- t y and
 evaluates f (for ``extend_points``) or Df (for ``extension_jacobians``)
 there, in pieces of a run of rows times one node block of
-:func:`~monolift.quadrature.pair_blocks` (at most 2^13 paired nodes); each
-caller keeps only its contraction, and adds each block's weighted pair
-sums to the run's totals with :func:`~monolift.quadrature.add_pair_block`,
-block by block, in the order :func:`~monolift.quadrature.pair_expectation`
-uses.  So a row's bits do not depend on its batch or on how it is split,
-and the working set is one piece whatever the rule's size.
+:func:`~monolift.quadrature.pair_blocks` (at most 2^13 paired nodes).  Each
+caller passes only its contraction of a piece into pair sums; the driver
+adds them to the run's totals with :func:`~monolift.quadrature.add_pair_block`,
+in the order :func:`~monolift.quadrature.pair_expectation` uses.  So a
+row's bits do not depend on its batch or on how it is split, and the
+working set is one piece whatever the rule's size.
 
 Every array of the hot loop is coordinate-major: the points x +- t y sit
 in an (n, c, 2, b) buffer for c rows and the b paired nodes of a block,
@@ -55,11 +55,10 @@ is checked on (rows x n) data rather than node by node.  The points
 x +- t y are checked before the kernel runs, from the exact per-row bound
 |x_k| + |t| max|y_k| over the paired nodes.  The values of f (or Df) are
 checked through the Gaussian averages, which any non-finite value makes
-non-finite; only then are the run's rows evaluated again one at a time, to
-name the row and whether a value or only its average overflowed.  A run's
-bad point is named before its bad values, and a bad value before an
-overflowing average; a node where Df is undefined names the first row of
-the run that has one.
+non-finite.  Only if an average is non-finite, or the kernel meets a node
+where Df is undefined, are the run's rows evaluated again one at a time,
+naming the first row with such a node or value, or else the first whose
+average overflowed.  A run's bad point is named before all of these.
 """
 
 from __future__ import annotations
@@ -89,7 +88,6 @@ __all__ = [
     "ExtensionField",
     "ExtensionTable",
     "gaussian_extension",
-    "extend_point",
     "extend_points",
     "extension_jacobian",
     "extension_jacobians",
@@ -116,26 +114,6 @@ def _require_finite(values: np.ndarray, rows: np.ndarray, what: str) -> None:
         ok = np.isfinite(values).reshape(rows.size, -1).all(axis=1)
         raise NonFiniteIntegrandError(
             f"row {rows[np.argmin(ok)]}: {what} overflowed")
-
-
-def _require_finite_average(average: np.ndarray, rows: np.ndarray, field: ExtensionField,
-                            kernel, X: np.ndarray, T: np.ndarray, what: str) -> None:
-    """Raise if the Gaussian ``average`` of ``rows`` is not all finite, naming
-    the first row with a non-finite ``kernel`` value as "``what`` at a
-    quadrature node", or else the first with a non-finite average.
-
-    Every value enters the horizontal part (the A block) once, through a
-    weighted pair sum, where inf * w, inf - inf, 0 * inf and NaN stay
-    non-finite, and a non-finite block sum stays so through the later ones;
-    so the values are scanned only when an average is, by evaluating the
-    rows again one at a time, block by block.
-    """
-    if not np.all(np.isfinite(average)):
-        for j in range(rows.size):
-            for _, _, plus, minus in _paired_values(field, kernel, X, T, rows[j:j + 1]):
-                _require_finite(np.stack([plus, minus]), rows[j:j + 1],
-                                f"{what} at a quadrature node")
-        _require_finite(average, rows, "Gaussian average")
 
 
 def _batch(X, T, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,66 +147,83 @@ def _contract_difference(plus: np.ndarray, minus: np.ndarray, y: np.ndarray,
     return out
 
 
-def _paired_values(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
-                   rows: np.ndarray):
-    """Evaluate ``kernel`` (``map_values`` or ``map_jacobians``) at
-    x + |t| y and x - |t| y for ``rows`` of (X, T) and the paired nodes y.
+def _paired_kernel(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
+                   run: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``kernel`` at x + |t| y and x - |t| y for the ``run`` rows of (X, T)
+    and the paired nodes ``y`` of one block, shape (c, 2, b, ...): one
+    contiguous vector over the nodes per coordinate (or entry).  x - t y is
+    bitwise x + t (-y), the point at the reflected node."""
+    n = field.dim
+    buf = np.empty((n, run.size, 2, y.shape[0]))
+    ty = buf[:, :, 1]
+    np.multiply(np.abs(T[run])[:, None], y.T[:, None, :], out=ty)
+    xs = X[run].T[:, :, None]
+    np.add(xs, ty, out=buf[:, :, 0])
+    np.subtract(xs, ty, out=ty)
+    values = kernel(field.spec, buf.transpose(1, 2, 3, 0).reshape(-1, n))
+    return values.reshape((run.size, 2, y.shape[0]) + values.shape[1:])
 
-    Yields ``(run, block, plus, minus)`` for each run of rows and each of
-    the :func:`~monolift.quadrature.pair_blocks` in order: ``plus`` and
-    ``minus`` are views of the kernel's values for the ``run`` rows at the
-    block's paired nodes, of shape (c, b, ...), with one contiguous vector
-    over the nodes per coordinate (or entry), and each piece holds at most
-    ``_TARGET_EVALS`` node evaluations.  x - t y is bitwise x + t (-y), the
-    point at the reflected node.  Callers add each piece to the run's
-    totals with :func:`~monolift.quadrature.add_pair_block`, from the block
-    that starts at 0 to the one that ends at the last pair, and drop it
-    before the next, so that only one piece's points or values are held at
-    a time.
 
-    Each run's points are checked before its first block is evaluated,
-    from an (c, n) bound rather than a scan of every node: a row whose
-    x + t y or x - t y has a non-finite coordinate raises
-    :class:`NonFiniteIntegrandError` naming the first bad row.  The values
-    are not checked here; each caller checks its averages with
-    :func:`_require_finite_average`, which names a row with a non-finite
-    value before one whose average alone overflowed.  A node where the
-    kernel is undefined raises :class:`SingularPointError` naming the first
-    row of the run that has one, found by evaluating the rows again one at
-    a time.
+def _pair_averages(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
+                   rows: np.ndarray, contract, what: str) -> list[np.ndarray]:
+    """Gaussian averages, over ``rows`` of (X, T), of the pair sums that
+    ``contract(plus, minus, y)`` makes from ``kernel`` (``map_values`` or
+    ``map_jacobians``) at x + |t| y and x - |t| y.
+
+    ``plus`` and ``minus`` are the kernel's (c, b, ...) values at one
+    piece's points and ``y`` its (b, n) paired nodes; ``contract`` returns
+    a tuple of (c, ..., b) pair-sum arrays, node axis last with unit
+    stride, and the driver returns a (len(rows), ...) average for each.  A
+    piece is a run of rows times one of the
+    :func:`~monolift.quadrature.pair_blocks`, at most ``_TARGET_EVALS``
+    evaluations.  Bad rows are named in the order of the module docstring;
+    a bad value is reported as "``what`` at a quadrature node".
     """
-    n, y = field.dim, paired_nodes(field.scheme)
-    blocks = pair_blocks(field.scheme)
+    scheme, y = field.scheme, paired_nodes(field.scheme)
+    blocks = pair_blocks(scheme)
     # the nodes are closed under negation, so their largest coordinate k
     # is the largest |y_k| over the paired nodes, read without a copy
-    ymax = field.scheme.nodes.max(axis=0)
+    ymax = scheme.nodes.max(axis=0)
     step = max(1, _TARGET_EVALS // (2 * (blocks[0].stop - blocks[0].start)))
-    for i in range(0, rows.size, step):
+
+    def name_bad_row(run):
+        for j in range(run.size):
+            row = run[j:j + 1]
+            for block in blocks:
+                try:
+                    values = _paired_kernel(field, kernel, X, T, row, y[block])
+                except SingularPointError as exc:
+                    raise SingularPointError(f"row {row[0]}: {exc}") from exc
+                _require_finite(values, row, f"{what} at a quadrature node")
+
+    averages = None
+    # an empty batch takes one empty run, which gives the averages' shapes
+    for i in range(0, max(rows.size, 1), step):
         run = rows[i:i + step]
         # exact: the node attaining ymax_k puts one of its points at
         # +-fl(|x_k| + fl(|t| ymax_k)), and rounding is monotone
         _require_finite(np.abs(X[run]) + np.abs(T[run])[:, None] * ymax, run,
                         "x + t y at a quadrature node")
-        xs, t = X[run].T[:, :, None], np.abs(T[run])[:, None]
-        for block in blocks:
-            buf = np.empty((n, run.size, 2, block.stop - block.start))
-            ty = buf[:, :, 1]
-            np.multiply(t, y[block].T[:, None, :], out=ty)
-            np.add(xs, ty, out=buf[:, :, 0])
-            np.subtract(xs, ty, out=ty)
-            try:
-                values = kernel(field.spec, buf.transpose(1, 2, 3, 0).reshape(-1, n))
-            except SingularPointError as exc:
-                if run.size == 1:
-                    raise SingularPointError(f"row {run[0]}: {exc}") from exc
-                for j in range(run.size):
-                    for _ in _paired_values(field, kernel, X, T, run[j:j + 1]):
-                        pass
-                raise
-            del buf, ty  # the generator's frame would hold the points through the yield
-            values = values.reshape((run.size, 2, -1) + values.shape[1:])
-            yield run, block, values[:, 0], values[:, 1]
-            del values
+        totals = None
+        try:
+            for block in blocks:
+                values = _paired_kernel(field, kernel, X, T, run, y[block])
+                sums = contract(values[:, 0], values[:, 1], y[block])
+                totals = [add_pair_block(scheme, block, s, total)
+                          for s, total in zip(sums, totals or [None] * len(sums))]
+                del values, sums  # drop the piece before the next is made
+        except SingularPointError:
+            name_bad_row(run)
+            raise
+        if not all(np.all(np.isfinite(total)) for total in totals):
+            name_bad_row(run)
+            _require_finite(np.concatenate([t.reshape(run.size, -1) for t in totals], axis=1),
+                            run, "Gaussian average")
+        if averages is None:
+            averages = [np.empty((rows.size,) + total.shape[1:]) for total in totals]
+        for average, total in zip(averages, totals):
+            average[i:i + step] = total
+    return averages
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,8 +262,6 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
     """
     n = field.dim
     X, T = _batch(X, T, n)
-    scheme = field.scheme
-    y = paired_nodes(scheme)
     out = np.empty((X.shape[0], n + 1))
 
     boundary = np.flatnonzero(T == 0.0)
@@ -278,29 +271,18 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
         out[boundary, :n] = fx
         out[boundary, n] = 0.0
 
-    rows = np.flatnonzero(T != 0.0)
-    for run, block, plus, minus in _paired_values(field, map_values, X, T, rows):
-        if block.start == 0:
-            vert = horiz = None
-        # pair sums <f(x+ty) - f(x-ty), y> and f(x+ty) + f(x-ty), node axis last
+    def contract(plus, minus, y):
+        # pair sums f(x+ty) + f(x-ty) and <f(x+ty) - f(x-ty), y>, node axis last
         c, b = plus.shape[:2]
-        vert = add_pair_block(
-            scheme, block, _contract_difference(plus, minus, y[block], np.empty((c, b))), vert)
         sums = np.empty((c, n, b))
         np.add(plus, minus, out=sums.transpose(0, 2, 1))
-        horiz = add_pair_block(scheme, block, sums, horiz)
-        del plus, minus, sums  # drop the piece before the next is made
-        if block.stop == y.shape[0]:
-            out[run, n] = np.where(T[run] < 0.0, -vert, vert)
-            out[run, :n] = horiz
-            _require_finite_average(out[run], run, field, map_values, X, T, "map evaluation")
+        return sums, _contract_difference(plus, minus, y, np.empty((c, b)))
+
+    rows = np.flatnonzero(T != 0.0)
+    horiz, vert = _pair_averages(field, map_values, X, T, rows, contract, "map evaluation")
+    out[rows, :n] = horiz
+    out[rows, n] = np.where(T[rows] < 0.0, -vert, vert)
     return out
-
-
-def extend_point(field: ExtensionField, p) -> np.ndarray:
-    """Lift a single point given as an (x, t) pair."""
-    x, t = p
-    return extend_points(field, np.asarray(x, dtype=float)[None, :], np.array([float(t)]))[0]
 
 
 @np.errstate(all="ignore")  # _require_finite names the row; a numpy warning only repeats it
@@ -321,31 +303,23 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
     if low.size:
         raise NonpositiveHeightError(
             f"row {low[0]}: lifted Jacobian needs height > 0, got {T[low[0]]}")
-    scheme = field.scheme
-    y = paired_nodes(scheme)
-    DF = np.empty((X.shape[0], n + 1, n + 1))
-    for run, block, plus, minus in _paired_values(field, map_jacobians, X, T,
-                                                  np.arange(X.shape[0])):
-        if block.start == 0:
-            E = yAy = None
+    def contract(plus, minus, y):
         # pair sums of the block integrand, node axis last: the rows of S,
         # then D y and y^T D in one array, and the scalar y^T S y
-        yb, (c, b) = y[block], plus.shape[:2]
+        c, b = plus.shape[:2]
         sums = np.empty((c, n + 2, n, b))
         S = np.add(plus, minus, out=sums[:, :n].transpose(0, 3, 1, 2))
         Sy = np.empty((c, n, b))
         for i in range(n):
-            _contract_difference(plus[..., i, :], minus[..., i, :], yb, sums[:, n, i])
-            _contract_difference(plus[..., i], minus[..., i], yb, sums[:, n + 1, i])
-            combine(np.moveaxis(S[..., i, :], -1, 0), yb.T, Sy[:, i])
-        E = add_pair_block(scheme, block, sums, E)
-        yAy = add_pair_block(
-            scheme, block, combine(np.moveaxis(Sy, 1, 0), yb.T, np.empty((c, b))), yAy)
-        del plus, minus, sums, S, Sy  # drop the piece before the next is made
-        if block.stop == y.shape[0]:
-            DF[run, :n, :n], DF[run, :n, n], DF[run, n, :n] = E[:, :n], E[:, n], E[:, n + 1]
-            DF[run, n, n] = yAy
-            _require_finite_average(DF[run], run, field, map_jacobians, X, T, "base Jacobian")
+            _contract_difference(plus[..., i, :], minus[..., i, :], y, sums[:, n, i])
+            _contract_difference(plus[..., i], minus[..., i], y, sums[:, n + 1, i])
+            combine(np.moveaxis(S[..., i, :], -1, 0), y.T, Sy[:, i])
+        return sums, combine(np.moveaxis(Sy, 1, 0), y.T, np.empty((c, b)))
+
+    E, yAy = _pair_averages(field, map_jacobians, X, T, np.arange(X.shape[0]), contract,
+                            "base Jacobian")
+    DF = np.empty((X.shape[0], n + 1, n + 1))
+    DF[:, :n, :n], DF[:, :n, n], DF[:, n, :n], DF[:, n, n] = E[:, :n], E[:, n], E[:, n + 1], yAy
     return DF
 
 

@@ -16,7 +16,6 @@ from monolift import (
     evaluate_map,
     evaluate_map_jacobian,
     extend_grid,
-    extend_point,
     extend_points,
     extension_jacobian,
     extension_jacobians,
@@ -85,7 +84,7 @@ def test_linear_lift_closed_form(rng):
     (MapSpec("convex_gradient_quartic", 2, {"a": 1.0, "b": 0.5}), (0.3, 0.1), 0.4),
 ])
 def test_lift_matches_dense_trapezoid(spec, x, t):
-    got = extend_point(gaussian_extension(spec), (x, t))
+    got = extend_points(gaussian_extension(spec), [x], [t])[0]
     want = trapezoid_lift_2d(spec, x, t)
     assert np.allclose(got, want, atol=1e-9)
 
@@ -98,7 +97,8 @@ def test_lift_of_kinked_map_converges():
     want = trapezoid_lift_2d(spec, x, t, n=2001)
     errs = []
     for order in (20, 64, 128):
-        got = extend_point(gaussian_extension(spec, build_scheme(2, "tensor_hermite", order)), (x, t))
+        got = extend_points(gaussian_extension(spec, build_scheme(2, "tensor_hermite", order)),
+                            [x], [t])[0]
         errs.append(float(np.max(np.abs(got - want))))
     assert errs[0] < 5e-4
     assert errs[0] > errs[1] > errs[2]
@@ -160,7 +160,7 @@ def test_crossing_pairs_stay_separated(rng):
 
 def test_extend_point_shapes():
     field = gaussian_extension(identity_map(2))
-    out = extend_point(field, ([1.0, 0.0], 2.0))
+    out = extend_points(field, [[1.0, 0.0]], [2.0])[0]
     assert out.shape == (3,)
     assert np.allclose(out, [1.0, 0.0, 4.0], atol=1e-10)
     with pytest.raises(DimensionMismatchError):
@@ -169,6 +169,11 @@ def test_extend_point_shapes():
         extend_points(field, np.zeros((2, 2)), np.ones(3))
     with pytest.raises(InvalidParameterError):
         extend_points(field, np.array([[np.inf, 0.0]]), np.ones(1))
+    # an empty batch, on a rule of one node block and on one of four
+    for n in (2, 4):
+        f = gaussian_extension(identity_map(n))
+        assert extend_points(f, np.zeros((0, n)), np.zeros(0)).shape == (0, n + 1)
+        assert extension_jacobians(f, np.zeros((0, n)), np.zeros(0)).shape == (0, n + 1, n + 1)
 
 
 def test_lattice_points_layout():
@@ -286,6 +291,18 @@ def test_singular_node_names_first_row_across_blocks():
             extension_jacobians(field, rows, np.ones(2))
 
 
+def test_first_bad_row_is_named_whatever_its_fault():
+    # row 0's base Jacobian is NaN at its nodes (|x|^2 overflows), row 1
+    # meets the origin at a node: the first row is named, by its own fault
+    scheme = build_scheme(2, "tensor_hermite", 7)
+    field = gaussian_extension(power_radial_map(2, -0.5), scheme)
+    X = np.stack([[1e200, 0.0], -paired_nodes(scheme)[1]])
+    with pytest.raises(NonFiniteIntegrandError, match="row 0: base Jacobian"):
+        extension_jacobians(field, X, np.ones(2))
+    with pytest.raises(SingularPointError, match="row 0: "):
+        extension_jacobians(field, X[::-1], np.ones(2))
+
+
 @pytest.mark.parametrize("scheme", [build_scheme(2, "tensor_hermite", 7),
                                     build_scheme(3, "quasi_random", 512, seed=2)],
                          ids=lambda s: s.descriptor())
@@ -337,7 +354,7 @@ def test_batch_equals_rows_bitwise(scheme, rng):
     jacobians = extension_jacobians(field, X, T)
     for i in range(m):
         t = -T[i] if i % 3 == 0 else T[i]
-        assert np.array_equal(lifted[i], extend_point(field, (X[i], t)))
+        assert np.array_equal(lifted[i], extend_points(field, X[i:i + 1], [t])[0])
         assert np.array_equal(jacobians[i], extension_jacobian(field, (X[i], T[i])))
 
 
@@ -450,13 +467,13 @@ def test_kernels_and_reduction_are_layout_independent(kind):
 
 def test_scheme_override_changes_resolution():
     spec = power_radial_map(2, 0.5)
-    coarse = extend_point(gaussian_extension(spec, build_scheme(2, "tensor_hermite", 4)),
-                          ([1.0, 1.0], 1.0))
-    fine = extend_point(gaussian_extension(spec, build_scheme(2, "tensor_hermite", 40)),
-                        ([1.0, 1.0], 1.0))
-    finer = extend_point(gaussian_extension(spec, build_scheme(2, "tensor_hermite", 80)),
-                         ([1.0, 1.0], 1.0))
-    default = extend_point(gaussian_extension(spec), ([1.0, 1.0], 1.0))
+    coarse = extend_points(gaussian_extension(spec, build_scheme(2, "tensor_hermite", 4)),
+                           [[1.0, 1.0]], [1.0])[0]
+    fine = extend_points(gaussian_extension(spec, build_scheme(2, "tensor_hermite", 40)),
+                         [[1.0, 1.0]], [1.0])[0]
+    finer = extend_points(gaussian_extension(spec, build_scheme(2, "tensor_hermite", 80)),
+                          [[1.0, 1.0]], [1.0])[0]
+    default = extend_points(gaussian_extension(spec), [[1.0, 1.0]], [1.0])[0]
     assert not np.array_equal(coarse, fine)
     # |x|^{1/2} has unbounded derivatives at 0, so refinement moves the
     # value slowly; the default (order 20) sits within the coarse-to-fine gap

@@ -77,6 +77,21 @@ def test_unread_parameter_check_finds_one():
     assert "_eval_identity" in DISPATCHED
 
 
+def test_pair_block_reduction_has_one_driver():
+    # the lift and its Jacobian reduce their pieces through one driver in
+    # extension.py; a second caller of add_pair_block would copy its block
+    # protocol (totals, point check, naming the bad row) instead of passing
+    # a contraction to it
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES if path.name != "quadrature.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "add_pair_block"
+    ]
+    assert len(sites) == 1 and sites[0].startswith("extension.py:"), sites
+
+
 POWER1 = '{"kind":"power_radial","dim":2,"params":{"p":1.0}}'
 POWER4 = '{"kind":"power_radial","dim":4,"params":{"p":1.0}}'
 
