@@ -18,36 +18,28 @@ and ``claim_check`` brute-forces that bound over random matrices.
 Matrix constants of 1x1 and 2x2 matrices are exact (a closed form, see
 ``_delta_2x2``).  For n >= 3 let P = sym A,
 B_mu = (mu A^T A + I / mu) / 2 and c(mu) the least eigenvalue of the
-pencil (P, B_mu).  As |Av| |v| <= v^T B_mu v (AM-GM, with equality when
-mu |Av| = |v|), delta >= c(mu) for every mu when P is positive definite,
-and then delta = max c(mu) by Brickman's convexity theorem and the
-S-lemma; otherwise delta = min c(mu).  The optimal mu is 1/|Av| for the
-optimal v, so log mu is searched over [-log sigma_max, -log sigma_min],
-with golden-section steps that share one frame (``_pencil_frame``):
+pencil (P, B_mu).  Where P is not positive definite, v^T A v <= 0 for
+some v, so delta <= 0 (as a limit next to v where Av = 0): the matrix is
+not delta-monotone for any delta > 0, and it gets exactly -1 without a
+search.  Where P is positive definite, |Av| |v| <= v^T B_mu v (AM-GM,
+with equality when mu |Av| = |v|) gives delta >= c(mu) for every mu, and
+delta = max c(mu) by Brickman's convexity theorem and the S-lemma.  The
+optimal mu is 1/|Av| for the optimal v, so s = log mu is searched over
+[-log sigma_max, -log sigma_min], where c is unimodal in s: 1/c(s) =
+max_v (e^s |Av|^2 + e^-s |v|^2) / (2 v^T P v), each term a e^s + b e^-s
+with a, b >= 0 over a positive constant, so convex in s, and so is their
+maximum.  Golden section finds the maximum of c from the two ends of the
+interval, with steps that share one frame (``_pencil_frame``).
 
-* Where P is positive definite, c is unimodal in s = log mu.  For then
-  1/c(s) = max_v (e^s |Av|^2 + e^-s |v|^2) / (2 v^T P v); each term is
-  a e^s + b e^-s with a, b >= 0 over a positive constant, so it is
-  convex in s, and so is their maximum.  Golden section finds the maximum
-  of c from the two ends of the interval, with no grid.
-* Elsewhere the search looks for the least c, which can dip narrowly
-  (a real eigenvector with lambda < 0 attains -1 at mu = 1/|lambda|), so
-  it starts from a grid over the interval plus -log |lambda| for each
-  eigenvalue of A and refines the best grid point.
+Both constants read that one search, so each n >= 3 value is at or below
+delta:
 
-The two constants read that search:
+* ``matrix_delta`` and ``matrix_delta_many`` give the best c found,
+  clipped to [-1, 1], at or below delta up to rounding;
+* ``matrix_delta_lower_many`` gives a certified lower bound, that c less
+  a rounding allowance.  ``claim_check`` qualifies matrices on it.
 
-* ``matrix_delta_lower_many`` gives a certified lower bound, the best c
-  less a rounding allowance.  It searches only the matrices whose P is
-  positive definite and gives every other matrix exactly -1.
-* ``matrix_delta`` and ``matrix_delta_many`` search every matrix and
-  report the c found, clipped to [-1, 1]: the best, at or below delta up
-  to rounding, where P is positive definite, and the least, at or above
-  delta, elsewhere.
-
-Where P is positive definite the two differ only by the allowance.
-``claim_check`` reads only the lower bound, and qualifies matrices on it.
-Both search a stack ``_SEARCH_BLOCK`` matrices at a time: rows are
+The search takes a stack ``_SEARCH_BLOCK`` matrices at a time: rows are
 independent, so the bits are those of one call on the whole stack, and the
 working set beyond the input is one block's.
 """
@@ -98,9 +90,7 @@ __all__ = [
 ]
 
 _RANK_RATIO = 1e-14        # singular values below this fraction of sigma_max count as 0
-_PENCIL_GRID = 32          # evenly spaced log(mu) points per indefinite row before refinement
-_GOLDEN_STEPS = 60         # after the grid: a bracket of at most 2/31 of the interval, times 0.618^60
-_DEFINITE_STEPS = _GOLDEN_STEPS + 6  # from the whole interval: 0.618^66 < 2/31 * 0.618^60
+_GOLDEN_STEPS = 66         # from the whole log(mu) interval to a bracket of 0.618^66 < 2e-14 of it
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SEARCH_BLOCK = 1024       # matrices per block of the n >= 3 search, about 0.6 MB at n = 3
 
@@ -340,41 +330,37 @@ def _delta_2x2(mats: np.ndarray) -> np.ndarray:
     return np.where(winds, -1.0, delta)
 
 
-def _golden_max(objective, grid: np.ndarray, steps: int):
-    """Best abscissa and value of ``objective`` per row: the best point of the
-    row's sorted ``grid``, refined by ``steps`` golden-section steps between its
-    neighbours."""
-    # a column at a time: small temporaries, which is faster and keeps the heap small
-    values = np.concatenate([objective(grid[:, j:j + 1]) for j in range(grid.shape[1])], axis=1)
-    x = np.take_along_axis(grid, np.argmax(values, axis=1)[:, None], axis=1)
-    a = np.max(np.where(grid < x, grid, grid[:, :1]), axis=1, keepdims=True)  # x at an end
-    b = np.min(np.where(grid > x, grid, grid[:, -1:]), axis=1, keepdims=True)
+def _golden_max(objective, lo: np.ndarray, hi: np.ndarray):
+    """Best abscissa and value of ``objective`` per row on the interval from
+    ``lo`` to ``hi`` (columns): golden section from its two ends, then the best
+    of the ends and the last two points."""
+    a, b = lo, hi
     x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     f1, f2 = objective(x1), objective(x2)
-    for _ in range(steps):
+    for _ in range(_GOLDEN_STEPS):
         right = f1 < f2
         a, b = np.where(right, x1, a), np.where(right, b, x2)
         xn = np.where(right, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
         fn = objective(xn)
         x1, x2 = np.where(right, x2, xn), np.where(right, xn, x1)
         f1, f2 = np.where(right, f2, fn), np.where(right, fn, f1)
-    xs, fs = np.concatenate([grid, x1, x2], axis=1), np.concatenate([values, f1, f2], axis=1)
+    xs = np.concatenate([lo, hi, x1, x2], axis=1)
+    fs = np.concatenate([objective(lo), objective(hi), f1, f2], axis=1)
     best = np.argmax(fs, axis=1)[:, None]
     return np.take_along_axis(xs, best, axis=1)[:, 0], np.take_along_axis(fs, best, axis=1)[:, 0]
 
 
 def _pencil_frame(mats: np.ndarray):
-    """Rescaled stack A, its singular values sigma, WS = V^T U diag(sigma) and
+    """Singular values sigma of the rescaled stack A, WS = V^T U diag(sigma) and
     P = sym(WS) = V^T (sym A) V.
 
     In this right singular basis |Av| = |diag(sigma) z|, so ratios stay accurate next
     to a kernel; singular values below _RANK_RATIO sigma_max count as 0, as in _delta_2x2.
     """
-    A = _pow2_rescaled(mats)
-    U, sv, Vt = np.linalg.svd(A)
+    U, sv, Vt = np.linalg.svd(_pow2_rescaled(mats))
     sv = np.where(sv > _RANK_RATIO * sv[:, :1], sv, 0.0)
     WS = (Vt @ U) * sv[:, None, :]
-    return A, sv, WS, 0.5 * (WS + np.swapaxes(WS, 1, 2))
+    return sv, WS, 0.5 * (WS + np.swapaxes(WS, 1, 2))
 
 
 def _pencil_scale(s: np.ndarray, sv: np.ndarray) -> np.ndarray:
@@ -383,28 +369,27 @@ def _pencil_scale(s: np.ndarray, sv: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(0.5 * (mu * (sv * sv)[:, None, :] + 1.0 / mu))
 
 
-def _pencil_search(A, sv, P, definite: bool):
-    """Best log(mu) and value of sign * c(mu) per row of the frame (A, sv, P):
-    sign +1 where ``definite`` (P positive definite on every row), -1 elsewhere.
-
-    Definite rows run golden section over the whole log(mu) interval; the
-    others start from a grid that adds -log |lambda| for each eigenvalue of A
-    (module docstring).
-    """
-    sign = 1.0 if definite else -1.0
+def _pencil_search(arr: np.ndarray) -> np.ndarray:
+    """Best c(mu) of each matrix of ``arr`` whose P is positive definite and
+    its rounding allowance, the columns of an (m, 2) array; -1 and 0 for
+    every other matrix, which is not searched (module docstring)."""
+    sv, WS, P = _pencil_frame(arr)
+    out = np.tile([-1.0, 0.0], (len(arr), 1))
+    pd = np.linalg.eigvalsh(P)[:, 0] > 0.0
+    sv, WS, P = sv[pd], WS[pd], P[pd]
 
     def objective(s):  # P scaled on both sides by d
         d = _pencil_scale(s, sv)
-        return sign * np.linalg.eigvalsh(P[:, None] * d[..., :, None] * d[..., None, :])[..., 0]
+        return np.linalg.eigvalsh(P[:, None] * d[..., :, None] * d[..., None, :])[..., 0]
 
     lo, hi = -np.log(sv[:, :1]), -np.log(np.maximum(sv[:, -1:], _RANK_RATIO * sv[:, :1]))
-    if definite:
-        return _golden_max(objective, np.concatenate([lo, hi], axis=1), _DEFINITE_STEPS)
-    lam = np.linalg.eigvals(A)
-    with np.errstate(divide="ignore"):
-        grid = np.concatenate([lo + np.linspace(0.0, 1.0, _PENCIL_GRID) * (hi - lo),
-                               np.clip(-np.log(np.abs(lam)), lo, hi)], axis=1)
-    return _golden_max(objective, np.sort(grid, axis=1), _GOLDEN_STEPS)
+    s, best = _golden_max(objective, lo, hi)
+    # each entry of the scaled pencil carries a few ulps of its size, eigvalsh about n
+    d = _pencil_scale(s[:, None], sv)[:, 0]
+    N = np.abs(WS) * d[:, :, None] * d[:, None, :]
+    out[pd, 0] = best
+    out[pd, 1] = 4 * arr.shape[1] * np.finfo(float).eps * np.sqrt((N * N).sum(axis=(1, 2)))
+    return out
 
 
 def _matrix_stack(mats) -> np.ndarray:
@@ -427,9 +412,9 @@ def _delta_exact(arr: np.ndarray) -> np.ndarray:
 def matrix_delta(A) -> float:
     """min over unit v of v^T A v / |A v| (directions with Av = 0 excluded).
 
-    Exact for n <= 2; for n >= 3 the value of the pencil search (module
-    docstring): at or below delta up to rounding where sym A is positive
-    definite, at or above it elsewhere.
+    Exact for n <= 2; for n >= 3 the best c(mu) of the pencil search, at or
+    below delta up to rounding, or -1 where sym A is not positive definite
+    (module docstring).
     """
     return float(matrix_delta_many(as_square_matrix(A)[None, :, :])[0])
 
@@ -445,22 +430,7 @@ def matrix_delta_many(mats) -> np.ndarray:
     arr = _matrix_stack(mats)
     if arr.shape[1] <= 2:
         return _delta_exact(arr)
-    return _blockwise(_delta_searched, arr)
-
-
-def _definite(P: np.ndarray) -> np.ndarray:
-    """Rows whose P is positive definite."""
-    return np.linalg.eigvalsh(P)[:, 0] > 0.0
-
-
-def _delta_searched(arr: np.ndarray) -> np.ndarray:
-    A, sv, _, P = _pencil_frame(arr)
-    pd = _definite(P)
-    delta = np.empty(len(A))
-    for rows, sign in ((pd, 1.0), (~pd, -1.0)):
-        if rows.any():
-            delta[rows] = sign * _pencil_search(A[rows], sv[rows], P[rows], sign > 0.0)[1]
-    return np.clip(delta, -1.0, 1.0)
+    return np.clip(_blockwise(_pencil_search, arr)[:, 0], -1.0, 1.0)
 
 
 def matrix_delta_lower_many(mats) -> np.ndarray:
@@ -474,20 +444,8 @@ def matrix_delta_lower_many(mats) -> np.ndarray:
     arr = _matrix_stack(mats)
     if arr.shape[1] <= 2:
         return _delta_exact(arr)
-    return _blockwise(_delta_lower_searched, arr)
-
-
-def _delta_lower_searched(arr: np.ndarray) -> np.ndarray:
-    A, sv, WS, P = _pencil_frame(arr)
-    lower = np.full(len(A), -1.0)
-    pd = _definite(P)
-    A, sv, WS, P = A[pd], sv[pd], WS[pd], P[pd]
-    s, f = _pencil_search(A, sv, P, True)
-    # each entry of the scaled pencil carries a few ulps of its size, eigvalsh about n
-    d = _pencil_scale(s[:, None], sv)[:, 0]
-    N = np.abs(WS) * d[:, :, None] * d[:, None, :]
-    lower[pd] = f - 4 * A.shape[1] * np.finfo(float).eps * np.sqrt((N * N).sum(axis=(1, 2)))
-    return lower
+    best, allowance = _blockwise(_pencil_search, arr).T
+    return best - allowance
 
 
 def claim_constant(delta):

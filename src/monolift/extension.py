@@ -257,8 +257,10 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
     heights are computed at |t| and the vertical component is negated, so
     the reflection symmetry is exact by construction.  Each row's result is
     bitwise independent of the batch it is evaluated in.  An overflowing
-    map or Gaussian average raises :class:`NonFiniteIntegrandError` naming
-    the first bad row.
+    point x + t y, map value or Gaussian average raises
+    :class:`NonFiniteIntegrandError` naming its row, in the order of the
+    module docstring: in one run of rows, a later row's bad point or value
+    is named before an earlier row's overflowing average.
     """
     n = field.dim
     X, T = _batch(X, T, n)
@@ -295,7 +297,9 @@ def extension_jacobians(field: ExtensionField, X, T) -> np.ndarray:
     :class:`InvalidParameterError`, an overflowing ``x + t y``, base
     Jacobian or Gaussian average :class:`NonFiniteIntegrandError`, and a
     quadrature node at a point where the base map has no differential
-    :class:`SingularPointError`, each naming the first bad row.
+    :class:`SingularPointError`, each naming its row in the order of the
+    module docstring: in one run of rows, a later row's bad point or value
+    is named before an earlier row's overflowing average.
     """
     n = field.dim
     X, T = _batch(X, T, n)

@@ -79,10 +79,9 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _vanishing_verticals(field: ExtensionField, X: np.ndarray, T: np.ndarray,
-                         images: np.ndarray) -> np.ndarray:
-    """Rows of the lifted points ``images`` of (X, T) whose vertical part is
-    not above the rounding bound of the paired vertical sum.
+def _lift_above_rounding(field: ExtensionField, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The lift of (X, T); :class:`VanishingVerticalError` unless every
+    vertical part is above the rounding bound of the paired vertical sum.
 
     That sum is sum_i w_i <f(x + t y_i) - f(x - t y_i), y_i> over the first
     half of the nodes.  With L = E||Df(x + t y)||, E|y| <= sqrt(n) and
@@ -108,6 +107,7 @@ def _vanishing_verticals(field: ExtensionField, X: np.ndarray, T: np.ndarray,
     is left out of its row's mean; a row with no other raises
     :class:`SingularPointError`.
     """
+    images = extend_points(field, X, T)
     n = field.dim
     rn = math.sqrt(n)
     steps = rn * np.abs(T)[:, None, None] * np.eye(n)
@@ -131,7 +131,9 @@ def _vanishing_verticals(field: ExtensionField, X: np.ndarray, T: np.ndarray,
     bound = np.finfo(float).eps * (
         (n + 2) * rn * _row_norms(images[:, :n])
         + slope * (rn * _row_norms(X) + (3 * n + 7) * n * np.abs(T)))
-    return ~(images[:, n] > bound)
+    if not np.all(images[:, n] > bound):
+        raise VanishingVerticalError("lift has a (numerically) vanishing vertical part")
+    return images
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,13 +171,9 @@ def vertical_comparison(field: ExtensionField, X, T) -> HyperbolicReport:
     """Evaluate ||DF(x, t)|| t / F_vert(x, t) over the given points."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.atleast_1d(np.asarray(T, dtype=float))
-    if X.shape[0] != T.shape[0]:
-        raise DimensionMismatchError(f"{X.shape[0]} bases vs {T.shape[0]} heights")
     if np.any(T <= 0.0):
         raise NonpositiveHeightError("comparison ratios need strictly positive heights")
-    images = extend_points(field, X, T)
-    if np.any(_vanishing_verticals(field, X, T, images)):  # before the costlier Jacobians
-        raise VanishingVerticalError("lift has (numerically) vanishing vertical part")
+    images = _lift_above_rounding(field, X, T)  # before the costlier Jacobians
     norms = spectral_norms(extension_jacobians(field, X, T))
     return HyperbolicReport(points=X, heights=T, norms=norms, verticals=images[:, -1])
 
@@ -230,18 +228,16 @@ class BilipschitzReport:
 def bilipschitz_sample(field: ExtensionField, P, Q) -> BilipschitzReport:
     """Compare d(F(p), F(q)) with d(p, q) over embedded point pairs.
 
-    Pairs at zero source distance are skipped and counted; image heights
-    must stay above the rounding bound of :func:`_vanishing_verticals`, otherwise
-    :class:`VanishingVerticalError`.
+    The pairs are checked as :func:`hyperbolic_distances` checks them before
+    they are lifted.  Pairs at zero source distance are skipped and counted;
+    image heights must stay above the rounding bound of
+    :func:`_lift_above_rounding`, otherwise :class:`VanishingVerticalError`.
     """
+    ds = hyperbolic_distances(P, Q)
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    FP = extend_points(field, P[:, :-1], P[:, -1])
-    FQ = extend_points(field, Q[:, :-1], Q[:, -1])
-    if (np.any(_vanishing_verticals(field, P[:, :-1], P[:, -1], FP))
-            or np.any(_vanishing_verticals(field, Q[:, :-1], Q[:, -1], FQ))):
-        raise VanishingVerticalError("lift left the upper half space")
-    ds = hyperbolic_distances(P, Q)
+    FP = _lift_above_rounding(field, P[:, :-1], P[:, -1])
+    FQ = _lift_above_rounding(field, Q[:, :-1], Q[:, -1])
     di = hyperbolic_distances(FP, FQ)
     keep = ds > 0.0
     skipped = int(P.shape[0] - keep.sum())

@@ -418,32 +418,30 @@ def test_matrix_delta_spd_eigenvalue_formula_higher_dims(n, rng):
         assert lower[0] == pytest.approx(expected, abs=1e-12)
 
 
+def block_rotation(n, theta):
+    A = np.eye(n)
+    A[:2, :2] = rotation_matrix(theta)
+    return A
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_matrix_delta_block_rotations_higher_dims(n):
-    for theta in np.linspace(0.0, math.pi, 13):
-        A = np.eye(n)
-        A[:2, :2] = rotation_matrix(theta)
-        assert matrix_delta(A) == pytest.approx(math.cos(theta), abs=1e-12)
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_matrix_delta_kernel_limits_higher_dims(n, rng):
-    # A = u w^T: the infimum is the limit at the kernel w-perp, as for n = 2
-    for _ in range(100):
-        u, w = rng.standard_normal(n), rng.standard_normal(n)
-        assert matrix_delta(np.outer(u, w)) == pytest.approx(rank1_delta(u, w), abs=1e-12)
-    # diag(1, ..., 1, 0): every attained ratio is positive, the infimum 0 sits at e_n
-    assert matrix_delta(np.diag([1.0] * (n - 1) + [0.0])) == 0.0
+    # theta < pi/2, where sym A is positive definite
+    for theta in np.linspace(0.0, math.pi, 13)[:6]:
+        assert matrix_delta(block_rotation(n, theta)) == pytest.approx(math.cos(theta), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_matrix_delta_lower_many_rows_are_batch_independent(n, rng):
     # a mixed stack: Gaussian matrices (mostly P not positive definite), shifted
-    # ones (mostly positive definite) and rank-one ones
+    # ones (mostly positive definite), rank-one ones, diag(1, ..., 1, 0) and
+    # block rotations past a quarter turn
     mats = np.concatenate([rng.standard_normal((20, n, n)),
                            rng.standard_normal((20, n, n)) + 2.0 * np.eye(n),
                            [np.outer(rng.standard_normal(n), rng.standard_normal(n))
-                            for _ in range(5)]])
+                            for _ in range(5)],
+                           [np.diag([1.0] * (n - 1) + [0.0])],
+                           [block_rotation(n, theta) for theta in (1.7, 2.5, math.pi)]])
     mats = mats[rng.permutation(len(mats))]
     lower = matrix_delta_lower_many(mats)
     alone = np.array([matrix_delta_lower_many(m[None])[0] for m in mats])
@@ -451,8 +449,9 @@ def test_matrix_delta_lower_many_rows_are_batch_independent(n, rng):
     spd = np.linalg.eigvalsh(mats + np.swapaxes(mats, 1, 2))[:, 0] > 0.0
     assert 0 < spd.sum() < len(mats)
     assert np.all(lower[spd] > -1.0)
-    # not positive definite in the symmetric part: exactly -1, not searched
+    # not positive definite in the symmetric part: delta <= 0, so exactly -1, not searched
     assert np.all(lower[~spd] == -1.0)
+    assert np.all(matrix_delta_many(mats)[~spd] == -1.0)
     assert np.all(lower <= matrix_delta_many(mats))
 
 
@@ -498,6 +497,26 @@ def test_definite_block_searches_without_the_grid(monkeypatch, rng):
     for search in (matrix_delta_lower_many, matrix_delta_many):
         calls.update(eigvalsh=0, eigvals=0)
         search(mats)
+        assert calls == {"eigvalsh": 71, "eigvals": 0}
+
+
+def test_mixed_block_searches_only_its_definite_rows(monkeypatch, rng):
+    # rows whose sym A is not positive definite get -1 from both constants
+    # without a search: the definite rows' golden section is the only one
+    mats = np.concatenate([rng.standard_normal((20, 3, 3)) + 4.0 * np.eye(3),
+                           rng.standard_normal((20, 3, 3)) - 4.0 * np.eye(3),
+                           [np.outer(rng.standard_normal(3), rng.standard_normal(3))]])
+    spd = np.linalg.eigvalsh(mats + np.swapaxes(mats, 1, 2))[:, 0] > 0.0
+    assert spd.sum() == 20
+    calls = {"eigvalsh": 0, "eigvals": 0}
+    for name in calls:
+        def counted(*args, _name=name, _solve=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _solve(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for search in (matrix_delta_lower_many, matrix_delta_many):
+        calls.update(eigvalsh=0, eigvals=0)
+        assert np.all(search(mats)[~spd] == -1.0)
         assert calls == {"eigvalsh": 71, "eigvals": 0}
 
 

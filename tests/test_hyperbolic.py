@@ -180,8 +180,18 @@ def test_bilipschitz_power_map_bounds():
 def test_bilipschitz_rejects_boundary_images():
     degenerate = gaussian_extension(planar_rotation_map(math.pi / 2))
     P, Q = sample_height_pairs(2, 20, seed=8)
-    with pytest.raises(VanishingVerticalError):
+    with pytest.raises(VanishingVerticalError, match="vanishing vertical part"):
         bilipschitz_sample(degenerate, P, Q)
+    # pairs are checked before they are lifted: heights <= 0, a 1-D batch and
+    # batches of different lengths fail as the hyperbolic distance fails
+    field = gaussian_extension(identity_map(2))
+    for height in (0.0, -1.0):
+        with pytest.raises(NonpositiveHeightError):
+            bilipschitz_sample(field, np.column_stack([P[:, :-1], np.full(20, height)]), Q)
+    with pytest.raises(DimensionMismatchError):
+        bilipschitz_sample(field, P[0], Q[0])
+    with pytest.raises(DimensionMismatchError):
+        bilipschitz_sample(field, P, Q[:-1])
 
 
 def test_quarter_turn_rejected_where_its_image_is_small():

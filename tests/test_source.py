@@ -77,6 +77,37 @@ def test_unread_parameter_check_finds_one():
     assert "_eval_identity" in DISPATCHED
 
 
+def unread_private_names(tree):
+    """``name (line)`` for each module-level underscore name its module never reads."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in names
+                       if name.startswith("_") and not name.endswith("__"))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in defined.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_private_name_is_read(path):
+    # no sibling may import a module's underscore names, so one its own
+    # module never reads is dead: a leftover constant, helper or branch
+    unread = unread_private_names(ast.parse(path.read_text(), filename=str(path)))
+    assert unread == [], f"{path.name} has unread private names {unread}"
+
+
+def test_unread_private_name_check_finds_one():
+    tree = ast.parse("_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\n"
+                     "class _C:\n    _D = 3\n")
+    assert unread_private_names(tree) == ["_B (line 2)", "_f (line 4)", "_C (line 6)"]
+
+
 def test_pair_block_reduction_has_one_driver():
     # the lift and its Jacobian reduce their pieces through one driver in
     # extension.py; a second caller of add_pair_block would copy its block
