@@ -22,7 +22,6 @@ from .certify import (
     claim_constant,
     composition_monotonicity_demo,
     matrix_delta,
-    matrix_delta_lower_many,
     matrix_delta_many,
     quasisymmetry_profile,
     sample_pairs,

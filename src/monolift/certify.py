@@ -31,13 +31,9 @@ with a, b >= 0 over a positive constant, so convex in s, and so is their
 maximum.  Golden section finds the maximum of c from the two ends of the
 interval, with steps that share one frame (``_pencil_frame``).
 
-Both constants read that one search, so each n >= 3 value is at or below
-delta:
-
-* ``matrix_delta`` and ``matrix_delta_many`` give the best c found,
-  clipped to [-1, 1], at or below delta up to rounding;
-* ``matrix_delta_lower_many`` gives a certified lower bound, that c less
-  a rounding allowance.  ``claim_check`` qualifies matrices on it.
+For n >= 3 ``matrix_delta`` and ``matrix_delta_many`` give the best c
+found less a rounding allowance, a certified lower bound on delta: the
+one constant the matrix lemma needs, and the one ``claim_check`` reads.
 
 The search takes a stack ``_SEARCH_BLOCK`` matrices at a time: rows are
 independent, so the bits are those of one call on the whole stack, and the
@@ -78,7 +74,6 @@ __all__ = [
     "two_point_delta",
     "matrix_delta",
     "matrix_delta_many",
-    "matrix_delta_lower_many",
     "claim_constant",
     "ClaimReport",
     "claim_check",
@@ -370,11 +365,11 @@ def _pencil_scale(s: np.ndarray, sv: np.ndarray) -> np.ndarray:
 
 
 def _pencil_search(arr: np.ndarray) -> np.ndarray:
-    """Best c(mu) of each matrix of ``arr`` whose P is positive definite and
-    its rounding allowance, the columns of an (m, 2) array; -1 and 0 for
-    every other matrix, which is not searched (module docstring)."""
+    """Certified lower bound on delta for each matrix of ``arr``: the best
+    c(mu) less its rounding allowance where P is positive definite, and -1
+    for every other matrix, which is not searched (module docstring)."""
     sv, WS, P = _pencil_frame(arr)
-    out = np.tile([-1.0, 0.0], (len(arr), 1))
+    out = np.full(len(arr), -1.0)
     pd = np.linalg.eigvalsh(P)[:, 0] > 0.0
     sv, WS, P = sv[pd], WS[pd], P[pd]
 
@@ -387,8 +382,7 @@ def _pencil_search(arr: np.ndarray) -> np.ndarray:
     # each entry of the scaled pencil carries a few ulps of its size, eigvalsh about n
     d = _pencil_scale(s[:, None], sv)[:, 0]
     N = np.abs(WS) * d[:, :, None] * d[:, None, :]
-    out[pd, 0] = best
-    out[pd, 1] = 4 * arr.shape[1] * np.finfo(float).eps * np.sqrt((N * N).sum(axis=(1, 2)))
+    out[pd] = best - 4 * arr.shape[1] * np.finfo(float).eps * np.sqrt((N * N).sum(axis=(1, 2)))
     return out
 
 
@@ -404,48 +398,30 @@ def _matrix_stack(mats) -> np.ndarray:
     return arr
 
 
-def _delta_exact(arr: np.ndarray) -> np.ndarray:
-    """Exact delta for n <= 2: sign(a) in dim 1, the closed form in dim 2."""
-    return np.sign(arr[:, 0, 0]) if arr.shape[1] == 1 else _delta_2x2(arr)
-
-
 def matrix_delta(A) -> float:
-    """min over unit v of v^T A v / |A v| (directions with Av = 0 excluded).
-
-    Exact for n <= 2; for n >= 3 the best c(mu) of the pencil search, at or
-    below delta up to rounding, or -1 where sym A is not positive definite
-    (module docstring).
+    """min over unit v of v^T A v / |A v| (directions with Av = 0 excluded),
+    or for n >= 3 a certified lower bound on it: see :func:`matrix_delta_many`.
     """
     return float(matrix_delta_many(as_square_matrix(A)[None, :, :])[0])
 
 
-def _blockwise(search, arr: np.ndarray) -> np.ndarray:
-    """``search`` over the stack ``arr``, ``_SEARCH_BLOCK`` matrices at a time."""
-    return np.concatenate([search(arr[s:s + _SEARCH_BLOCK])
-                           for s in range(0, max(len(arr), 1), _SEARCH_BLOCK)])
-
-
 def matrix_delta_many(mats) -> np.ndarray:
-    """Vectorised :func:`matrix_delta` over a stack of same-size matrices."""
-    arr = _matrix_stack(mats)
-    if arr.shape[1] <= 2:
-        return _delta_exact(arr)
-    return np.clip(_blockwise(_pencil_search, arr)[:, 0], -1.0, 1.0)
+    """Matrix constant of each matrix of a stack of same-size matrices.
 
-
-def matrix_delta_lower_many(mats) -> np.ndarray:
-    """Certified lower bound on the matrix constant of each matrix of a stack.
-
-    Exact for n <= 2.  For n >= 3, where P is positive definite, the best
-    c(mu) of the pencil search less a rounding allowance (module docstring);
-    every other matrix gets exactly -1.0 without a search.  Each row's bound
-    is the same whatever else is in the stack.
+    Exact for n <= 2: sign(a) in dim 1, the closed form in dim 2.  For
+    n >= 3 a certified lower bound: the best c(mu) of the pencil search less
+    a rounding allowance where sym A is positive definite, exactly -1 for
+    every other matrix (module docstring).  The stack is searched
+    ``_SEARCH_BLOCK`` matrices at a time, so each row's value is the same
+    whatever else is in the stack.
     """
     arr = _matrix_stack(mats)
-    if arr.shape[1] <= 2:
-        return _delta_exact(arr)
-    best, allowance = _blockwise(_pencil_search, arr).T
-    return best - allowance
+    if arr.shape[1] == 1:
+        return np.sign(arr[:, 0, 0])
+    if arr.shape[1] == 2:
+        return _delta_2x2(arr)
+    return np.concatenate([_pencil_search(arr[s:s + _SEARCH_BLOCK])
+                           for s in range(0, max(len(arr), 1), _SEARCH_BLOCK)])
 
 
 def claim_constant(delta):
@@ -506,10 +482,10 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
                 delta_floor: float = 0.05) -> ClaimReport:
     """Brute-force the singular-value claim over random matrices.
 
-    A sampled matrix qualifies when the certified lower bound on its
-    matrix constant (:func:`matrix_delta_lower_many`, exact for n <= 2) is
+    A sampled matrix qualifies when its :func:`matrix_delta_many` value
+    (exact for n <= 2, a certified lower bound for n >= 3) is
     >= ``delta_floor``; the matrix is then delta-monotone with delta that
-    bound, and the check asserts sigma_min >= c(delta) sigma_max (up to
+    value, and the check asserts sigma_min >= c(delta) sigma_max (up to
     1e-12 relative rounding slack) and reports the worst margin seen, or
     None when no matrix qualifies.  The floor must lie in (0, 1], the
     domain of :func:`claim_constant`.
@@ -527,12 +503,13 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
     for dim in dims:
         rng = np.random.default_rng([seed, dim])
         mats = _random_test_matrices(dim, count, rng)
-        lower = matrix_delta_lower_many(mats)
+        lower = matrix_delta_many(mats)
         qual = lower >= delta_floor
         nqual = int(qual.sum())
         if nqual:
             sv = np.linalg.svd(mats[qual], compute_uv=False)
             smax, smin = sv[:, 0], sv[:, -1]
+            # the 2x2 closed form can round to just above 1
             c = claim_constant(np.minimum(lower[qual], 1.0))
             gap = (smin - c * smax) / smax
             violations = int(np.sum(gap < -1e-12))

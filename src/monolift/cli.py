@@ -93,6 +93,8 @@ def _density_for(args):
     if args.spec:
         spec = _load_spec(args.spec)
         return spec, jacobian_norm_density(spec), spec.dim
+    if args.dim < 1:
+        raise InvalidParameterError(f"dim must be a positive integer, got {args.dim}")
     return None, lebesgue_density(), args.dim
 
 
@@ -467,7 +469,3 @@ def main(argv=None) -> int:
     except MonoliftError as exc:
         sys.stderr.write(f"monolift: error: {exc}\n")
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

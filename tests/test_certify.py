@@ -22,7 +22,6 @@ from monolift import (
     identity_map,
     linear_map,
     matrix_delta,
-    matrix_delta_lower_many,
     matrix_delta_many,
     planar_rotation_map,
     power_radial_map,
@@ -345,13 +344,10 @@ def test_matrix_delta_bounds_against_dense_reference(n):
     else:
         points = rng.standard_normal((16384, n))
         points /= np.linalg.norm(points, axis=1, keepdims=True)
-    lower, upper = matrix_delta_lower_many(mats), matrix_delta_many(mats)
-    assert np.array_equal(upper, matrix_delta_many(mats))
-    assert np.all(upper <= dense_sphere_delta(mats, points) + 1e-12)
-    assert np.all(lower <= upper)
-    tight = upper >= 0.05
-    assert tight.sum() >= 60
-    assert np.all(upper[tight] - lower[tight] <= 1e-9)
+    value = matrix_delta_many(mats)
+    assert np.array_equal(value, matrix_delta_many(mats))
+    assert np.all(value <= dense_sphere_delta(mats, points) + 1e-12)
+    assert np.sum(value >= 0.05) >= 60
 
 
 def attained_sphere_delta(A, points, keep=4):
@@ -385,9 +381,9 @@ def attained_sphere_delta(A, points, keep=4):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_matrix_delta_lower_many_tight_against_attained_ratios(n):
+def test_matrix_delta_many_tight_against_attained_ratios(n):
     # from above: an attained ratio within 1e-12 of the certified lower bound
-    # pins delta, and the searched value, on every row where the bound is tight
+    # pins delta on every row where the bound is tight
     rng = np.random.default_rng([2026, n])
     mats = oracle_matrices(n, rng)
     if n == 3:
@@ -395,13 +391,12 @@ def test_matrix_delta_lower_many_tight_against_attained_ratios(n):
     else:
         points = rng.standard_normal((16384, n))
         points /= np.linalg.norm(points, axis=1, keepdims=True)
-    lower, value = matrix_delta_lower_many(mats), matrix_delta_many(mats)
+    lower = matrix_delta_many(mats)
     tight = np.flatnonzero(lower >= 0.05)
     assert len(tight) >= 60
     attained = np.array([attained_sphere_delta(mats[k], points) for k in tight])
     assert np.all(attained - lower[tight] >= -1e-12)
     assert np.all(attained - lower[tight] <= 1e-12)
-    assert np.all(np.abs(attained - value[tight]) <= 1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -413,9 +408,7 @@ def test_matrix_delta_spd_eigenvalue_formula_higher_dims(n, rng):
         lam = 10.0 ** rng.uniform(-3.0, 3.0, n)
         A = Q @ np.diag(lam) @ Q.T
         expected = 2.0 * math.sqrt(lam.min() * lam.max()) / (lam.min() + lam.max())
-        lower, upper = matrix_delta_lower_many(A[None]), matrix_delta_many(A[None])
-        assert upper[0] == pytest.approx(expected, abs=1e-12)
-        assert lower[0] == pytest.approx(expected, abs=1e-12)
+        assert matrix_delta_many(A[None])[0] == pytest.approx(expected, abs=1e-12)
 
 
 def block_rotation(n, theta):
@@ -432,7 +425,7 @@ def test_matrix_delta_block_rotations_higher_dims(n):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_matrix_delta_lower_many_rows_are_batch_independent(n, rng):
+def test_matrix_delta_many_rows_are_batch_independent(n, rng):
     # a mixed stack: Gaussian matrices (mostly P not positive definite), shifted
     # ones (mostly positive definite), rank-one ones, diag(1, ..., 1, 0) and
     # block rotations past a quarter turn
@@ -443,32 +436,14 @@ def test_matrix_delta_lower_many_rows_are_batch_independent(n, rng):
                            [np.diag([1.0] * (n - 1) + [0.0])],
                            [block_rotation(n, theta) for theta in (1.7, 2.5, math.pi)]])
     mats = mats[rng.permutation(len(mats))]
-    lower = matrix_delta_lower_many(mats)
-    alone = np.array([matrix_delta_lower_many(m[None])[0] for m in mats])
-    assert np.array_equal(lower, alone)
+    value = matrix_delta_many(mats)
+    alone = np.array([matrix_delta_many(m[None])[0] for m in mats])
+    assert np.array_equal(value, alone)
     spd = np.linalg.eigvalsh(mats + np.swapaxes(mats, 1, 2))[:, 0] > 0.0
     assert 0 < spd.sum() < len(mats)
-    assert np.all(lower[spd] > -1.0)
+    assert np.all(value[spd] > -1.0)
     # not positive definite in the symmetric part: delta <= 0, so exactly -1, not searched
-    assert np.all(lower[~spd] == -1.0)
-    assert np.all(matrix_delta_many(mats)[~spd] == -1.0)
-    assert np.all(lower <= matrix_delta_many(mats))
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_one_pencil_search_serves_both_constants(n, rng):
-    # positive definite, indefinite and rank-one rows: the lower bound never
-    # passes the searched value, and where sym A is positive definite the two
-    # are the same best c(mu), apart from the lower bound's rounding allowance
-    mats = np.concatenate([rng.standard_normal((30, n, n)) + 3.0 * np.eye(n),
-                           rng.standard_normal((30, n, n)),
-                           [np.outer(rng.standard_normal(n), rng.standard_normal(n))
-                            for _ in range(10)]])
-    lower, value = matrix_delta_lower_many(mats), matrix_delta_many(mats)
-    spd = np.linalg.eigvalsh(mats + np.swapaxes(mats, 1, 2))[:, 0] > 0.0
-    assert 20 <= spd.sum() <= 50
-    assert np.all(lower <= value)
-    assert np.all(value[spd] - lower[spd] <= 1e-13)
+    assert np.all(value[~spd] == -1.0)
 
 
 def swept_pencil_max(mats, points=4097):
@@ -494,15 +469,13 @@ def test_definite_block_searches_without_the_grid(monkeypatch, rng):
             calls[_name] += 1
             return _solve(*args)
         monkeypatch.setattr(np.linalg, name, counted)
-    for search in (matrix_delta_lower_many, matrix_delta_many):
-        calls.update(eigvalsh=0, eigvals=0)
-        search(mats)
-        assert calls == {"eigvalsh": 71, "eigvals": 0}
+    matrix_delta_many(mats)
+    assert calls == {"eigvalsh": 71, "eigvals": 0}
 
 
 def test_mixed_block_searches_only_its_definite_rows(monkeypatch, rng):
-    # rows whose sym A is not positive definite get -1 from both constants
-    # without a search: the definite rows' golden section is the only one
+    # rows whose sym A is not positive definite get -1 without a search:
+    # the definite rows' golden section is the only one
     mats = np.concatenate([rng.standard_normal((20, 3, 3)) + 4.0 * np.eye(3),
                            rng.standard_normal((20, 3, 3)) - 4.0 * np.eye(3),
                            [np.outer(rng.standard_normal(3), rng.standard_normal(3))]])
@@ -514,10 +487,8 @@ def test_mixed_block_searches_only_its_definite_rows(monkeypatch, rng):
             calls[_name] += 1
             return _solve(*args)
         monkeypatch.setattr(np.linalg, name, counted)
-    for search in (matrix_delta_lower_many, matrix_delta_many):
-        calls.update(eigvalsh=0, eigvals=0)
-        assert np.all(search(mats)[~spd] == -1.0)
-        assert calls == {"eigvalsh": 71, "eigvals": 0}
+    assert np.all(matrix_delta_many(mats)[~spd] == -1.0)
+    assert calls == {"eigvalsh": 71, "eigvals": 0}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -538,16 +509,16 @@ def test_definite_search_reaches_the_swept_maximum(n):
     assert np.all(matrix_delta_many(mats) >= swept_pencil_max(mats) - 1e-13)
 
 
-def test_matrix_delta_lower_many_guards():
-    assert np.array_equal(matrix_delta_lower_many(-np.eye(3)[None].repeat(3, axis=0)), [-1.0] * 3)
-    assert np.array_equal(matrix_delta_lower_many([[[2.0]], [[-0.5]]]), [1.0, -1.0])
-    assert matrix_delta_lower_many([rotation_matrix(0.3)])[0] == matrix_delta(rotation_matrix(0.3))
+def test_matrix_delta_many_guards():
+    assert np.array_equal(matrix_delta_many(-np.eye(3)[None].repeat(3, axis=0)), [-1.0] * 3)
+    assert np.array_equal(matrix_delta_many([[[2.0]], [[-0.5]]]), [1.0, -1.0])
+    assert matrix_delta_many([rotation_matrix(0.3)])[0] == matrix_delta(rotation_matrix(0.3))
     with pytest.raises(ZeroMatrixError):
-        matrix_delta_lower_many(np.zeros((1, 3, 3)))
+        matrix_delta_many(np.zeros((1, 3, 3)))
     with pytest.raises(InvalidParameterError):
-        matrix_delta_lower_many(np.full((1, 3, 3), math.nan))
+        matrix_delta_many(np.full((1, 3, 3), math.nan))
     with pytest.raises(DimensionMismatchError):
-        matrix_delta_lower_many(np.zeros((3, 2)))
+        matrix_delta_many(np.zeros((3, 2)))
 
 
 def test_matrix_delta_many_dim3_bitwise_equals_single_calls(rng):
@@ -555,6 +526,31 @@ def test_matrix_delta_many_dim3_bitwise_equals_single_calls(rng):
                            rng.standard_normal((30, 3, 3)) + 2.0 * np.eye(3)])
     many = matrix_delta_many(mats)
     assert np.array_equal(many, [matrix_delta(m) for m in mats])
+
+
+# a diagonal at which the best c(mu), without its rounding allowance, is above delta
+ABOVE_DELTA = [0.00811970702068584, 0.008890044530938581, 0.010919695766026725]
+
+
+def decimal_spd_delta(lam):
+    """2 sqrt(l_min l_max) / (l_min + l_max) of positive floats in 60-digit decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        lo, hi = decimal.Decimal(float(min(lam))), decimal.Decimal(float(max(lam)))
+        return 2 * (lo * hi).sqrt() / (lo + hi)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_matrix_delta_many_is_at_or_below_exact_delta(n):
+    # positive diagonals: every value, read as the exact decimal of its float,
+    # is at or below delta; the extra entries of ABOVE_DELTA's row lie between
+    # its ends, so they leave its delta alone
+    rng = np.random.default_rng([24, n])
+    lam = rng.uniform(0.01, 1.0, (1000, n))
+    lam[0] = ABOVE_DELTA + sorted(rng.uniform(ABOVE_DELTA[0], ABOVE_DELTA[2], n - 3))
+    values = matrix_delta_many(lam[:, :, None] * np.eye(n))
+    above = [k for k in range(len(lam)) if decimal.Decimal(float(values[k])) > decimal_spd_delta(lam[k])]
+    assert above == []
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +614,8 @@ def test_blocked_search_is_one_call_on_the_stack(n, rng, monkeypatch):
                            rng.standard_normal((25, n, n)) + 2.0 * np.eye(n)])
     mats = mats[rng.permutation(len(mats))]
     monkeypatch.setattr(certify, "_SEARCH_BLOCK", len(mats))
-    lower, value = matrix_delta_lower_many(mats), matrix_delta_many(mats)
+    value = matrix_delta_many(mats)
     monkeypatch.setattr(certify, "_SEARCH_BLOCK", 7)
-    assert np.array_equal(matrix_delta_lower_many(mats), lower)
     assert np.array_equal(matrix_delta_many(mats), value)
 
 
@@ -629,7 +624,7 @@ def test_claim_check_working_set_is_the_input_plus_one_block():
     # temporary (the shifted or the qualified matrices) and one block's search
     block = certify._SEARCH_BLOCK
     one = np.random.default_rng(0).standard_normal((block, 3, 3)) + 2.0 * np.eye(3)
-    block_peak = traced_peak(lambda: matrix_delta_lower_many(one))
+    block_peak = traced_peak(lambda: matrix_delta_many(one))
     count = 5 * block
     peak = traced_peak(lambda: claim_check(dims=(3,), count=count))
     assert peak < 2 * count * 9 * 8 + block_peak

@@ -586,6 +586,12 @@ def _sampled_overflows():
      "the ball rule in dimension 14 keeps none of its 32768 cube points inside the unit ball"),
     (["doubling", "--dim", "14", "--centers", ",".join(["0"] * 14)],
      "the ball rule in dimension 14 keeps none of its 32768 cube points inside the unit ball"),
+    # the dimension is checked before the centres are read against it
+    (["doubling", "--dim", "0"], "dim must be a positive integer, got 0"),
+    (["doubling", "--dim", "-2"], "dim must be a positive integer, got -2"),
+    # the zero map's ||Df|| density has no mass on the unit ball
+    (["moments", "--spec", json.dumps(_scaling(0.0))],
+     "unit-ball mass must be finite and positive"),
 ])
 def test_overflow_error_is_the_only_stderr_line(argv, message):
     # the program's own finite check reports the overflow; no numpy

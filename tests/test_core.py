@@ -98,6 +98,39 @@ def test_invalid_parameters():
         linear_map([[1.0, 0.0]])
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: MapSpec("identity", 0), InvalidParameterError, "dim must be a positive integer, got 0"),
+    (lambda: MapSpec("identity", 2, children=(identity_map(2),)), InvalidParameterError,
+     "identity does not take child maps"),
+    (lambda: MapSpec("power_radial", 2, {"p": 1.0, "q": 2.0}), InvalidParameterError,
+     "power_radial got unexpected params ['q']"),
+    (lambda: MapSpec("power_radial", 2, {}), InvalidParameterError,
+     "power_radial requires params ['p']"),
+    (lambda: planar_rotation_map(math.nan), InvalidParameterError, "theta must be finite"),
+    (lambda: MapSpec("composition", 2), InvalidParameterError,
+     "composition requires at least one child map"),
+    (lambda: MapSpec("composition", 2, children=("identity",)), InvalidParameterError,
+     "composition children must be MapSpec instances"),
+    (compose_maps, InvalidParameterError, "compose_maps needs at least one map"),
+    (lambda: map_spec_from_dict({"kind": 3, "dim": 2}), MalformedSpecError,
+     "'kind' must be a string"),
+    (lambda: map_spec_from_dict({"kind": "composition", "dim": 2, "compose": "identity"}),
+     MalformedSpecError, "'compose' must be a list of map specs"),
+    (lambda: translation_map([]), DimensionMismatchError,
+     "offset must be a non-empty 1-d array, got shape (0,)"),
+    (lambda: translation_map([math.nan]), InvalidParameterError, "offset must be finite"),
+    (lambda: MapSpec("linear", 2, {"matrix": np.eye(3).tolist()}), DimensionMismatchError,
+     "expected a 2x2 matrix, got shape (3, 3)"),
+], ids=["dim0", "identity-children", "power-extra-param", "power-no-p", "rotation-nan",
+        "composition-empty", "composition-non-spec", "compose-nothing", "kind-not-string",
+        "compose-not-list", "translation-empty", "translation-nan", "linear-wrong-size"])
+def test_refused_specs_name_their_fault(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_kinds_are_the_kernel_tables_keys():
     # one list of kinds: the evaluation table's keys, which the Jacobian table shares
     assert KINDS == tuple(core._EVAL)

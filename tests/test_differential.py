@@ -76,6 +76,9 @@ def test_finite_differences_exact_on_affine():
     assert np.allclose(J, M, atol=1e-10)
     with pytest.raises(DimensionMismatchError):
         finite_difference_jacobian(lambda v: v, np.zeros((2, 2)))
+    with pytest.raises(NonFiniteIntegrandError,
+                       match="^finite differencing hit a non-finite evaluation$"):
+        finite_difference_jacobian(lambda v: np.full_like(v, math.nan), np.array([0.4, -0.6]))
 
 
 def test_jacobian_height_guard():

@@ -15,6 +15,7 @@ from conftest import riemann_gaussian_moment_1d
 from monolift import build_scheme, default_scheme, gaussian_expectation, quadrature
 from monolift.quadrature import pair_blocks, pair_expectation, paired_nodes, sobol_points
 from monolift.errors import (
+    DimensionMismatchError,
     DimensionOverflowError,
     InvalidParameterError,
     ResolutionError,
@@ -112,6 +113,8 @@ def test_vector_valued_expectation():
     out = gaussian_expectation(scheme, vals)
     assert out.shape == (2,)
     assert out[0] == 0.0 and abs(out[1] - 1.0) <= 1e-10
+    with pytest.raises(DimensionMismatchError, match=r"^got 3 node values for a scheme of size 100$"):
+        gaussian_expectation(scheme, vals[:3])
 
 
 def test_quasi_random_moments():

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -106,6 +107,30 @@ def test_unread_private_name_check_finds_one():
     tree = ast.parse("_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\n"
                      "class _C:\n    _D = 3\n")
     assert unread_private_names(tree) == ["_B (line 2)", "_f (line 4)", "_C (line 6)"]
+
+
+def exported_names(path):
+    """The names a module's ``__all__`` lists, or None when it has none."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+EXPORTING = [path for path in SOURCES if exported_names(path) is not None]
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path):
+    # nothing imports *, so a deleted function left in __all__ would go unseen
+    module = importlib.import_module(f"monolift.{path.stem}")
+    unbound = [name for name in exported_names(path) if not hasattr(module, name)]
+    assert unbound == [], f"{path.name} exports unbound names {unbound}"
+
+
+def test_exporting_modules_found():
+    assert len(EXPORTING) >= 10
 
 
 def test_pair_block_reduction_has_one_driver():
