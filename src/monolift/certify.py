@@ -15,8 +15,9 @@ below by c(delta) ||A|| with
 
 and ``claim_check`` brute-forces that bound over random matrices.
 
-Matrix constants of 1x1 and 2x2 matrices are exact (a closed form, see
-``_delta_2x2``).  For n >= 3 let P = sym A,
+The matrix constant of a 1x1 matrix is its sign.  For 2x2 matrices a
+closed form (``_delta_2x2``) is lowered by a bound on its rounding error.
+For n >= 3 let P = sym A,
 B_mu = (mu A^T A + I / mu) / 2 and c(mu) the least eigenvalue of the
 pencil (P, B_mu).  Where P is not positive definite, v^T A v <= 0 for
 some v, so delta <= 0 (as a limit next to v where Av = 0): the matrix is
@@ -28,12 +29,18 @@ optimal mu is 1/|Av| for the optimal v, so s = log mu is searched over
 [-log sigma_max, -log sigma_min], where c is unimodal in s: 1/c(s) =
 max_v (e^s |Av|^2 + e^-s |v|^2) / (2 v^T P v), each term a e^s + b e^-s
 with a, b >= 0 over a positive constant, so convex in s, and so is their
-maximum.  Golden section finds the maximum of c from the two ends of the
-interval, with steps that share one frame (``_pencil_frame``).
+maximum.  Golden section finds the maximum of c from c at both ends and
+both interior points of the interval, with steps that share one frame
+(``_pencil_frame``).  Before each step the secants of the convex 1/c
+through the four points of a row's bracket bound the row's maximum from
+above (``_envelope_min``); the row stops once that bound exceeds its best
+c by no more than the least rounding allowance of the four, and
+``_GOLDEN_STEPS`` is a cap.
 
-For n >= 3 ``matrix_delta`` and ``matrix_delta_many`` give the best c
-found less a rounding allowance, a certified lower bound on delta: the
-one constant the matrix lemma needs, and the one ``claim_check`` reads.
+In every dimension ``matrix_delta`` and ``matrix_delta_many`` give a
+certified lower bound on delta (for n >= 3 the best c found less its
+rounding allowance): the one constant the matrix lemma needs, and the one
+``claim_check`` reads.
 
 The search takes a stack ``_SEARCH_BLOCK`` matrices at a time: rows are
 independent, so the bits are those of one call on the whole stack, and the
@@ -85,7 +92,7 @@ __all__ = [
 ]
 
 _RANK_RATIO = 1e-14        # singular values below this fraction of sigma_max count as 0
-_GOLDEN_STEPS = 66         # from the whole log(mu) interval to a bracket of 0.618^66 < 2e-14 of it
+_GOLDEN_STEPS = 66         # cap on steps, from the whole log(mu) interval to a bracket of 0.618^66 < 2e-14 of it
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SEARCH_BLOCK = 1024       # matrices per block of the n >= 3 search, about 0.6 MB at n = 3
 
@@ -287,7 +294,7 @@ def _pow2_rescaled(mats: np.ndarray) -> np.ndarray:
 
 
 def _delta_2x2(mats: np.ndarray) -> np.ndarray:
-    """Exact matrix constant of a stack of 2x2 matrices.
+    """Matrix constant of a stack of 2x2 matrices, less a bound on its rounding error.
 
     In complex notation A z = alpha z + beta conj(z), where |alpha| and
     |beta| are the conformal and anticonformal parts: sigma_max is their
@@ -307,6 +314,10 @@ def _delta_2x2(mats: np.ndarray) -> np.ndarray:
     the same formula at det A = 0 gives the infimum -sqrt(1 - c^2), or -1
     once c <= 0, where c = u.w / (|u| |w|).  The determinant is formed from
     exact products, so near-singular matrices keep full accuracy.
+
+    Each value is then lowered by a first-order bound on its rounding error,
+    a few ulps of the terms of the formula, so it is at or below the exact
+    constant; -1 and an exact 0 stay exact.
     """
     A = _pow2_rescaled(mats)
     a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
@@ -314,35 +325,80 @@ def _delta_2x2(mats: np.ndarray) -> np.ndarray:
     det = (ad - bc) + (ad_err - bc_err)
     re = 0.5 * (a + d)                       # Re alpha, and |Im alpha| below
     im = np.abs(0.5 * (c - b))
-    conf = np.hypot(re, im)
     anti = np.hypot(0.5 * (a - d), 0.5 * (b + c))
-    sigma_max = conf + anti
+    sigma_max = np.hypot(re, im) + anti
     rank1 = np.abs(det) <= _RANK_RATIO * sigma_max * sigma_max
     sqrt_det = np.sqrt(np.where(rank1, 0.0, np.maximum(det, 0.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):  # conf = 0 has det < 0
-        delta = (re * sqrt_det - im * anti) / (conf * conf)
+    conf2, t1, t2 = re * re + im * im, re * sqrt_det, im * anti
+    with np.errstate(divide="ignore", invalid="ignore"):  # conf2 = 0 has det < 0
+        delta = (t1 - t2) / conf2
+        # in units of 2^-53: re and im from their sums, the product in t1 and
+        # sqrt_det from det and its root, anti (hypot within an ulp) and the
+        # product in t2, then conf2, the difference, the quotient and the
+        # subtraction below
+        slack = ((np.abs(t1 - 2.0 * delta * re * re) + 3.0 * np.abs(t1) + 5.0 * t2
+                  + 2.0 * np.abs(delta) * im * im) / conf2 + 5.0 * np.abs(delta))
     winds = ((det < 0.0) & ~rank1) | ((re <= 0.0) & (im <= anti))
-    return np.where(winds, -1.0, delta)
+    return np.where(winds, -1.0, np.maximum(delta - 0.5 * np.finfo(float).eps * slack, -1.0))
 
 
-def _golden_max(objective, lo: np.ndarray, hi: np.ndarray):
-    """Best abscissa and value of ``objective`` per row on the interval from
-    ``lo`` to ``hi`` (columns): golden section from its two ends, then the best
-    of the ends and the last two points."""
-    a, b = lo, hi
-    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(_GOLDEN_STEPS):
-        right = f1 < f2
-        a, b = np.where(right, x1, a), np.where(right, b, x2)
-        xn = np.where(right, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
-        fn = objective(xn)
-        x1, x2 = np.where(right, x2, xn), np.where(right, xn, x1)
-        f1, f2 = np.where(right, f2, fn), np.where(right, fn, f1)
-    xs = np.concatenate([lo, hi, x1, x2], axis=1)
-    fs = np.concatenate([objective(lo), objective(hi), f1, f2], axis=1)
-    best = np.argmax(fs, axis=1)[:, None]
-    return np.take_along_axis(xs, best, axis=1)[:, 0], np.take_along_axis(fs, best, axis=1)[:, 0]
+def _envelope_min(f: np.ndarray) -> np.ndarray:
+    """Lower bound on the least g = 1/f over a bracket where g is convex, from
+    f at the bracket's points (a, x1, x2, b), the rows of ``f``; NaN unless
+    all four values are at least the least normal float.
+
+    A secant of a convex g lies below g outside its own interval.  The points
+    sit at 0, G^2, G and 1 of the bracket (G = _GOLDEN), so on [a, x1] and on
+    [x2, b] g is above the secant through x1 and x2, whose least value there
+    is min(g1, g2) - |g2 - g1| / G.  On [x1, x2] g is above the secant through
+    a and x1, which falls by at most G (g0 - g1)+ across it, and above the one
+    through x2 and b, which falls by at most G (g3 - g2)+ back across it.
+    """
+    g0, g1, g2, g3 = 1.0 / np.where(f >= np.finfo(float).tiny, f, np.nan)
+    ends = np.minimum(g1, g2) - np.abs(g2 - g1) / _GOLDEN
+    middle = np.maximum(g1 - _GOLDEN * np.maximum(g0 - g1, 0.0),
+                        g2 - _GOLDEN * np.maximum(g3 - g2, 0.0))
+    return np.minimum(ends, middle)
+
+
+def _golden_max(objective, lo: np.ndarray, hi: np.ndarray, *data) -> np.ndarray:
+    """Best value of ``objective`` per row on [lo, hi] less its rounding
+    allowance, where 1/objective is convex.  ``objective(s, *data)`` gives
+    the values and their allowances at abscissae ``s`` (rows on the last
+    axis) of the rows of the arrays ``data``.
+
+    Golden section from the ends and the two interior points, keeping each
+    row's bracket (a, x1, x2, b) with its four values.  Before each step the
+    secant envelope of 1/objective (``_envelope_min``) bounds a row's maximum
+    from above; the row stops once that bound exceeds its best value by no
+    more than the least allowance of the four, and leaves the batch that
+    ``objective`` sees.  The rest stop after ``_GOLDEN_STEPS`` steps.  A
+    row's steps depend on its own values alone.
+    """
+    out = np.empty(len(lo))
+    rows = np.arange(len(lo))
+    x = np.stack([lo, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo), hi])
+    state = np.stack([x, *objective(x, *data)])   # abscissae, values, allowances
+    for step in range(_GOLDEN_STEPS + 1):
+        x, f, slack = state
+        done = ((_envelope_min(f) * (f.max(axis=0) + slack.min(axis=0)) >= 1.0)
+                | (step == _GOLDEN_STEPS))
+        if done.any():
+            best, allow = state[1:, f[:, done].argmax(axis=0), done]
+            out[rows[done]] = best - allow
+            going = ~done
+            rows, state, data = rows[going], state[:, :, going], [v[going] for v in data]
+            x, f, _ = state
+        if not rows.size:
+            return out
+        right = f[1] < f[2]   # the maximum lies right of x1
+        a, b = np.where(right, x[1], x[0]), np.where(right, x[3], x[2])
+        w = _GOLDEN * (b - a)
+        s = np.where(right, a + w, b - w)[None]   # the new point
+        new = np.concatenate([s, *objective(s, *data)])[:, None]
+        state = np.where(right, np.concatenate([state[:, 1:3], new, state[:, 3:]], axis=1),
+                         np.concatenate([state[:, :1], new, state[:, 1:3]], axis=1))
+    return out
 
 
 def _pencil_frame(mats: np.ndarray):
@@ -358,12 +414,6 @@ def _pencil_frame(mats: np.ndarray):
     return sv, WS, 0.5 * (WS + np.swapaxes(WS, 1, 2))
 
 
-def _pencil_scale(s: np.ndarray, sv: np.ndarray) -> np.ndarray:
-    """d = diag(B_mu)^(-1/2) at mu = e^s, for each column of ``s``."""
-    mu = np.exp(s)[..., None]
-    return 1.0 / np.sqrt(0.5 * (mu * (sv * sv)[:, None, :] + 1.0 / mu))
-
-
 def _pencil_search(arr: np.ndarray) -> np.ndarray:
     """Certified lower bound on delta for each matrix of ``arr``: the best
     c(mu) less its rounding allowance where P is positive definite, and -1
@@ -371,18 +421,22 @@ def _pencil_search(arr: np.ndarray) -> np.ndarray:
     sv, WS, P = _pencil_frame(arr)
     out = np.full(len(arr), -1.0)
     pd = np.linalg.eigvalsh(P)[:, 0] > 0.0
-    sv, WS, P = sv[pd], WS[pd], P[pd]
+    sv, P = sv[pd], P[pd]
+    # each entry of the scaled pencil carries a few ulps of the same scaling of
+    # |WS|, and eigvalsh about n: the allowance is 4 n ulps of its Frobenius norm
+    entry_slack = 4 * arr.shape[1] * np.finfo(float).eps * np.abs(WS[pd])
 
-    def objective(s):  # P scaled on both sides by d
-        d = _pencil_scale(s, sv)
-        return np.linalg.eigvalsh(P[:, None] * d[..., :, None] * d[..., None, :])[..., 0]
+    def objective(s, sv2, P, entry_slack):
+        # c(mu), mu = e^s: the least eigenvalue of P scaled on both sides by
+        # d = diag(B_mu)^(-1/2), and the allowance scaled the same way
+        mu = np.exp(s)[..., None]
+        d = np.sqrt(2.0 / (mu * sv2 + 1.0 / mu))
+        dd = d[..., :, None] * d[..., None, :]
+        return (np.linalg.eigvalsh(P * dd)[..., 0],
+                np.sqrt(np.square(entry_slack * dd).sum(axis=(-2, -1))))
 
-    lo, hi = -np.log(sv[:, :1]), -np.log(np.maximum(sv[:, -1:], _RANK_RATIO * sv[:, :1]))
-    s, best = _golden_max(objective, lo, hi)
-    # each entry of the scaled pencil carries a few ulps of its size, eigvalsh about n
-    d = _pencil_scale(s[:, None], sv)[:, 0]
-    N = np.abs(WS) * d[:, :, None] * d[:, None, :]
-    out[pd] = best - 4 * arr.shape[1] * np.finfo(float).eps * np.sqrt((N * N).sum(axis=(1, 2)))
+    lo, hi = -np.log(sv[:, 0]), -np.log(np.maximum(sv[:, -1], _RANK_RATIO * sv[:, 0]))
+    out[pd] = _golden_max(objective, lo, hi, sv * sv, P, entry_slack)
     return out
 
 
@@ -399,8 +453,8 @@ def _matrix_stack(mats) -> np.ndarray:
 
 
 def matrix_delta(A) -> float:
-    """min over unit v of v^T A v / |A v| (directions with Av = 0 excluded),
-    or for n >= 3 a certified lower bound on it: see :func:`matrix_delta_many`.
+    """A certified lower bound on min over unit v of v^T A v / |A v|
+    (directions with Av = 0 excluded): see :func:`matrix_delta_many`.
     """
     return float(matrix_delta_many(as_square_matrix(A)[None, :, :])[0])
 
@@ -408,10 +462,11 @@ def matrix_delta(A) -> float:
 def matrix_delta_many(mats) -> np.ndarray:
     """Matrix constant of each matrix of a stack of same-size matrices.
 
-    Exact for n <= 2: sign(a) in dim 1, the closed form in dim 2.  For
-    n >= 3 a certified lower bound: the best c(mu) of the pencil search less
-    a rounding allowance where sym A is positive definite, exactly -1 for
-    every other matrix (module docstring).  The stack is searched
+    A certified lower bound in every dimension: sign(a) in dim 1, the
+    closed form less a bound on its rounding error in dim 2, and for n >= 3
+    the best c(mu) of the pencil search less a rounding allowance where
+    sym A is positive definite, exactly -1 for every other matrix (module
+    docstring).  The stack is searched
     ``_SEARCH_BLOCK`` matrices at a time, so each row's value is the same
     whatever else is in the stack.
     """
@@ -482,12 +537,11 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
                 delta_floor: float = 0.05) -> ClaimReport:
     """Brute-force the singular-value claim over random matrices.
 
-    A sampled matrix qualifies when its :func:`matrix_delta_many` value
-    (exact for n <= 2, a certified lower bound for n >= 3) is
-    >= ``delta_floor``; the matrix is then delta-monotone with delta that
-    value, and the check asserts sigma_min >= c(delta) sigma_max (up to
-    1e-12 relative rounding slack) and reports the worst margin seen, or
-    None when no matrix qualifies.  The floor must lie in (0, 1], the
+    A sampled matrix qualifies when its :func:`matrix_delta_many` value,
+    a certified lower bound, is >= ``delta_floor``; the matrix is then
+    delta-monotone with delta that value, and the check asserts
+    sigma_min >= c(delta) sigma_max (up to 1e-12 relative rounding slack)
+    and reports the worst margin seen, or None when no matrix qualifies.  The floor must lie in (0, 1], the
     domain of :func:`claim_constant`.
     """
     if not 0.0 < delta_floor <= 1.0:
@@ -509,8 +563,7 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
         if nqual:
             sv = np.linalg.svd(mats[qual], compute_uv=False)
             smax, smin = sv[:, 0], sv[:, -1]
-            # the 2x2 closed form can round to just above 1
-            c = claim_constant(np.minimum(lower[qual], 1.0))
+            c = claim_constant(lower[qual])
             gap = (smin - c * smax) / smax
             violations = int(np.sum(gap < -1e-12))
             worst = float(gap.min())

@@ -3,6 +3,7 @@
 import decimal
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -458,19 +459,29 @@ def swept_pencil_max(mats, points=4097):
     return np.linalg.eigvalsh(P[:, None] * d[..., :, None] * d[..., None, :])[..., 0].max(axis=1)
 
 
+def counted_eigen_solves(monkeypatch):
+    """The number of matrices in each call of np.linalg.eigvalsh and eigvals."""
+    batches = {"eigvalsh": [], "eigvals": []}
+    for name in batches:
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name)):
+            batches[_name].append(int(np.prod(np.shape(a)[:-2])))
+            return _solve(a, *args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return batches
+
+
 def test_definite_block_searches_without_the_grid(monkeypatch, rng):
     # where sym A is positive definite c(mu) is unimodal in log mu: golden section
-    # alone, 2 ends + 2 + 66 steps, after one eigvalsh that sorts the rows
+    # alone, one search for the block after one eigvalsh that sorts the rows,
+    # and each row stops once convexity certifies it (70 matrices for 66 steps)
     mats = rng.standard_normal((40, 3, 3)) + 4.0 * np.eye(3)
     assert np.all(np.linalg.eigvalsh(mats + np.swapaxes(mats, 1, 2))[:, 0] > 0.0)
-    calls = {"eigvalsh": 0, "eigvals": 0}
-    for name in calls:
-        def counted(*args, _name=name, _solve=getattr(np.linalg, name)):
-            calls[_name] += 1
-            return _solve(*args)
-        monkeypatch.setattr(np.linalg, name, counted)
+    batches = counted_eigen_solves(monkeypatch)
     matrix_delta_many(mats)
-    assert calls == {"eigvalsh": 71, "eigvals": 0}
+    sort, *search = batches["eigvalsh"]
+    assert batches["eigvals"] == [] and sort == 40
+    assert len(search) <= 1 + certify._GOLDEN_STEPS
+    assert sum(search) <= 45 * 40
 
 
 def test_mixed_block_searches_only_its_definite_rows(monkeypatch, rng):
@@ -481,14 +492,12 @@ def test_mixed_block_searches_only_its_definite_rows(monkeypatch, rng):
                            [np.outer(rng.standard_normal(3), rng.standard_normal(3))]])
     spd = np.linalg.eigvalsh(mats + np.swapaxes(mats, 1, 2))[:, 0] > 0.0
     assert spd.sum() == 20
-    calls = {"eigvalsh": 0, "eigvals": 0}
-    for name in calls:
-        def counted(*args, _name=name, _solve=getattr(np.linalg, name)):
-            calls[_name] += 1
-            return _solve(*args)
-        monkeypatch.setattr(np.linalg, name, counted)
+    batches = counted_eigen_solves(monkeypatch)
     assert np.all(matrix_delta_many(mats)[~spd] == -1.0)
-    assert calls == {"eigvalsh": 71, "eigvals": 0}
+    sort, *search = batches["eigvalsh"]
+    assert batches["eigvals"] == [] and sort == 41
+    assert len(search) <= 1 + certify._GOLDEN_STEPS and max(search) <= 4 * 20
+    assert sum(search) <= 45 * 20
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -507,6 +516,94 @@ def test_definite_search_reaches_the_swept_maximum(n):
     sv = np.linalg.svd(mats, compute_uv=False)
     assert np.max(sv[:, 0] / sv[:, -1]) > 5e5
     assert np.all(matrix_delta_many(mats) >= swept_pencil_max(mats) - 1e-13)
+
+
+def full_golden_search(mats):
+    """The n >= 3 search without its stop rule: 66 golden steps from the two
+    interior points, then the best of them and the ends.  Returns the rows
+    whose sym A is positive definite, and each one's best c(mu) and its
+    rounding allowance there."""
+    sv, WS, P = certify._pencil_frame(mats)
+    pd = np.linalg.eigvalsh(P)[:, 0] > 0.0
+    sv, WS, P = sv[pd], WS[pd], P[pd]
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def scale(s):
+        mu = np.exp(s)[..., None]
+        return 1.0 / np.sqrt(0.5 * (mu * (sv * sv)[:, None, :] + 1.0 / mu))
+
+    def c(s):
+        d = scale(s)
+        return np.linalg.eigvalsh(P[:, None] * d[..., :, None] * d[..., None, :])[..., 0]
+
+    lo = -np.log(sv[:, :1])
+    hi = -np.log(np.maximum(sv[:, -1:], certify._RANK_RATIO * sv[:, :1]))
+    a, b = lo, hi
+    x1, x2 = b - golden * (b - a), a + golden * (b - a)
+    f1, f2 = c(x1), c(x2)
+    for _ in range(66):
+        right = f1 < f2
+        a, b = np.where(right, x1, a), np.where(right, b, x2)
+        xn = np.where(right, a + golden * (b - a), b - golden * (b - a))
+        fn = c(xn)
+        x1, x2 = np.where(right, x2, xn), np.where(right, xn, x1)
+        f1, f2 = np.where(right, f2, fn), np.where(right, fn, f1)
+    xs = np.concatenate([lo, hi, x1, x2], axis=1)
+    fs = np.concatenate([c(lo), c(hi), f1, f2], axis=1)
+    best = np.argmax(fs, axis=1)[:, None]
+    d = scale(np.take_along_axis(xs, best, axis=1))[:, 0]
+    N = np.abs(WS) * d[:, :, None] * d[:, None, :]
+    allowance = 4 * mats.shape[1] * np.finfo(float).eps * np.sqrt((N * N).sum(axis=(1, 2)))
+    return pd, np.take_along_axis(fs, best, axis=1)[:, 0], allowance
+
+
+def spread_definite_stack(n):
+    """The stack of test_definite_search_reaches_the_swept_maximum: definite
+    symmetric parts plus skew parts, with sigma spread up to 1e6."""
+    rng = np.random.default_rng([19, n])
+    m = 60
+    Q = np.linalg.qr(rng.standard_normal((m, n, n)))[0]
+    top = rng.uniform(0.0, 6.0, m)
+    lam = 10.0 ** (rng.uniform(0.0, 1.0, (m, n)) * top[:, None])
+    lam[:, 0], lam[:, 1] = 1.0, 10.0 ** top
+    K = rng.standard_normal((m, n, n)) * (0.3 * 10.0 ** (rng.uniform(-6.0, 0.0, m) + top / 2))[:, None, None]
+    return Q @ (lam[:, :, None] * np.swapaxes(Q, 1, 2)) + K - np.swapaxes(K, 1, 2)
+
+
+@pytest.mark.parametrize("stack", ["acceptance-04", 3, 4, 5])
+def test_stopped_search_is_within_an_allowance_of_the_full_search(stack, monkeypatch):
+    # the stop rule costs at most one allowance: each value is at or above the
+    # full search's value (its best c less the allowance) less one allowance
+    if stack == "acceptance-04":
+        mats = certify._random_test_matrices(3, 10000, np.random.default_rng([7, 3]))
+    else:
+        mats = spread_definite_stack(stack)
+    pd, best, allowance = full_golden_search(mats)
+    batches = counted_eigen_solves(monkeypatch)
+    value = matrix_delta_many(mats)
+    assert np.all(value[pd] >= best - 2.0 * allowance)
+    assert np.all(value[~pd] == -1.0)
+    if stack == "acceptance-04":
+        # each block's sorting call takes its matrices once; the full search
+        # takes 70 per definite row
+        assert sum(batches["eigvalsh"]) - len(mats) <= 45 * pd.sum()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_conformal_rows_stop_at_once(monkeypatch, n):
+    # all sigma equal: the search interval has width 0, so the four points of
+    # the first bracket coincide and certify their value without a step
+    mats = np.array([s * np.eye(n) for s in (1.0, 3.0, 1e-9)]
+                    + [block_rotation(n, theta) for theta in (0.0, 0.4, 1.2, 1.5)])
+    sv = certify._pencil_frame(mats)[0]
+    assert np.all(sv[:, 0] == sv[:, -1])
+    batches = counted_eigen_solves(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = matrix_delta_many(mats)
+    assert batches["eigvalsh"] == [len(mats), 4 * len(mats)]
+    expected = [1.0] * 3 + [math.cos(theta) for theta in (0.0, 0.4, 1.2, 1.5)]
+    assert value == pytest.approx(expected, abs=1e-13)
 
 
 def test_matrix_delta_many_guards():
@@ -528,8 +625,10 @@ def test_matrix_delta_many_dim3_bitwise_equals_single_calls(rng):
     assert np.array_equal(many, [matrix_delta(m) for m in mats])
 
 
-# a diagonal at which the best c(mu), without its rounding allowance, is above delta
+# diagonals at which the value without its rounding allowance is above delta:
+# the best c(mu) for n >= 3, the closed form for n = 2
 ABOVE_DELTA = [0.00811970702068584, 0.008890044530938581, 0.010919695766026725]
+ABOVE_DELTA_2X2 = [0.554097750796329, 0.037283522110637686]
 
 
 def decimal_spd_delta(lam):
@@ -540,14 +639,17 @@ def decimal_spd_delta(lam):
         return 2 * (lo * hi).sqrt() / (lo + hi)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_matrix_delta_many_is_at_or_below_exact_delta(n):
     # positive diagonals: every value, read as the exact decimal of its float,
     # is at or below delta; the extra entries of ABOVE_DELTA's row lie between
     # its ends, so they leave its delta alone
     rng = np.random.default_rng([24, n])
     lam = rng.uniform(0.01, 1.0, (1000, n))
-    lam[0] = ABOVE_DELTA + sorted(rng.uniform(ABOVE_DELTA[0], ABOVE_DELTA[2], n - 3))
+    if n == 2:
+        lam[0] = ABOVE_DELTA_2X2
+    else:
+        lam[0] = ABOVE_DELTA + sorted(rng.uniform(ABOVE_DELTA[0], ABOVE_DELTA[2], n - 3))
     values = matrix_delta_many(lam[:, :, None] * np.eye(n))
     above = [k for k in range(len(lam)) if decimal.Decimal(float(values[k])) > decimal_spd_delta(lam[k])]
     assert above == []
