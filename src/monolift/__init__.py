@@ -74,7 +74,6 @@ from .measure import (
     gaussian_moment_ratio,
     jacobian_norm_density,
     lebesgue_density,
-    unit_ball_norm_average,
 )
 from .quadrature import (
     QuadratureScheme,

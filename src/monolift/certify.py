@@ -250,6 +250,9 @@ def two_point_delta(F, cfg: PairConfig) -> DeltaCertificate:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing F is reported below
         FA = np.asarray(F(A), dtype=float)
         FB = np.asarray(F(B), dtype=float)
+        if FA.shape != A.shape or FB.shape != B.shape:
+            raise DimensionMismatchError(
+                f"the map sends points of shape {A.shape} to {FA.shape} and {FB.shape}")
         dX = A - B
         dF = FA - FB
         den = np.linalg.norm(dF, axis=1) * np.linalg.norm(dX, axis=1)
@@ -548,7 +551,8 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
         raise InvalidParameterError(f"delta_floor must lie in (0, 1], got {delta_floor}")
     if count < 1:
         raise InvalidParameterError(f"matrix count must be at least 1, got {count}")
-    if not dims or min(dims) < 1:
+    if not dims or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+                           and d >= 1 for d in dims):
         raise InvalidParameterError(f"dims must be one or more positive integers, got {dims}")
     if seed < 0:
         raise InvalidParameterError(f"seed must be a non-negative integer, got {seed}")

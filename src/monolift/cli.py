@@ -88,6 +88,12 @@ def _scheme_for(args, dim):
     return default_scheme(dim, args.scheme_seed, args.method, args.resolution)
 
 
+def _field(args):
+    """The Gaussian lift of ``--spec`` on the rule the scheme flags pick."""
+    spec = _load_spec(args.spec)
+    return gaussian_extension(spec, _scheme_for(args, spec.dim))
+
+
 def _density_for(args):
     """The ||Df|| density of ``--spec``, or Lebesgue measure in ``--dim``."""
     if args.spec:
@@ -128,48 +134,44 @@ def _output(args):
         yield handle
 
 
-def _emit(args, payload, columns=None, rows=None, meta=None):
-    """The table as CSV when given one and ``--format`` is not json, else ``payload`` as JSON."""
+def _emit(args, meta, body, columns=None, rows=None):
+    """``meta`` and the table as CSV when given one and ``--format`` is not
+    json, else ``meta`` followed by ``body`` as JSON."""
     with _output(args) as handle:
         if columns is not None and args.format != "json":
             write_csv(handle, columns, rows, meta)
         else:
-            write_json(handle, payload)
+            write_json(handle, {"meta": meta, **body})
 
 
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
 def _cmd_extend(args):
-    spec = _load_spec(args.spec)
-    scheme = _scheme_for(args, spec.dim)
-    field = gaussian_extension(spec, scheme)
+    field = _field(args)
     if args.x is not None:
         X, T = _floats(args.x)[None, :], np.array([args.t])
     else:
-        X, T = _lattice(args, spec.dim)
+        X, T = _lattice(args, field.dim)
     table = ExtensionTable(np.column_stack([X, T]), extend_points(field, X, T))
-    columns, rows, meta = table.columns(), table.rows(), _meta(args, spec, scheme, scheme.seed)
-    if args.format == "json":
-        _emit(args, {"meta": meta, "columns": columns, "rows": rows.tolist()})
-    elif args.x is not None:
+    columns, rows = table.columns(), table.rows()
+    if args.x is not None and args.format != "json":
+        # a single point prints its bare row; --out also gets the full table
         sys.stdout.write(csv_line(rows[0]) + "\n")
-        if args.out:
-            _emit(args, None, columns, rows, meta)
-    else:
-        _emit(args, None, columns, rows, meta)
+        if not args.out:
+            return 0
+    _emit(args, _meta(args, field.spec, field.scheme, field.scheme.seed),
+          {"columns": columns, "rows": rows.tolist()}, columns, rows)
     return 0
 
 
 def _cmd_jacobian(args):
-    spec = _load_spec(args.spec)
-    scheme = _scheme_for(args, spec.dim)
-    field = gaussian_extension(spec, scheme)
+    field = _field(args)
     x = _floats(args.x)
     DF = extension_jacobian(field, (x, args.t))
-    meta = _meta(args, spec, scheme, scheme.seed)
+    meta = _meta(args, field.spec, field.scheme, field.scheme.seed)
     if args.format == "json":
-        _emit(args, {"meta": meta, "x": x.tolist(), "t": args.t, "jacobian": DF.tolist()})
+        _emit(args, meta, {"x": x.tolist(), "t": args.t, "jacobian": DF.tolist()})
         return 0
     # headerless: a line naming the point and the rule, a '# key=value' line
     # for each meta key it does not carry, then the n+1 rows of DF
@@ -183,30 +185,27 @@ def _cmd_jacobian(args):
     return 0
 
 
-def _target_map(args, spec):
-    """The map certify-delta actually samples (base, Gaussian lift, or trivial
-    lift), its dimension, and the scheme of the Gaussian lift, else None."""
-    if args.lift == "none":
-        return batch_map(spec), spec.dim, None
-    if args.lift == "trivial":
-        return trivial_lift_map(spec), spec.dim + 1, None
-    scheme = _scheme_for(args, spec.dim)
-    return full_space_map(gaussian_extension(spec, scheme)), spec.dim + 1, scheme
+def _target_map(args):
+    """The map certify-delta samples (base, Gaussian lift, or trivial lift),
+    its spec, and the scheme of the Gaussian lift, else None."""
+    if args.lift == "gaussian":
+        field = _field(args)
+        return full_space_map(field), field.spec, field.scheme
+    spec = _load_spec(args.spec)
+    return batch_map(spec) if args.lift == "none" else trivial_lift_map(spec), spec, None
 
 
 def _cmd_certify_delta(args):
-    spec = _load_spec(args.spec)
-    F, dim, scheme = _target_map(args, spec)
+    F, spec, scheme = _target_map(args)
     cfg = PairConfig(
-        dim=dim, pairs=args.pairs, seed=args.seed,
+        # both lifts map the half space of R^{n+1}
+        dim=spec.dim + (args.lift != "none"), pairs=args.pairs, seed=args.seed,
         log_radius_range=(args.log_radius[0], args.log_radius[1]),
         box=args.box, crossing_pairs=args.crossing,
         witness_radii=tuple(args.witness_radii or ()),
     )
     cert = two_point_delta(F, cfg)
-    payload = {"meta": _meta(args, spec, scheme, args.seed, lift=args.lift)}
-    payload.update(cert.json_dict())
-    _emit(args, payload)
+    _emit(args, _meta(args, spec, scheme, args.seed, lift=args.lift), cert.json_dict())
     return 0
 
 
@@ -215,23 +214,20 @@ def _cmd_certify_qs(args):
     cfg = TripleConfig(dim=spec.dim, triples=args.triples, seed=args.seed,
                        box=args.box, buckets=args.buckets)
     profile = quasisymmetry_profile(spec, cfg)
-    meta = _meta(args, spec, seed=args.seed, skipped=profile.skipped)
-    payload = {
-        "meta": meta,
+    body = {
         "bucket_edges": profile.bucket_edges.tolist(),
         "envelope": [None if not np.isfinite(v) else v for v in profile.envelope],
         "skipped": profile.skipped,
     }
-    _emit(args, payload, columns=["s", "q"], rows=profile.csv_rows(), meta=meta)
+    _emit(args, _meta(args, spec, seed=args.seed, skipped=profile.skipped), body,
+          ["s", "q"], profile.csv_rows())
     return 0
 
 
 def _cmd_claim_check(args):
     report = claim_check(dims=tuple(_ints(args.dims)), count=args.matrices,
                          seed=args.seed, delta_floor=args.delta_floor)
-    payload = {"meta": _meta(args, seed=args.seed)}
-    payload.update(report.json_dict())
-    _emit(args, payload)
+    _emit(args, _meta(args, seed=args.seed), report.json_dict())
     return 2 if report.total_violations else 0
 
 
@@ -249,13 +245,9 @@ def _cmd_doubling(args):
     centers = _parse_centers(args.centers, dim)
     radii = _floats(args.radii)
     report = doubling_report(density, centers, radii)
-    meta = _meta(args, spec, constant_hat=report.constant_hat)
-    payload = {
-        "meta": meta,
-        "constant_hat": report.constant_hat,
-        "ratios": report.ratios.tolist(),
-    }
-    _emit(args, payload, columns=report.columns(), rows=report.rows(), meta=meta)
+    _emit(args, _meta(args, spec, constant_hat=report.constant_hat),
+          {"constant_hat": report.constant_hat, "ratios": report.ratios.tolist()},
+          report.columns(), report.rows())
     return 0
 
 
@@ -265,49 +257,37 @@ def _cmd_moments(args):
     normal = _floats(args.halfspace) if args.halfspace else None
     ratio = gaussian_moment_ratio(density, args.p, dim, halfspace_normal=normal,
                                   scheme=scheme)
-    payload = {
-        "meta": _meta(args, spec, scheme),
-        "p": ratio.p,
-        "integral": ratio.integral,
-        "ball_mass": ratio.ball_mass,
-        "ratio": ratio.ratio,
-    }
-    _emit(args, payload)
+    body = {"p": ratio.p, "integral": ratio.integral, "ball_mass": ratio.ball_mass,
+            "ratio": ratio.ratio}
+    _emit(args, _meta(args, spec, scheme), body)
     return 0
 
 
 def _cmd_hyperbolic(args):
     if args.pairs and args.format == "csv":
         raise InvalidParameterError("hyperbolic --pairs writes JSON only, not --format csv")
-    spec = _load_spec(args.spec)
-    scheme = _scheme_for(args, spec.dim)
-    field = gaussian_extension(spec, scheme)
+    field = _field(args)
     if args.pairs:
-        P, Q = sample_height_pairs(spec.dim, args.pairs, seed=args.seed)
+        P, Q = sample_height_pairs(field.dim, args.pairs, seed=args.seed)
         report = bilipschitz_sample(field, P, Q)
-        payload = {"meta": _meta(args, spec, scheme, args.seed)}
-        payload.update(report.json_dict())
-        _emit(args, payload)
+        _emit(args, _meta(args, field.spec, field.scheme, args.seed), report.json_dict())
         return 0
-    X, T = _lattice(args, spec.dim)
+    X, T = _lattice(args, field.dim)
     report = vertical_comparison(field, X, T)
-    meta = _meta(args, spec, scheme, scheme.seed, spread=report.spread)
-    payload = {
-        "meta": meta,
+    meta = _meta(args, field.spec, field.scheme, field.scheme.seed, spread=report.spread)
+    body = {
         "spread": report.spread,
         "ratio_min": float(report.ratios.min()),
         "ratio_max": float(report.ratios.max()),
     }
-    _emit(args, payload, columns=report.columns(), rows=report.rows(), meta=meta)
+    _emit(args, meta, body, report.columns(), report.rows())
     return 0
 
 
 def _cmd_demo_composition(args):
     report = composition_monotonicity_demo(args.theta1, args.theta2,
                                            pairs=args.pairs, seed=args.seed)
-    payload = {"meta": _meta(args, seed=args.seed)}
-    payload.update(report.json_dict())
-    _emit(args, payload)
+    _emit(args, _meta(args, seed=args.seed), report.json_dict())
     return 0
 
 
@@ -322,10 +302,8 @@ def _cmd_demo_trivial_failure(args):
                      witness_radii=tuple(args.witness_radii))
     cert = two_point_delta(F, cfg)
     found = cert.delta_hat <= args.threshold
-    payload = {"meta": _meta(args, spec, seed=args.seed),
-               "threshold": args.threshold, "refuted": bool(found)}
-    payload.update(cert.json_dict())
-    _emit(args, payload)
+    _emit(args, _meta(args, spec, seed=args.seed),
+          {"threshold": args.threshold, "refuted": bool(found), **cert.json_dict()})
     return 0 if found else 2
 
 

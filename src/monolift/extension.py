@@ -399,8 +399,10 @@ def lattice_points(dim: int = 2, bounds: tuple[float, float] = (-2.0, 2.0), nx: 
     """Default evaluation lattice: an nx^dim grid crossed with fixed heights."""
     if not np.all(np.isfinite(bounds)):
         raise InvalidParameterError(f"grid bounds must be finite, got {tuple(bounds)}")
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise InvalidParameterError(f"lattice dim must be a positive integer, got {dim!r}")
     heights = np.asarray(heights, dtype=float)
-    if nx < 1 or heights.size == 0:
+    if not isinstance(nx, (int, np.integer)) or nx < 1 or heights.size == 0:
         raise InvalidParameterError(
             f"a lattice needs nx >= 1 and at least one height, got nx = {nx}")
     check_allocation(nx**dim * heights.size * (dim + 1) * 8,

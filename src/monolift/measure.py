@@ -2,17 +2,13 @@
 
 The density of interest is ||Df(x)|| (operator norm of the differential),
 integrated over balls.  ``doubling_report`` tabulates mass(2B) / mass(B)
-over a grid of centers and radii, ``gaussian_moment_ratio`` compares
-moments of the measure against the mass of the unit ball, and
-``unit_ball_norm_average`` integrates ||Df(x + t y)|| over the unit y-ball,
-the local size functional that DF(x, t) is comparable to.
+over a grid of centers and radii, and ``gaussian_moment_ratio`` compares
+moments of the measure against the mass of the unit ball.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import math
 
 import numpy as np
 
@@ -23,10 +19,8 @@ from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
     NonFiniteIntegrandError,
-    NonpositiveHeightError,
     ZeroMassError,
 )
-from .extension import ExtensionField
 from .quadrature import QuadratureScheme, default_scheme, gaussian_expectation
 
 __all__ = [
@@ -36,7 +30,6 @@ __all__ = [
     "doubling_report",
     "MomentRatio",
     "gaussian_moment_ratio",
-    "unit_ball_norm_average",
 ]
 
 
@@ -170,18 +163,3 @@ def gaussian_moment_ratio(density, p: float, dim: int,
     if not (np.isfinite(mass) and mass > 0.0):
         raise ZeroMassError("unit-ball mass must be finite and positive")
     return MomentRatio(p=float(p), integral=integral, ball_mass=mass)
-
-
-def unit_ball_norm_average(field: ExtensionField, p) -> float:
-    """The local size functional alpha = integral over the unit y-ball of
-    ||Df(x + t y)|| at the point ``p = (x, t)``; DF(x, t) is comparable to
-    it above and below."""
-    x, t = np.asarray(p[0], dtype=float), float(p[1])
-    if t <= 0.0:
-        raise NonpositiveHeightError(f"norm average needs height > 0, got {t}")
-    density = jacobian_norm_density(field.spec)
-    value = ball_integral(ball_rule(field.dim), lambda y: density(x + t * y),
-                          np.zeros(field.dim), 1.0)
-    if not math.isfinite(value):
-        raise NonFiniteIntegrandError(f"norm average overflowed: {value}")
-    return value

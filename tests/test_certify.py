@@ -689,6 +689,13 @@ def test_negative_seeds_are_rejected_before_sampling():
             make()
 
 
+@pytest.mark.parametrize("dims", [(), (0,), (2.5,), (2, 3.0), (True,)], ids=str)
+def test_claim_check_dims_must_be_positive_integers(dims):
+    # numpy's generator would raise its own TypeError on a float or bool dim
+    with pytest.raises(InvalidParameterError, match="dims must be one or more positive integers"):
+        claim_check(dims=dims, count=5)
+
+
 def test_claim_check_small_run():
     report = claim_check(dims=(2, 3), count=400, seed=3)
     assert report.total_violations == 0
@@ -798,6 +805,14 @@ def test_two_point_skips_collapsed_pairs():
     assert cert.samples + cert.skipped == 4000
     with pytest.raises(DegenerateMapError):
         two_point_delta(lambda X: np.zeros_like(X), PairConfig(dim=2, pairs=50, seed=0))
+
+
+def test_two_point_rejects_a_map_of_the_wrong_shape():
+    # an (m, 1) difference would broadcast against the (m, 2) one
+    with pytest.raises(DimensionMismatchError, match="sends points of shape"):
+        two_point_delta(lambda X: X[:, :1], PairConfig(dim=2, pairs=5))
+    with pytest.raises(DimensionMismatchError, match="sends points of shape"):
+        two_point_delta(lambda X: np.hstack([X, X]), PairConfig(dim=2, pairs=5))
 
 
 def test_delta_certificate_validation():

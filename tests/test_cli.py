@@ -108,6 +108,16 @@ def test_extend_point_json_is_the_grid_document(capsys):
     assert out_default == out_csv == csv_line([0.3, -1.2, 0.7, *lifted]) + "\n"
 
 
+def test_spec_file_gives_the_inline_spec_bytes(capsys, tmp_path):
+    # --spec takes a path to a JSON file as well as inline JSON
+    path = tmp_path / "spec.json"
+    path.write_text(POWER1, encoding="utf-8")
+    argv = ["--grid-nx", "3", "--heights", "0.5", "--format", "json"]
+    inline = run(capsys, "extend", "--spec", POWER1, *argv)
+    assert inline[0] == 0 and inline[2] == ""
+    assert run(capsys, "extend", "--spec", str(path), *argv) == inline
+
+
 def test_extend_grid_json(capsys):
     code, out, _ = run(capsys, "extend", "--spec", IDENTITY2, "--grid-nx", "3",
                        "--heights", "1", "--format", "json")

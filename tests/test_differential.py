@@ -1,4 +1,4 @@
-"""Lifted Jacobian, spectral norms, and the unit-ball size functional."""
+"""Lifted Jacobian and spectral norms."""
 
 import math
 import warnings
@@ -22,7 +22,6 @@ from monolift import (
     power_radial_map,
     spectral_norms,
     translation_map,
-    unit_ball_norm_average,
     vertical_comparison,
 )
 from monolift.errors import (
@@ -164,62 +163,15 @@ def test_spectral_norms_2x2_closed_form(rng):
         assert spectral_norms(np.array([[0.0, 3.0], [4.0, 0.0]])) == 4.0
 
 
-def test_norm_average_constant_jacobians():
-    # ||Df|| constant makes alpha = const * vol(B^n), and the polar rule
-    # integrates constants exactly
-    a = unit_ball_norm_average(gaussian_extension(identity_map(2)), ([3.0, -1.0], 0.7))
-    assert a == pytest.approx(math.pi, abs=1e-12)
-    a = unit_ball_norm_average(gaussian_extension(linear_map(np.diag([2.0, 3.0]))), ([0.0, 0.0], 1.0))
-    assert a == pytest.approx(3.0 * math.pi, abs=1e-12)
-
-
-def test_norm_average_radial_growth():
-    # ||Df|| = 2|x| for |x|x, so at center 0, height 1 the integral is
-    # 2 * int_0^1 r * 2 pi r dr = 4 pi / 3; radial Gauss rule is exact on r^2
-    a = unit_ball_norm_average(gaussian_extension(power_radial_map(2, 1.0)), ([0.0, 0.0], 1.0))
-    assert a == pytest.approx(4.0 * math.pi / 3.0, abs=1e-12)
-
-
-def test_norm_average_dim3_rejection_rule():
-    a = unit_ball_norm_average(gaussian_extension(identity_map(3)), ([0.0, 0.0, 0.0], 1.0))
-    assert a == pytest.approx(4.0 * math.pi / 3.0, abs=1e-2)
-
-
-def test_norm_average_guards():
-    field = gaussian_extension(identity_map(2))
-    with pytest.raises(NonpositiveHeightError):
-        unit_ball_norm_average(field, ([0.0, 0.0], 0.0))
-    # a Jacobian that overflows, and finite norms whose average overflows
-    with pytest.raises(NonFiniteIntegrandError, match="Jacobian overflowed"):
-        unit_ball_norm_average(gaussian_extension(power_radial_map(2, 1.0)), ([1e200, 0.0], 1.0))
-    with pytest.raises(NonFiniteIntegrandError, match="norm average overflowed"):
-        unit_ball_norm_average(gaussian_extension(linear_map(np.diag([1e308, 1.0]))),
-                               ([0.0, 0.0], 1.0))
-
-
-@pytest.mark.parametrize("spec", monotone_gallery_2d(), ids=spec_id)
-def test_jacobian_alpha_comparability(spec):
-    # ||DF|| and the unit-ball average bound each other up to fixed factors
-    field = gaussian_extension(spec)
-    for p in ([0.6, 0.2, 0.5], [-1.5, 2.0, 1.0]):
-        DF = extension_jacobian(field, (p[:2], p[2]))
-        alpha = unit_ball_norm_average(field, (p[:2], p[2]))
-        ratio = spectral_norms(DF) / alpha
-        assert math.isfinite(ratio) and ratio > 0
-        assert 1e-3 < ratio < 1e3
-
-
 @pytest.mark.parametrize("spec", monotone_gallery_2d(), ids=spec_id)
 def test_jacobian_quadratic_form_lower_bound(spec, rng):
     # monotone maps lift to Jacobians whose symmetric part stays positive
-    # on the unit sphere, with margin proportional to alpha
-    field = gaussian_extension(spec)
-    DF = extension_jacobian(field, ([0.7, -0.4], 0.8))
-    alpha = unit_ball_norm_average(field, ([0.7, -0.4], 0.8))
+    # on the unit sphere, with margin proportional to ||DF||
+    DF = extension_jacobian(gaussian_extension(spec), ([0.7, -0.4], 0.8))
     W = rng.standard_normal((1000, 3))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     quad = np.einsum("ki,ij,kj->k", W, DF, W)
-    assert np.min(quad) / alpha > 1e-3
+    assert np.min(quad) / spectral_norms(DF) > 1e-3
 
 
 def test_ball_rule_and_integral():

@@ -186,6 +186,15 @@ def test_lattice_points_layout():
     assert len(combos) == 18
 
 
+@pytest.mark.parametrize("kwargs", [{"dim": 0}, {"dim": 2.5}, {"nx": 0}, {"nx": 2.5},
+                                    {"heights": ()}], ids=str)
+def test_lattice_points_rejects_bad_sizes(kwargs):
+    # a zero or fractional size must not reach numpy, which raises its own
+    # ValueError or TypeError
+    with pytest.raises(InvalidParameterError):
+        lattice_points(**kwargs)
+
+
 def test_extend_grid_rows():
     field = gaussian_extension(identity_map(2))
     table = extend_grid(field, [([0.0, 0.0], 1.0), ([1.0, 0.0], 2.0), ([0.0, 0.0], -1.0)])

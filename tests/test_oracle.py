@@ -9,6 +9,12 @@ lambda = |x|^2 / (2 t^2):
 
 (the vertical part by Stein's identity E[<f(x+ty), y>] = t E[div f(x+ty)]).
 A linear map lifts to (Ax, t tr A), whose Jacobian is [[A, 0], [0, tr A]].
+At the origin the power-radial Jacobian is diagonal:
+
+    DF(0, t) = t^p E|y|^p diag((1 + p/n) I_n, (1 + p)(n + p)),
+    E|y|^p = 2^{p/2} G((n + p)/2) / G(n/2),
+
+which at p = 0 is the identity's DF = diag(I_n, n).
 """
 
 import numpy as np
@@ -20,6 +26,7 @@ from monolift import (
     extend_points,
     extension_jacobians,
     gaussian_extension,
+    identity_map,
     linear_map,
     power_radial_map,
 )
@@ -61,6 +68,17 @@ JACOBIAN_MEASURED = {
     (4, 1.0): 4.0e-5, (4, 0.5): 3.3e-5, (4, -0.5): 1.2e-4,
 }
 JACOBIAN_POINTS = 40
+# The exact Jacobians at x = 0, t = 0.7 on the default schemes, as
+# max|DF - DF_exact| / max|DF_exact|; p = 0 lifts identity_map.  The tensor
+# rules are exact on the identity up to rounding (measured <= 3.0e-15 for
+# n <= 3, so 1e-14 stands in); the QMC rule of n = 4 misses E|y|^2 = n.  Both
+# sides scale as t^p, so the error does not depend on t.
+ORIGIN_JACOBIAN_MEASURED = {
+    (1, 0.0): 1e-14, (1, 0.5): 2.3e-2, (1, 1.0): 1.1e-2,
+    (2, 0.0): 1e-14, (2, 0.5): 1.7e-3, (2, 1.0): 7.6e-4,
+    (3, 0.0): 1e-14, (3, 0.5): 2.3e-4, (3, 1.0): 1.1e-4,
+    (4, 0.0): 2.6e-5, (4, 0.5): 2.3e-5, (4, 1.0): 1.4e-5,
+}
 
 
 def power_radial_lift(X, T, p):
@@ -139,3 +157,16 @@ def test_power_radial_jacobian_matches_kummer(n, p):
     X, T = X[:JACOBIAN_POINTS], T[:JACOBIAN_POINTS]
     DF = extension_jacobians(gaussian_extension(power_radial_map(n, p)), X, T)
     assert max_rel_err(DF, power_radial_jacobian(X, T, p)) <= 3.0 * JACOBIAN_MEASURED[n, p]
+
+
+def origin_jacobian(n, p, t):
+    """The closed-form DF(0, t) of |x|^p x (module docstring)."""
+    moment = np.exp(p / 2.0 * np.log(2.0) + gammaln((n + p) / 2) - gammaln(n / 2))
+    return t**p * moment * np.diag([1.0 + p / n] * n + [(1.0 + p) * (n + p)])
+
+
+@pytest.mark.parametrize("n,p", sorted(ORIGIN_JACOBIAN_MEASURED), ids=lambda v: str(v))
+def test_jacobian_at_the_origin_matches_the_exact_anchor(n, p):
+    spec = identity_map(n) if p == 0.0 else power_radial_map(n, p)
+    DF = extension_jacobians(gaussian_extension(spec), np.zeros((1, n)), np.array([0.7]))
+    assert max_rel_err(DF, origin_jacobian(n, p, 0.7)[None]) <= 3.0 * ORIGIN_JACOBIAN_MEASURED[n, p]
