@@ -17,12 +17,18 @@ and ``claim_check`` brute-forces that bound over random matrices.
 
 The matrix constant of a 1x1 matrix is its sign.  For 2x2 matrices a
 closed form (``_delta_2x2``) is lowered by a bound on its rounding error.
-For n >= 3 let P = sym A,
+For n >= 3 one eigvalsh of P = sym A sorts each matrix before any SVD.
+Where P is not positive definite, v^T A v <= 0 for some v, so delta <= 0
+(as a limit next to v where Av = 0): the matrix is not delta-monotone for
+any delta > 0, and it gets exactly -1.  Where A is bitwise symmetric and
+positive definite, delta is Kantorovich's
+2 sqrt(l_min l_max) / (l_min + l_max) from the same eigenvalues
+(``_delta_symmetric``), lowered by a bound on their error.  A least
+eigenvalue within a margin of 0 (``_delta_block``) leaves the sorting to
+the frame below, whose own P differs from sym A by the sigma truncation
+and rounding.  Every other matrix is searched.  Let
 B_mu = (mu A^T A + I / mu) / 2 and c(mu) the least eigenvalue of the
-pencil (P, B_mu).  Where P is not positive definite, v^T A v <= 0 for
-some v, so delta <= 0 (as a limit next to v where Av = 0): the matrix is
-not delta-monotone for any delta > 0, and it gets exactly -1 without a
-search.  Where P is positive definite, |Av| |v| <= v^T B_mu v (AM-GM,
+pencil (P, B_mu).  Where P is positive definite, |Av| |v| <= v^T B_mu v (AM-GM,
 with equality when mu |Av| = |v|) gives delta >= c(mu) for every mu, and
 delta = max c(mu) by Brickman's convexity theorem and the S-lemma.  The
 optimal mu is 1/|Av| for the optimal v, so s = log mu is searched over
@@ -38,9 +44,9 @@ c by no more than the least rounding allowance of the four, and
 ``_GOLDEN_STEPS`` is a cap.
 
 In every dimension ``matrix_delta`` and ``matrix_delta_many`` give a
-certified lower bound on delta (for n >= 3 the best c found less its
-rounding allowance): the one constant the matrix lemma needs, and the one
-``claim_check`` reads.
+certified lower bound on delta (for n >= 3 the lowered closed form, or the
+best c found less its rounding allowance): the one constant the matrix
+lemma needs, and the one ``claim_check`` reads.
 
 The search takes a stack ``_SEARCH_BLOCK`` matrices at a time: rows are
 independent, so the bits are those of one call on the whole stack, and the
@@ -71,7 +77,7 @@ from .errors import (
     NonFiniteIntegrandError,
     ZeroMatrixError,
 )
-from .quadrature import check_allocation
+from .quadrature import check_allocation, check_integer
 
 __all__ = [
     "PairConfig",
@@ -120,11 +126,9 @@ class PairConfig:
     witness_radii: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.pairs < 0 or self.crossing_pairs < 0:
-            raise InvalidParameterError(
-                f"pair counts must be nonnegative, got {self.pairs} and {self.crossing_pairs}")
+        check_integer(self.seed, "seed", 0)
+        check_integer(self.pairs, "pairs", 0)
+        check_integer(self.crossing_pairs, "crossing_pairs", 0)
         count = self.pairs + self.crossing_pairs
         if count == 0 and not self.witness_radii:
             raise InvalidParameterError("at least one pair must be sampled")
@@ -417,17 +421,12 @@ def _pencil_frame(mats: np.ndarray):
     return sv, WS, 0.5 * (WS + np.swapaxes(WS, 1, 2))
 
 
-def _pencil_search(arr: np.ndarray) -> np.ndarray:
-    """Certified lower bound on delta for each matrix of ``arr``: the best
-    c(mu) less its rounding allowance where P is positive definite, and -1
-    for every other matrix, which is not searched (module docstring)."""
-    sv, WS, P = _pencil_frame(arr)
-    out = np.full(len(arr), -1.0)
-    pd = np.linalg.eigvalsh(P)[:, 0] > 0.0
-    sv, P = sv[pd], P[pd]
+def _pencil_search(sv: np.ndarray, WS: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Certified lower bound on delta for each row of a frame (``_pencil_frame``)
+    whose P is positive definite: the best c(mu) less its rounding allowance."""
     # each entry of the scaled pencil carries a few ulps of the same scaling of
     # |WS|, and eigvalsh about n: the allowance is 4 n ulps of its Frobenius norm
-    entry_slack = 4 * arr.shape[1] * np.finfo(float).eps * np.abs(WS[pd])
+    entry_slack = 4 * P.shape[1] * np.finfo(float).eps * np.abs(WS)
 
     def objective(s, sv2, P, entry_slack):
         # c(mu), mu = e^s: the least eigenvalue of P scaled on both sides by
@@ -439,7 +438,55 @@ def _pencil_search(arr: np.ndarray) -> np.ndarray:
                 np.sqrt(np.square(entry_slack * dd).sum(axis=(-2, -1))))
 
     lo, hi = -np.log(sv[:, 0]), -np.log(np.maximum(sv[:, -1], _RANK_RATIO * sv[:, 0]))
-    out[pd] = _golden_max(objective, lo, hi, sv * sv, P, entry_slack)
+    return _golden_max(objective, lo, hi, sv * sv, P, entry_slack)
+
+
+def _delta_symmetric(low: np.ndarray, high: np.ndarray, n: int) -> np.ndarray:
+    """Kantorovich's 2 sqrt(l_min l_max) / (l_min + l_max), the matrix constant
+    of a symmetric positive definite n x n matrix, from the least and greatest
+    eigenvalues that eigvalsh gave for it, less a bound on their error and on
+    the formula's rounding.
+
+    Each eigenvalue is taken to be within n eps l_max (the least) and 4 n eps
+    l_max (the greatest) of the exact one.  The form increases in l_min and
+    decreases in l_max, so it is evaluated at the far ends of those intervals,
+    then lowered by 4 eps of itself, above the 2.25 eps that its roundings add.
+    """
+    eps = np.finfo(float).eps
+    a, b = low - n * eps * high, high + 4 * n * eps * high
+    return 2.0 * np.sqrt(a * b) / (a + b) * (1.0 - 4.0 * eps)
+
+
+def _delta_block(arr: np.ndarray) -> np.ndarray:
+    """Certified lower bound on delta for each n x n matrix of ``arr``, n >= 3.
+
+    One eigvalsh of sym A sorts the rows (module docstring).  Its least
+    eigenvalue is within ``margin`` of the least eigenvalue of the frame's P,
+    so a row below -margin is not positive definite and gets -1, and a row
+    above +margin is: a bitwise symmetric one gets ``_delta_symmetric`` and
+    any other the pencil search.  Only the rows within the margin take the
+    frame's own definiteness test.
+    """
+    n = arr.shape[1]
+    A = _pow2_rescaled(arr)
+    lam = np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, 1, 2)))
+    low, high = lam[:, 0], lam[:, -1]
+    # bounds |lambda_min(P) - low|: ||A||_2 < n, the sigma truncation moves P by
+    # at most _RANK_RATIO ||A||_2, and the roundings of sym A, the SVD, V^T U,
+    # WS, P and both eigvalsh by well under 32 n^2 eps ||A||_2
+    margin = n * (_RANK_RATIO + 32 * n * n * np.finfo(float).eps)
+    out = np.full(len(arr), -1.0)
+    definite, near = low > margin, np.abs(low) <= margin
+    symmetric = definite & np.all(A == np.swapaxes(A, 1, 2), axis=(1, 2))
+    out[symmetric] = _delta_symmetric(low[symmetric], high[symmetric], n)
+    framed = np.flatnonzero((definite & ~symmetric) | near)
+    if framed.size:
+        sv, WS, P = _pencil_frame(A[framed])
+        search, near = definite[framed], near[framed]
+        if near.any():
+            search[near] = np.linalg.eigvalsh(P[near])[:, 0] > 0.0
+        if search.any():
+            out[framed[search]] = _pencil_search(sv[search], WS[search], P[search])
     return out
 
 
@@ -467,8 +514,9 @@ def matrix_delta_many(mats) -> np.ndarray:
 
     A certified lower bound in every dimension: sign(a) in dim 1, the
     closed form less a bound on its rounding error in dim 2, and for n >= 3
-    the best c(mu) of the pencil search less a rounding allowance where
-    sym A is positive definite, exactly -1 for every other matrix (module
+    exactly -1 where sym A is not positive definite, Kantorovich's form less
+    an allowance where A is symmetric positive definite, and otherwise the
+    best c(mu) of the pencil search less a rounding allowance (module
     docstring).  The stack is searched
     ``_SEARCH_BLOCK`` matrices at a time, so each row's value is the same
     whatever else is in the stack.
@@ -478,7 +526,7 @@ def matrix_delta_many(mats) -> np.ndarray:
         return np.sign(arr[:, 0, 0])
     if arr.shape[1] == 2:
         return _delta_2x2(arr)
-    return np.concatenate([_pencil_search(arr[s:s + _SEARCH_BLOCK])
+    return np.concatenate([_delta_block(arr[s:s + _SEARCH_BLOCK])
                            for s in range(0, max(len(arr), 1), _SEARCH_BLOCK)])
 
 
@@ -549,13 +597,11 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
     """
     if not 0.0 < delta_floor <= 1.0:
         raise InvalidParameterError(f"delta_floor must lie in (0, 1], got {delta_floor}")
-    if count < 1:
-        raise InvalidParameterError(f"matrix count must be at least 1, got {count}")
+    check_integer(count, "matrix count", 1)
     if not dims or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
                            and d >= 1 for d in dims):
         raise InvalidParameterError(f"dims must be one or more positive integers, got {dims}")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed}")
+    check_integer(seed, "seed", 0)
     check_allocation(count * max(dims) ** 2 * 8, f"{count} matrices of size {max(dims)}")
     stats = []
     for dim in dims:
@@ -595,11 +641,9 @@ class TripleConfig:
     buckets: int = 40
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.triples < 1 or self.buckets < 1:
-            raise InvalidParameterError(
-                f"triples and buckets must be at least 1, got {self.triples} and {self.buckets}")
+        check_integer(self.seed, "seed", 0)
+        check_integer(self.triples, "triples", 1)
+        check_integer(self.buckets, "buckets", 1)
         check_allocation((3 * self.triples * self.dim + self.buckets) * 8,
                          f"{self.triples} triples in dimension {self.dim} and {self.buckets} buckets")
         # |y - z| >= 10^lo and |x - z| >= s 10^lo, lo the low end of _LOG_Y_OFFSET

@@ -130,7 +130,11 @@ def _output(args):
     if not args.out:
         yield sys.stdout
         return
-    with open(args.out, "w", encoding="utf-8") as handle:
+    try:
+        handle = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise MonoliftError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+    with handle:
         yield handle
 
 
@@ -155,13 +159,13 @@ def _cmd_extend(args):
         X, T = _lattice(args, field.dim)
     table = ExtensionTable(np.column_stack([X, T]), extend_points(field, X, T))
     columns, rows = table.columns(), table.rows()
-    if args.x is not None and args.format != "json":
-        # a single point prints its bare row; --out also gets the full table
+    bare = args.x is not None and args.format != "json"
+    if args.out or not bare:
+        _emit(args, _meta(args, field.spec, field.scheme, field.scheme.seed),
+              {"columns": columns, "rows": rows.tolist()}, columns, rows)
+    if bare:
+        # a single point prints its bare row, after --out got the full table
         sys.stdout.write(csv_line(rows[0]) + "\n")
-        if not args.out:
-            return 0
-    _emit(args, _meta(args, field.spec, field.scheme, field.scheme.seed),
-          {"columns": columns, "rows": rows.tolist()}, columns, rows)
     return 0
 
 

@@ -29,7 +29,7 @@ from .errors import (
     VanishingVerticalError,
 )
 from .extension import ExtensionField, extend_points, extension_jacobians
-from .quadrature import check_allocation
+from .quadrature import check_allocation, check_integer
 
 __all__ = [
     "hyperbolic_distances",
@@ -181,10 +181,8 @@ def vertical_comparison(field: ExtensionField, X, T) -> HyperbolicReport:
 def sample_height_pairs(dim: int, count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Random embedded point pairs: bases uniform in [-5, 5]^dim, heights
     log-uniform in [0.1, 10]."""
-    if count < 1:
-        raise InvalidParameterError(f"pair count must be at least 1, got {count}")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed}")
+    check_integer(count, "pair count", 1)
+    check_integer(seed, "seed", 0)
     check_allocation(2 * count * (dim + 1) * 8, f"{count} point pairs in dimension {dim + 1}")
     rng = np.random.default_rng(seed)
 

@@ -66,6 +66,7 @@ __all__ = [
     "QuadratureScheme",
     "build_scheme",
     "check_allocation",
+    "check_integer",
     "default_scheme",
     "gaussian_expectation",
     "add_pair_block",
@@ -305,6 +306,15 @@ def check_allocation(nbytes: int, what: str) -> None:
         raise DimensionOverflowError(
             f"{what} would take {nbytes / 2**20:.0f} MiB, "
             f"over the {_MAX_ALLOCATION_BYTES >> 20} MiB budget")
+
+
+def check_integer(value, what: str, least: int) -> None:
+    """Raise :class:`InvalidParameterError` unless ``value`` is an integer (a
+    Python or numpy one, not a bool) of at least ``least``: a float count or
+    seed would otherwise fail later inside numpy with a ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        bound = "a non-negative integer" if least == 0 else f"an integer of at least {least}"
+        raise InvalidParameterError(f"{what} must be {bound}, got {value}")
 
 
 def default_scheme(dim: int, seed: int = 0, method: str | None = None,

@@ -28,6 +28,7 @@ from monolift import (
     power_radial_map,
     quasisymmetry_profile,
     rotation_matrix,
+    sample_height_pairs,
     sample_pairs,
     trivial_extension_witness,
     trivial_lift_map,
@@ -410,6 +411,10 @@ def test_matrix_delta_spd_eigenvalue_formula_higher_dims(n, rng):
         A = Q @ np.diag(lam) @ Q.T
         expected = 2.0 * math.sqrt(lam.min() * lam.max()) / (lam.min() + lam.max())
         assert matrix_delta_many(A[None])[0] == pytest.approx(expected, abs=1e-12)
+        # bitwise symmetric: the closed form from eigvalsh, less its allowance
+        S = 0.5 * (A + A.T)
+        assert np.array_equal(S, S.T)
+        assert matrix_delta_many(S[None])[0] == pytest.approx(expected, abs=1e-12)
 
 
 def block_rotation(n, theta):
@@ -460,33 +465,34 @@ def swept_pencil_max(mats, points=4097):
 
 
 def counted_eigen_solves(monkeypatch):
-    """The number of matrices in each call of np.linalg.eigvalsh and eigvals."""
-    batches = {"eigvalsh": [], "eigvals": []}
+    """The number of matrices in each call of np.linalg.eigvalsh, eigvals and svd."""
+    batches = {"eigvalsh": [], "eigvals": [], "svd": []}
     for name in batches:
-        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name)):
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
             batches[_name].append(int(np.prod(np.shape(a)[:-2])))
-            return _solve(a, *args)
+            return _solve(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     return batches
 
 
 def test_definite_block_searches_without_the_grid(monkeypatch, rng):
     # where sym A is positive definite c(mu) is unimodal in log mu: golden section
-    # alone, one search for the block after one eigvalsh that sorts the rows,
-    # and each row stops once convexity certifies it (70 matrices for 66 steps)
+    # alone, one search for the block after one eigvalsh that sorts the rows
+    # (and no second test on the frame's P), and each row stops once convexity
+    # certifies it (70 matrices for 66 steps)
     mats = rng.standard_normal((40, 3, 3)) + 4.0 * np.eye(3)
     assert np.all(np.linalg.eigvalsh(mats + np.swapaxes(mats, 1, 2))[:, 0] > 0.0)
     batches = counted_eigen_solves(monkeypatch)
     matrix_delta_many(mats)
     sort, *search = batches["eigvalsh"]
-    assert batches["eigvals"] == [] and sort == 40
+    assert batches["eigvals"] == [] and sort == 40 and batches["svd"] == [40]
     assert len(search) <= 1 + certify._GOLDEN_STEPS
     assert sum(search) <= 45 * 40
 
 
 def test_mixed_block_searches_only_its_definite_rows(monkeypatch, rng):
-    # rows whose sym A is not positive definite get -1 without a search:
-    # the definite rows' golden section is the only one
+    # rows whose sym A is not positive definite get -1 without an SVD or a
+    # search: the definite rows' frame and golden section are the only ones
     mats = np.concatenate([rng.standard_normal((20, 3, 3)) + 4.0 * np.eye(3),
                            rng.standard_normal((20, 3, 3)) - 4.0 * np.eye(3),
                            [np.outer(rng.standard_normal(3), rng.standard_normal(3))]])
@@ -495,9 +501,50 @@ def test_mixed_block_searches_only_its_definite_rows(monkeypatch, rng):
     batches = counted_eigen_solves(monkeypatch)
     assert np.all(matrix_delta_many(mats)[~spd] == -1.0)
     sort, *search = batches["eigvalsh"]
-    assert batches["eigvals"] == [] and sort == 41
+    assert batches["eigvals"] == [] and sort == 41 and batches["svd"] == [20]
     assert len(search) <= 1 + certify._GOLDEN_STEPS and max(search) <= 4 * 20
     assert sum(search) <= 45 * 20
+
+
+def test_symmetric_definite_rows_take_the_closed_form(monkeypatch, rng):
+    # bitwise symmetric rows whose sym A is clearly positive definite get
+    # Kantorovich's form from the eigenvalues that sorted them: no SVD, no search
+    B = rng.standard_normal((40, 3, 3))
+    mats = 0.5 * (B + np.swapaxes(B, 1, 2)) + 4.0 * np.eye(3)
+    assert np.array_equal(mats, np.swapaxes(mats, 1, 2))
+    searched = certify._pencil_search(*certify._pencil_frame(mats))
+    batches = counted_eigen_solves(monkeypatch)
+    value = matrix_delta_many(mats)
+    assert batches == {"eigvalsh": [40], "eigvals": [], "svd": []}
+    assert np.all(np.abs(value - searched) <= 1e-14)
+
+
+def test_rows_within_the_gate_margin_take_the_frame(monkeypatch, rng):
+    # |lambda_min(sym A)| <= _RANK_RATIO, inside the gate's margin (at least
+    # n _RANK_RATIO): these rows, symmetric or not, take the frame and its own
+    # definiteness test, and get the value of a frame on every row followed
+    # by eigvalsh(P); the clearly definite symmetric rows and the clearly
+    # indefinite ones take no SVD
+    near = []
+    for eps in (0.0, 1e-15, -1e-15, 3e-16, -3e-16, 1e-14, -1e-14):
+        K = rng.standard_normal((3, 3))
+        near += [np.diag([1.0, 0.5, eps]) + 0.3 * (K - K.T), np.diag([1.0, eps, 0.25])]
+    B = rng.standard_normal((10, 3, 3))
+    far = np.concatenate([0.5 * (B + np.swapaxes(B, 1, 2)) + 4.0 * np.eye(3),
+                          rng.standard_normal((10, 3, 3)) - 4.0 * np.eye(3)])
+    mats = np.concatenate([near, far])
+    low = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, 1, 2)))[:, 0]
+    assert np.all(np.abs(low[:len(near)]) <= certify._RANK_RATIO)
+    assert np.all(np.abs(low[len(near):]) > 1e-3)
+    sv, WS, P = certify._pencil_frame(mats)
+    pd = np.linalg.eigvalsh(P)[:, 0] > 0.0
+    assert 0 < pd[:len(near)].sum() < len(near)
+    expected = np.full(len(mats), -1.0)
+    expected[pd] = certify._pencil_search(sv[pd], WS[pd], P[pd])
+    batches = counted_eigen_solves(monkeypatch)
+    value = matrix_delta_many(mats)
+    assert batches["svd"] == [len(near)] and batches["eigvalsh"][:2] == [len(mats), len(near)]
+    assert np.array_equal(value[:len(near)], expected[:len(near)])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -592,7 +639,9 @@ def test_stopped_search_is_within_an_allowance_of_the_full_search(stack, monkeyp
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_conformal_rows_stop_at_once(monkeypatch, n):
     # all sigma equal: the search interval has width 0, so the four points of
-    # the first bracket coincide and certify their value without a step
+    # the first bracket coincide and certify their value without a step.  The
+    # rows s I and the rotation by 0 are symmetric and take the closed form;
+    # the three other rotations take the frame and the search
     mats = np.array([s * np.eye(n) for s in (1.0, 3.0, 1e-9)]
                     + [block_rotation(n, theta) for theta in (0.0, 0.4, 1.2, 1.5)])
     sv = certify._pencil_frame(mats)[0]
@@ -601,7 +650,7 @@ def test_conformal_rows_stop_at_once(monkeypatch, n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = matrix_delta_many(mats)
-    assert batches["eigvalsh"] == [len(mats), 4 * len(mats)]
+    assert batches["eigvalsh"] == [len(mats), 4 * 3] and batches["svd"] == [3]
     expected = [1.0] * 3 + [math.cos(theta) for theta in (0.0, 0.4, 1.2, 1.5)]
     assert value == pytest.approx(expected, abs=1e-13)
 
@@ -631,27 +680,80 @@ ABOVE_DELTA = [0.00811970702068584, 0.008890044530938581, 0.010919695766026725]
 ABOVE_DELTA_2X2 = [0.554097750796329, 0.037283522110637686]
 
 
-def decimal_spd_delta(lam):
-    """2 sqrt(l_min l_max) / (l_min + l_max) of positive floats in 60-digit decimal."""
+def decimal_spd_delta(low, high):
+    """2 sqrt(low high) / (low + high) of positive floats or decimals in 60-digit decimal."""
     with decimal.localcontext() as ctx:
         ctx.prec = 60
-        lo, hi = decimal.Decimal(float(min(lam))), decimal.Decimal(float(max(lam)))
+        lo, hi = decimal.Decimal(low), decimal.Decimal(high)
         return 2 * (lo * hi).sqrt() / (lo + hi)
+
+
+def decimal_extreme_eigenvalues(S):
+    """Least and greatest eigenvalues of a symmetric float matrix in 80-digit
+    decimal: Newton's method on det(x I - S), with coefficients from
+    Faddeev-LeVerrier, started at the float eigenvalues, each of which must
+    lie 1e-9 from its neighbour so that Newton keeps to its root."""
+    n = len(S)
+    w = np.linalg.eigvalsh(S)
+    assert w[1] - w[0] > 1e-9 and w[-1] - w[-2] > 1e-9
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        A = [[decimal.Decimal(x) for x in row] for row in S]
+        coeffs, M = [decimal.Decimal(1)], [[decimal.Decimal(0)] * n for _ in range(n)]
+        for k in range(1, n + 1):
+            # M_k = A M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(A M_k) / k
+            M = [[sum(A[i][m] * M[m][j] for m in range(n)) + (coeffs[-1] if i == j else 0)
+                  for j in range(n)] for i in range(n)]
+            coeffs.append(-sum(A[i][m] * M[m][i] for i in range(n) for m in range(n)) / k)
+
+        def newton(start):
+            x = decimal.Decimal(start)
+            for _ in range(10):
+                p, dp = decimal.Decimal(0), decimal.Decimal(0)
+                for c in coeffs:
+                    p, dp = p * x + c, dp * x + p
+                x, step = x - p / dp, p / dp
+            assert abs(step) < decimal.Decimal("1e-70") and abs(float(x) - start) < 1e-12
+            return x
+
+        return newton(w[0]), newton(w[-1])
+
+
+def symmetric_definite_stack(n, rng, count=200):
+    """sym B plus a shift that leaves the least eigenvalue in [1e-6, 1]: bitwise
+    symmetric, positive definite and not diagonal."""
+    B = rng.standard_normal((count, n, n))
+    S = 0.5 * (B + np.swapaxes(B, 1, 2))
+    shift = 10.0 ** rng.uniform(-6.0, 0.0, count) - np.linalg.eigvalsh(S)[:, 0]
+    return S + shift[:, None, None] * np.eye(n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_matrix_delta_many_is_at_or_below_exact_delta(n):
-    # positive diagonals: every value, read as the exact decimal of its float,
-    # is at or below delta; the extra entries of ABOVE_DELTA's row lie between
-    # its ends, so they leave its delta alone
+    # every value, read as the exact decimal of its float, is at or below delta.
+    # Positive diagonals: the extra entries of ABOVE_DELTA's row lie between its
+    # ends, so they leave its delta alone; for n >= 3 the pencil search on them
+    # is checked too, since matrix_delta_many gives symmetric rows the closed
+    # form.  Bitwise symmetric, non-diagonal rows: delta from eigenvalues found
+    # in 80-digit decimal
     rng = np.random.default_rng([24, n])
     lam = rng.uniform(0.01, 1.0, (1000, n))
     if n == 2:
         lam[0] = ABOVE_DELTA_2X2
     else:
         lam[0] = ABOVE_DELTA + sorted(rng.uniform(ABOVE_DELTA[0], ABOVE_DELTA[2], n - 3))
-    values = matrix_delta_many(lam[:, :, None] * np.eye(n))
-    above = [k for k in range(len(lam)) if decimal.Decimal(float(values[k])) > decimal_spd_delta(lam[k])]
+    diagonal = lam[:, :, None] * np.eye(n)
+    exact_diagonal = [decimal_spd_delta(min(row), max(row)) for row in lam]
+    values, exact = [matrix_delta_many(diagonal)], [exact_diagonal]
+    if n >= 3:
+        values.append(certify._pencil_search(*certify._pencil_frame(diagonal)))
+        exact.append(exact_diagonal)
+    symmetric = symmetric_definite_stack(n, rng)
+    assert np.array_equal(symmetric, np.swapaxes(symmetric, 1, 2))
+    values.append(matrix_delta_many(symmetric))
+    exact.append([decimal_spd_delta(*decimal_extreme_eigenvalues(S)) for S in symmetric])
+    above = [(j, k) for j, (value, ref) in enumerate(zip(values, exact))
+             for k in range(len(value)) if decimal.Decimal(float(value[k])) > ref[k]]
     assert above == []
 
 
@@ -687,6 +789,22 @@ def test_negative_seeds_are_rejected_before_sampling():
                  lambda: composition_monotonicity_demo(0.1, 0.2, pairs=10, seed=-3)):
         with pytest.raises(InvalidParameterError, match="seed must be a non-negative integer"):
             make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: claim_check(dims=(2,), count=2.5),
+    lambda: claim_check(dims=(2,), seed=1.5),
+    lambda: sample_height_pairs(2, 3, seed=1.5),
+    lambda: PairConfig(dim=2, pairs=2.5),
+    lambda: PairConfig(dim=2, crossing_pairs=2.5),
+    lambda: TripleConfig(dim=2, triples=2.5),
+    lambda: PairConfig(dim=2, seed=True),
+], ids=["claim-count", "claim-seed", "height-pairs-seed", "pairs", "crossing-pairs",
+        "triples", "bool-seed"])
+def test_non_integer_counts_and_seeds_are_rejected(make):
+    # numpy would raise its own TypeError on a float count or seed
+    with pytest.raises(InvalidParameterError, match=r"must be (a non-negative integer|an integer of at least 1), got"):
+        make()
 
 
 @pytest.mark.parametrize("dims", [(), (0,), (2.5,), (2, 3.0), (True,)], ids=str)

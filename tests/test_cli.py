@@ -90,6 +90,19 @@ def test_extend_point_out_file_holds_the_printed_row(capsys, tmp_path):
     assert [float(v) for v in lines[-1].split(",")] == [0.3, -1.2, 0.7, *lifted]
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["claim-check", "--matrices", "5"], "nodir/o.json"),
+    (["extend", "--spec", IDENTITY2, "--x", "1,2", "--t", "0.5"], "nodir/o.csv"),
+], ids=["claim-check", "extend-point"])
+def test_out_path_that_cannot_be_opened_is_one_error_line(capsys, monkeypatch, tmp_path, argv, out):
+    # the file is opened once the work is done: a missing directory ends in
+    # one error line and exit 1, and a single point prints no bare row first
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, *argv, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert err == f"monolift: error: cannot write --out {out}: No such file or directory\n"
+
+
 def test_extend_point_json_is_the_grid_document(capsys):
     point = ["extend", "--spec", POWER1, "--x", "0.3,-1.2", "--t", "0.7"]
     code, out, _ = run(capsys, *point, "--format", "json")
