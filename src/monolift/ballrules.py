@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .quadrature import check_allocation, sobol_points
+from .quadrature import check_allocation, check_integer, sobol_points
 
 __all__ = ["BallRule", "ball_rule", "ball_integral"]
 
@@ -46,8 +46,7 @@ class BallRule:
 
 
 def ball_rule(dim: int) -> BallRule:
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise InvalidParameterError(f"dim must be a positive integer, got {dim!r}")
+    dim = check_integer(dim, "dim", 1)
     if dim == 1:
         x, w = np.polynomial.legendre.leggauss(2 * _RADIAL)
         return BallRule(1, x[:, None], w)

@@ -17,16 +17,20 @@ and ``claim_check`` brute-forces that bound over random matrices.
 
 The matrix constant of a 1x1 matrix is its sign.  For 2x2 matrices a
 closed form (``_delta_2x2``) is lowered by a bound on its rounding error.
-For n >= 3 one eigvalsh of P = sym A sorts each matrix before any SVD.
-Where P is not positive definite, v^T A v <= 0 for some v, so delta <= 0
-(as a limit next to v where Av = 0): the matrix is not delta-monotone for
-any delta > 0, and it gets exactly -1.  Where A is bitwise symmetric and
-positive definite, delta is Kantorovich's
-2 sqrt(l_min l_max) / (l_min + l_max) from the same eigenvalues
-(``_delta_symmetric``), lowered by a bound on their error.  A least
-eigenvalue within a margin of 0 (``_delta_block``) leaves the sorting to
-the frame below, whose own P differs from sym A by the sigma truncation
-and rounding.  Every other matrix is searched.  Let
+For n >= 3 one eigvalsh of P = sym A decides each matrix, with three
+outcomes and no SVD before it.  Where its least eigenvalue is at most a
+margin of 32 n^3 eps (``_delta_block``), the matrix gets exactly -1.  Where
+P is not positive definite, v^T A v <= 0 for some v, so delta <= 0 (as a
+limit next to v where Av = 0): the matrix is not delta-monotone for any
+delta > 0, and -1 is exact.  Within the margin above 0 it is a lower bound
+that loses little: delta > 0 gives lambda_min(P) >= delta sigma_min, the
+bound below gives sigma_min >= c(delta) sigma_max >= delta^2 sigma_max / 16,
+and after the rescale to max |entry| in [1/2, 1) sigma_max >= 1/2, so
+lambda_min(P) >= delta^3 / 32 and delta <= (32 margin)^(1/3), up to
+eigvalsh's error: 1.8e-4 at n = 3 and 3.7e-4 at n = 6.  Above the margin
+a bitwise symmetric A gets Kantorovich's 2 sqrt(l_min l_max) / (l_min +
+l_max) from the same eigenvalues (``_delta_symmetric``), lowered by a
+bound on their error, and every other matrix is searched.  Let
 B_mu = (mu A^T A + I / mu) / 2 and c(mu) the least eigenvalue of the
 pencil (P, B_mu).  Where P is positive definite, |Av| |v| <= v^T B_mu v (AM-GM,
 with equality when mu |Av| = |v|) gives delta >= c(mu) for every mu, and
@@ -36,17 +40,17 @@ optimal mu is 1/|Av| for the optimal v, so s = log mu is searched over
 max_v (e^s |Av|^2 + e^-s |v|^2) / (2 v^T P v), each term a e^s + b e^-s
 with a, b >= 0 over a positive constant, so convex in s, and so is their
 maximum.  Golden section finds the maximum of c from c at both ends and
-both interior points of the interval, with steps that share one frame
-(``_pencil_frame``).  Before each step the secants of the convex 1/c
+both interior points of the interval, with steps that share one SVD
+(``_pencil_search``).  Before each step the secants of the convex 1/c
 through the four points of a row's bracket bound the row's maximum from
 above (``_envelope_min``); the row stops once that bound exceeds its best
 c by no more than the least rounding allowance of the four, and
 ``_GOLDEN_STEPS`` is a cap.
 
 In every dimension ``matrix_delta`` and ``matrix_delta_many`` give a
-certified lower bound on delta (for n >= 3 the lowered closed form, or the
-best c found less its rounding allowance): the one constant the matrix
-lemma needs, and the one ``claim_check`` reads.
+certified lower bound on delta (for n >= 3 exactly -1, the lowered closed
+form, or the best c found less its rounding allowance): the one constant
+the matrix lemma needs, and the one ``claim_check`` reads.
 
 The search takes a stack ``_SEARCH_BLOCK`` matrices at a time: rows are
 independent, so the bits are those of one call on the whole stack, and the
@@ -97,7 +101,7 @@ __all__ = [
     "composition_monotonicity_demo",
 ]
 
-_RANK_RATIO = 1e-14        # singular values below this fraction of sigma_max count as 0
+_RANK_RATIO = 1e-14        # a 2x2 sigma_min below this fraction of sigma_max counts as 0
 _GOLDEN_STEPS = 66         # cap on steps, from the whole log(mu) interval to a bracket of 0.618^66 < 2e-14 of it
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SEARCH_BLOCK = 1024       # matrices per block of the n >= 3 search, about 0.6 MB at n = 3
@@ -126,9 +130,8 @@ class PairConfig:
     witness_radii: tuple[float, ...] = ()
 
     def __post_init__(self):
-        check_integer(self.seed, "seed", 0)
-        check_integer(self.pairs, "pairs", 0)
-        check_integer(self.crossing_pairs, "crossing_pairs", 0)
+        for name, least in (("dim", 1), ("seed", 0), ("pairs", 0), ("crossing_pairs", 0)):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, least))
         count = self.pairs + self.crossing_pairs
         if count == 0 and not self.witness_radii:
             raise InvalidParameterError("at least one pair must be sampled")
@@ -408,22 +411,18 @@ def _golden_max(objective, lo: np.ndarray, hi: np.ndarray, *data) -> np.ndarray:
     return out
 
 
-def _pencil_frame(mats: np.ndarray):
-    """Singular values sigma of the rescaled stack A, WS = V^T U diag(sigma) and
-    P = sym(WS) = V^T (sym A) V.
+def _pencil_search(A: np.ndarray) -> np.ndarray:
+    """Certified lower bound on delta for each row of a rescaled stack A
+    (``_pow2_rescaled``) whose sym A is clearly positive definite: the best
+    c(mu) less its rounding allowance.
 
-    In this right singular basis |Av| = |diag(sigma) z|, so ratios stay accurate next
-    to a kernel; singular values below _RANK_RATIO sigma_max count as 0, as in _delta_2x2.
+    The pencil is taken in A's right singular basis, A = U diag(sigma) V^T:
+    there P = V^T (sym A) V = sym(WS) with WS = V^T U diag(sigma), and
+    |Av| = |diag(sigma) z|, so ratios stay accurate next to a small sigma.
     """
-    U, sv, Vt = np.linalg.svd(_pow2_rescaled(mats))
-    sv = np.where(sv > _RANK_RATIO * sv[:, :1], sv, 0.0)
+    U, sv, Vt = np.linalg.svd(A)
     WS = (Vt @ U) * sv[:, None, :]
-    return sv, WS, 0.5 * (WS + np.swapaxes(WS, 1, 2))
-
-
-def _pencil_search(sv: np.ndarray, WS: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Certified lower bound on delta for each row of a frame (``_pencil_frame``)
-    whose P is positive definite: the best c(mu) less its rounding allowance."""
+    P = 0.5 * (WS + np.swapaxes(WS, 1, 2))
     # each entry of the scaled pencil carries a few ulps of the same scaling of
     # |WS|, and eigvalsh about n: the allowance is 4 n ulps of its Frobenius norm
     entry_slack = 4 * P.shape[1] * np.finfo(float).eps * np.abs(WS)
@@ -437,8 +436,7 @@ def _pencil_search(sv: np.ndarray, WS: np.ndarray, P: np.ndarray) -> np.ndarray:
         return (np.linalg.eigvalsh(P * dd)[..., 0],
                 np.sqrt(np.square(entry_slack * dd).sum(axis=(-2, -1))))
 
-    lo, hi = -np.log(sv[:, 0]), -np.log(np.maximum(sv[:, -1], _RANK_RATIO * sv[:, 0]))
-    return _golden_max(objective, lo, hi, sv * sv, P, entry_slack)
+    return _golden_max(objective, -np.log(sv[:, 0]), -np.log(sv[:, -1]), sv * sv, P, entry_slack)
 
 
 def _delta_symmetric(low: np.ndarray, high: np.ndarray, n: int) -> np.ndarray:
@@ -460,33 +458,28 @@ def _delta_symmetric(low: np.ndarray, high: np.ndarray, n: int) -> np.ndarray:
 def _delta_block(arr: np.ndarray) -> np.ndarray:
     """Certified lower bound on delta for each n x n matrix of ``arr``, n >= 3.
 
-    One eigvalsh of sym A sorts the rows (module docstring).  Its least
-    eigenvalue is within ``margin`` of the least eigenvalue of the frame's P,
-    so a row below -margin is not positive definite and gets -1, and a row
-    above +margin is: a bitwise symmetric one gets ``_delta_symmetric`` and
-    any other the pencil search.  Only the rows within the margin take the
-    frame's own definiteness test.
+    One eigvalsh of sym A decides each row (module docstring): a row whose
+    least eigenvalue is at most ``margin`` gets -1 with no SVD; above it a
+    bitwise symmetric row gets ``_delta_symmetric`` and any other the pencil
+    search.
     """
     n = arr.shape[1]
     A = _pow2_rescaled(arr)
     lam = np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, 1, 2)))
     low, high = lam[:, 0], lam[:, -1]
-    # bounds |lambda_min(P) - low|: ||A||_2 < n, the sigma truncation moves P by
-    # at most _RANK_RATIO ||A||_2, and the roundings of sym A, the SVD, V^T U,
-    # WS, P and both eigvalsh by well under 32 n^2 eps ||A||_2
-    margin = n * (_RANK_RATIO + 32 * n * n * np.finfo(float).eps)
+    # bounds |lambda_min(P) - low| for the search's P: ||A||_2 < n, and the
+    # roundings of sym A, the SVD, V^T U, WS, P and both eigvalsh stay well
+    # under 32 n^2 eps ||A||_2.  A row above it has sigma_min >= lambda_min(sym A)
+    # > _RANK_RATIO sigma_max, and one at or below it has delta under
+    # (32 margin)^(1/3), below 4e-4 for n <= 6 (module docstring)
+    margin = 32 * n**3 * np.finfo(float).eps
     out = np.full(len(arr), -1.0)
-    definite, near = low > margin, np.abs(low) <= margin
+    definite = low > margin
     symmetric = definite & np.all(A == np.swapaxes(A, 1, 2), axis=(1, 2))
     out[symmetric] = _delta_symmetric(low[symmetric], high[symmetric], n)
-    framed = np.flatnonzero((definite & ~symmetric) | near)
-    if framed.size:
-        sv, WS, P = _pencil_frame(A[framed])
-        search, near = definite[framed], near[framed]
-        if near.any():
-            search[near] = np.linalg.eigvalsh(P[near])[:, 0] > 0.0
-        if search.any():
-            out[framed[search]] = _pencil_search(sv[search], WS[search], P[search])
+    search = definite & ~symmetric
+    if search.any():
+        out[search] = _pencil_search(A[search])
     return out
 
 
@@ -514,12 +507,11 @@ def matrix_delta_many(mats) -> np.ndarray:
 
     A certified lower bound in every dimension: sign(a) in dim 1, the
     closed form less a bound on its rounding error in dim 2, and for n >= 3
-    exactly -1 where sym A is not positive definite, Kantorovich's form less
-    an allowance where A is symmetric positive definite, and otherwise the
-    best c(mu) of the pencil search less a rounding allowance (module
-    docstring).  The stack is searched
-    ``_SEARCH_BLOCK`` matrices at a time, so each row's value is the same
-    whatever else is in the stack.
+    exactly -1 where the least eigenvalue of sym A is not clearly positive,
+    Kantorovich's form less an allowance where A is symmetric, and otherwise
+    the best c(mu) of the pencil search less a rounding allowance (module
+    docstring).  The stack is searched ``_SEARCH_BLOCK`` matrices at a time,
+    so each row's value is the same whatever else is in the stack.
     """
     arr = _matrix_stack(mats)
     if arr.shape[1] == 1:
@@ -597,11 +589,12 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
     """
     if not 0.0 < delta_floor <= 1.0:
         raise InvalidParameterError(f"delta_floor must lie in (0, 1], got {delta_floor}")
-    check_integer(count, "matrix count", 1)
-    if not dims or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
-                           and d >= 1 for d in dims):
+    count = check_integer(count, "matrix count", 1)
+    if len(dims) == 0:
         raise InvalidParameterError(f"dims must be one or more positive integers, got {dims}")
-    check_integer(seed, "seed", 0)
+    dims = [check_integer(d, "dims must be one or more positive integers: each dim", 1)
+            for d in dims]
+    seed = check_integer(seed, "seed", 0)
     check_allocation(count * max(dims) ** 2 * 8, f"{count} matrices of size {max(dims)}")
     stats = []
     for dim in dims:
@@ -619,7 +612,7 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
             worst = float(gap.min())
         else:
             violations, worst = 0, None
-        stats.append(ClaimDimStats(int(dim), count, nqual, violations, worst))
+        stats.append(ClaimDimStats(dim, count, nqual, violations, worst))
     return ClaimReport(tuple(stats), count, seed, delta_floor)
 
 
@@ -641,9 +634,8 @@ class TripleConfig:
     buckets: int = 40
 
     def __post_init__(self):
-        check_integer(self.seed, "seed", 0)
-        check_integer(self.triples, "triples", 1)
-        check_integer(self.buckets, "buckets", 1)
+        for name, least in (("dim", 1), ("seed", 0), ("triples", 1), ("buckets", 1)):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, least))
         check_allocation((3 * self.triples * self.dim + self.buckets) * 8,
                          f"{self.triples} triples in dimension {self.dim} and {self.buckets} buckets")
         # |y - z| >= 10^lo and |x - z| >= s 10^lo, lo the low end of _LOG_Y_OFFSET

@@ -46,7 +46,7 @@ from .measure import (
     jacobian_norm_density,
     lebesgue_density,
 )
-from .quadrature import default_scheme
+from .quadrature import check_integer, default_scheme
 from .tableio import csv_line, write_csv, write_json
 
 __all__ = ["main"]
@@ -99,9 +99,7 @@ def _density_for(args):
     if args.spec:
         spec = _load_spec(args.spec)
         return spec, jacobian_norm_density(spec), spec.dim
-    if args.dim < 1:
-        raise InvalidParameterError(f"dim must be a positive integer, got {args.dim}")
-    return None, lebesgue_density(), args.dim
+    return None, lebesgue_density(), check_integer(args.dim, "dim", 1)
 
 
 def _meta(args, spec=None, scheme=None, seed=None, **extra):

@@ -35,6 +35,7 @@ from .errors import (
     MalformedSpecError,
     SingularPointError,
 )
+from .quadrature import check_integer
 
 __all__ = [
     "KINDS",
@@ -104,8 +105,7 @@ class MapSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParameterError(f"unknown map kind {self.kind!r}; known kinds: {', '.join(KINDS)}")
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
-            raise InvalidParameterError(f"dim must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", check_integer(self.dim, "dim", 1))
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "children", tuple(self.children))
         if self.kind != "composition" and self.children:

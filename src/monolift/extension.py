@@ -79,6 +79,7 @@ from .quadrature import (
     QuadratureScheme,
     add_pair_block,
     check_allocation,
+    check_integer,
     default_scheme,
     pair_blocks,
     paired_nodes,
@@ -399,12 +400,11 @@ def lattice_points(dim: int = 2, bounds: tuple[float, float] = (-2.0, 2.0), nx: 
     """Default evaluation lattice: an nx^dim grid crossed with fixed heights."""
     if not np.all(np.isfinite(bounds)):
         raise InvalidParameterError(f"grid bounds must be finite, got {tuple(bounds)}")
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise InvalidParameterError(f"lattice dim must be a positive integer, got {dim!r}")
+    dim = check_integer(dim, "lattice dim", 1)
+    nx = check_integer(nx, "lattice nx", 1)
     heights = np.asarray(heights, dtype=float)
-    if not isinstance(nx, (int, np.integer)) or nx < 1 or heights.size == 0:
-        raise InvalidParameterError(
-            f"a lattice needs nx >= 1 and at least one height, got nx = {nx}")
+    if heights.size == 0:
+        raise InvalidParameterError("a lattice needs at least one height")
     check_allocation(nx**dim * heights.size * (dim + 1) * 8,
                      f"a {nx}^{dim} lattice at {heights.size} heights")
     axis = np.linspace(bounds[0], bounds[1], nx)

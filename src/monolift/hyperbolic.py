@@ -181,8 +181,9 @@ def vertical_comparison(field: ExtensionField, X, T) -> HyperbolicReport:
 def sample_height_pairs(dim: int, count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Random embedded point pairs: bases uniform in [-5, 5]^dim, heights
     log-uniform in [0.1, 10]."""
-    check_integer(count, "pair count", 1)
-    check_integer(seed, "seed", 0)
+    dim = check_integer(dim, "dim", 1)
+    count = check_integer(count, "pair count", 1)
+    seed = check_integer(seed, "seed", 0)
     check_allocation(2 * count * (dim + 1) * 8, f"{count} point pairs in dimension {dim + 1}")
     rng = np.random.default_rng(seed)
 

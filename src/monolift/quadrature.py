@@ -271,14 +271,13 @@ def build_scheme(dim: int, method: str, resolution: int, seed: int = 0) -> Quadr
     symmetrised.  A rule whose nodes plus weights would pass 256 MiB raises
     :class:`DimensionOverflowError` before anything is allocated, for either
     method.  A resolution whose rule has non-finite nodes or weights raises
-    :class:`ResolutionError`; a negative ``seed`` raises
+    :class:`ResolutionError`.  A ``dim`` or ``resolution`` that is not a
+    positive integer, or a ``seed`` that is not a non-negative one, raises
     :class:`InvalidParameterError` for either method.
     """
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise InvalidParameterError(f"dim must be a positive integer, got {dim!r}")
-    resolution, seed = int(resolution), int(seed)
-    if seed < 0:
-        raise InvalidParameterError(f"scheme seed must be a non-negative integer, got {seed}")
+    dim = check_integer(dim, "dim", 1)
+    resolution = check_integer(resolution, "resolution", 1)
+    seed = check_integer(seed, "scheme seed", 0)
     if method == TENSOR_HERMITE:
         if resolution < 2:
             raise ResolutionError(f"tensor_hermite needs resolution >= 2, got {resolution}")
@@ -308,13 +307,18 @@ def check_allocation(nbytes: int, what: str) -> None:
             f"over the {_MAX_ALLOCATION_BYTES >> 20} MiB budget")
 
 
-def check_integer(value, what: str, least: int) -> None:
-    """Raise :class:`InvalidParameterError` unless ``value`` is an integer (a
-    Python or numpy one, not a bool) of at least ``least``: a float count or
-    seed would otherwise fail later inside numpy with a ``TypeError``."""
+def check_integer(value, what: str, least: int) -> int:
+    """``value`` as an ``int``; :class:`InvalidParameterError` unless it is an
+    integer (a Python or numpy one, not a bool) of at least ``least``, 0 or 1.
+
+    A float count or seed would otherwise fail later inside numpy with a
+    ``TypeError``, or be truncated; a numpy integer comes back as an ``int``,
+    so digests and JSON do not depend on its type.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        bound = "a non-negative integer" if least == 0 else f"an integer of at least {least}"
+        bound = "a non-negative integer" if least == 0 else "a positive integer"
         raise InvalidParameterError(f"{what} must be {bound}, got {value}")
+    return int(value)
 
 
 def default_scheme(dim: int, seed: int = 0, method: str | None = None,

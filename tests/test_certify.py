@@ -478,7 +478,7 @@ def counted_eigen_solves(monkeypatch):
 def test_definite_block_searches_without_the_grid(monkeypatch, rng):
     # where sym A is positive definite c(mu) is unimodal in log mu: golden section
     # alone, one search for the block after one eigvalsh that sorts the rows
-    # (and no second test on the frame's P), and each row stops once convexity
+    # (and no second definiteness test), and each row stops once convexity
     # certifies it (70 matrices for 66 steps)
     mats = rng.standard_normal((40, 3, 3)) + 4.0 * np.eye(3)
     assert np.all(np.linalg.eigvalsh(mats + np.swapaxes(mats, 1, 2))[:, 0] > 0.0)
@@ -512,39 +512,111 @@ def test_symmetric_definite_rows_take_the_closed_form(monkeypatch, rng):
     B = rng.standard_normal((40, 3, 3))
     mats = 0.5 * (B + np.swapaxes(B, 1, 2)) + 4.0 * np.eye(3)
     assert np.array_equal(mats, np.swapaxes(mats, 1, 2))
-    searched = certify._pencil_search(*certify._pencil_frame(mats))
+    searched = certify._pencil_search(certify._pow2_rescaled(mats))
     batches = counted_eigen_solves(monkeypatch)
     value = matrix_delta_many(mats)
     assert batches == {"eigvalsh": [40], "eigvals": [], "svd": []}
     assert np.all(np.abs(value - searched) <= 1e-14)
 
 
-def test_rows_within_the_gate_margin_take_the_frame(monkeypatch, rng):
-    # |lambda_min(sym A)| <= _RANK_RATIO, inside the gate's margin (at least
-    # n _RANK_RATIO): these rows, symmetric or not, take the frame and its own
-    # definiteness test, and get the value of a frame on every row followed
-    # by eigvalsh(P); the clearly definite symmetric rows and the clearly
-    # indefinite ones take no SVD
-    near = []
-    for eps in (0.0, 1e-15, -1e-15, 3e-16, -3e-16, 1e-14, -1e-14):
+def gate_margin(n):
+    """The n >= 3 gate's margin on the least eigenvalue of sym A, rescaled."""
+    return 32 * n**3 * np.finfo(float).eps
+
+
+def rescaled_least_eigenvalues(mats):
+    A = certify._pow2_rescaled(np.asarray(mats, float))
+    return np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, 1, 2)))[:, 0]
+
+
+def test_rows_within_the_gate_margin_get_minus_one(monkeypatch, rng):
+    # lambda_min(sym A) at most the gate's margin 32 n^3 eps: these rows,
+    # symmetric or not, get exactly -1 from the sorting eigvalsh alone, with
+    # no SVD, as do the clearly indefinite rows; the clearly definite
+    # symmetric rows take the closed form
+    band, tiny = [], (0.0, 1e-15, -1e-15, 3e-16, -3e-16, 1e-14, -1e-14, 1e-13, -1e-13)
+    for eps in tiny:
         K = rng.standard_normal((3, 3))
-        near += [np.diag([1.0, 0.5, eps]) + 0.3 * (K - K.T), np.diag([1.0, eps, 0.25])]
+        band += [np.diag([1.0, 0.5, eps]) + 0.3 * (K - K.T), np.diag([1.0, eps, 0.25])]
     B = rng.standard_normal((10, 3, 3))
     far = np.concatenate([0.5 * (B + np.swapaxes(B, 1, 2)) + 4.0 * np.eye(3),
                           rng.standard_normal((10, 3, 3)) - 4.0 * np.eye(3)])
-    mats = np.concatenate([near, far])
-    low = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, 1, 2)))[:, 0]
-    assert np.all(np.abs(low[:len(near)]) <= certify._RANK_RATIO)
-    assert np.all(np.abs(low[len(near):]) > 1e-3)
-    sv, WS, P = certify._pencil_frame(mats)
-    pd = np.linalg.eigvalsh(P)[:, 0] > 0.0
-    assert 0 < pd[:len(near)].sum() < len(near)
-    expected = np.full(len(mats), -1.0)
-    expected[pd] = certify._pencil_search(sv[pd], WS[pd], P[pd])
+    mats = np.concatenate([band, far])
+    low = rescaled_least_eigenvalues(mats)
+    assert np.all(np.abs(low[:len(band)]) <= gate_margin(3))
+    assert np.all(np.abs(low[len(band):]) > 1e-3)
     batches = counted_eigen_solves(monkeypatch)
     value = matrix_delta_many(mats)
-    assert batches["svd"] == [len(near)] and batches["eigvalsh"][:2] == [len(mats), len(near)]
-    assert np.array_equal(value[:len(near)], expected[:len(near)])
+    assert batches == {"eigvalsh": [len(mats)], "eigvals": [], "svd": []}
+    assert np.all(value[:len(band)] == -1.0)
+    assert np.all(value[len(band):len(band) + 10] > 0.0) and np.all(value[len(band) + 10:] == -1.0)
+    # what -1 loses there: delta <= (32 lambda_min)^(1/3) after the rescale.  The
+    # symmetric band rows diag(1, eps, 1/4), rescaled by 1/2, have delta
+    # 2 sqrt(l_min l_max) / (l_min + l_max) from their own diagonals
+    bound = decimal.Decimal(32 * gate_margin(3)) ** (decimal.Decimal(1) / 3)
+    assert 1.8e-4 < bound < 1.9e-4
+    for eps in tiny:
+        if eps > 0.0:
+            assert decimal_spd_delta(eps / 2, 0.5) < bound
+
+
+def truncated_frame(mats):
+    """The singular-value frame of the rescaled stack: sigma with the values
+    below _RANK_RATIO sigma_max set to 0, WS = V^T U diag(sigma) and
+    P = sym(WS).  A reference for the search, which takes no truncation."""
+    U, sv, Vt = np.linalg.svd(certify._pow2_rescaled(np.asarray(mats, float)))
+    sv = np.where(sv > certify._RANK_RATIO * sv[:, :1], sv, 0.0)
+    WS = (Vt @ U) * sv[:, None, :]
+    return sv, WS, 0.5 * (WS + np.swapaxes(WS, 1, 2))
+
+
+def truncated_frame_delta(mats):
+    """Reference value of each n >= 3 row: the truncated frame, its own test
+    that P is positive definite (-1 where it is not), then golden section on
+    c(mu) over [-log sigma_max, -log max(sigma_min, _RANK_RATIO sigma_max)]
+    with the search's objective and allowance."""
+    sv, WS, P = truncated_frame(mats)
+    pd = np.linalg.eigvalsh(P)[:, 0] > 0.0
+    sv, WS, P = sv[pd], WS[pd], P[pd]
+    entry_slack = 4 * P.shape[1] * np.finfo(float).eps * np.abs(WS)
+
+    def objective(s, sv2, P, entry_slack):
+        mu = np.exp(s)[..., None]
+        d = np.sqrt(2.0 / (mu * sv2 + 1.0 / mu))
+        dd = d[..., :, None] * d[..., None, :]
+        return (np.linalg.eigvalsh(P * dd)[..., 0],
+                np.sqrt(np.square(entry_slack * dd).sum(axis=(-2, -1))))
+
+    lo, hi = -np.log(sv[:, 0]), -np.log(np.maximum(sv[:, -1], certify._RANK_RATIO * sv[:, 0]))
+    out = np.full(len(mats), -1.0)
+    out[pd] = certify._golden_max(objective, lo, hi, sv * sv, P, entry_slack)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_rows_just_above_the_gate_margin_match_the_truncated_frame(n):
+    # lambda_min(sym A) from 1.01 to 8 margins, sym A diagonal and A not
+    # symmetric: each row takes the search, and its value is the truncated
+    # frame's, bit for bit.  No sigma is truncated there: sigma_min >=
+    # lambda_min(sym A) > margin > _RANK_RATIO sigma_max
+    rng = np.random.default_rng([28, n])
+    margin = gate_margin(n)
+    mats = []
+    for scale in np.linspace(1.01, 8.0, 24):
+        K = rng.standard_normal((n, n))
+        A = certify._pow2_rescaled(np.diag(rng.uniform(0.5, 1.0, n))[None] + 0.3 * (K - K.T))[0]
+        A[-1, -1] = scale * margin
+        mats.append(A)
+    mats = np.array(mats)
+    assert np.array_equal(certify._pow2_rescaled(mats), mats)
+    assert not np.any(np.all(mats == np.swapaxes(mats, 1, 2), axis=(1, 2)))
+    low = rescaled_least_eigenvalues(mats)
+    assert np.all(low > margin) and np.all(low <= 8.0 * margin)
+    sv = np.linalg.svd(mats, compute_uv=False)
+    assert np.all(sv[:, -1] > certify._RANK_RATIO * sv[:, 0])
+    expected = truncated_frame_delta(mats)
+    assert np.all(expected > -1.0)
+    assert np.array_equal(matrix_delta_many(mats), expected)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -570,7 +642,7 @@ def full_golden_search(mats):
     interior points, then the best of them and the ends.  Returns the rows
     whose sym A is positive definite, and each one's best c(mu) and its
     rounding allowance there."""
-    sv, WS, P = certify._pencil_frame(mats)
+    sv, WS, P = truncated_frame(mats)
     pd = np.linalg.eigvalsh(P)[:, 0] > 0.0
     sv, WS, P = sv[pd], WS[pd], P[pd]
     golden = (math.sqrt(5.0) - 1.0) / 2.0
@@ -641,10 +713,10 @@ def test_conformal_rows_stop_at_once(monkeypatch, n):
     # all sigma equal: the search interval has width 0, so the four points of
     # the first bracket coincide and certify their value without a step.  The
     # rows s I and the rotation by 0 are symmetric and take the closed form;
-    # the three other rotations take the frame and the search
+    # the three other rotations take the SVD and the search
     mats = np.array([s * np.eye(n) for s in (1.0, 3.0, 1e-9)]
                     + [block_rotation(n, theta) for theta in (0.0, 0.4, 1.2, 1.5)])
-    sv = certify._pencil_frame(mats)[0]
+    sv = np.linalg.svd(certify._pow2_rescaled(mats), compute_uv=False)
     assert np.all(sv[:, 0] == sv[:, -1])
     batches = counted_eigen_solves(monkeypatch)
     with warnings.catch_warnings():
@@ -746,7 +818,7 @@ def test_matrix_delta_many_is_at_or_below_exact_delta(n):
     exact_diagonal = [decimal_spd_delta(min(row), max(row)) for row in lam]
     values, exact = [matrix_delta_many(diagonal)], [exact_diagonal]
     if n >= 3:
-        values.append(certify._pencil_search(*certify._pencil_frame(diagonal)))
+        values.append(certify._pencil_search(certify._pow2_rescaled(diagonal)))
         exact.append(exact_diagonal)
     symmetric = symmetric_definite_stack(n, rng)
     assert np.array_equal(symmetric, np.swapaxes(symmetric, 1, 2))
@@ -803,7 +875,7 @@ def test_negative_seeds_are_rejected_before_sampling():
         "triples", "bool-seed"])
 def test_non_integer_counts_and_seeds_are_rejected(make):
     # numpy would raise its own TypeError on a float count or seed
-    with pytest.raises(InvalidParameterError, match=r"must be (a non-negative integer|an integer of at least 1), got"):
+    with pytest.raises(InvalidParameterError, match=r"must be (a non-negative|a positive) integer, got"):
         make()
 
 

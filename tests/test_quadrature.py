@@ -12,7 +12,19 @@ from hypothesis import strategies as st
 from scipy.stats import qmc  # the oracle of sobol_points; the package never imports it
 
 from conftest import riemann_gaussian_moment_1d
-from monolift import build_scheme, default_scheme, gaussian_expectation, quadrature
+from monolift import (
+    PairConfig,
+    TripleConfig,
+    ball_rule,
+    build_scheme,
+    claim_check,
+    default_scheme,
+    gaussian_expectation,
+    lattice_points,
+    quadrature,
+    sample_height_pairs,
+)
+from monolift.core import MapSpec
 from monolift.quadrature import pair_blocks, pair_expectation, paired_nodes, sobol_points
 from monolift.errors import (
     DimensionMismatchError,
@@ -306,3 +318,41 @@ def test_negative_seed_is_rejected_for_every_method(method, resolution):
     # seed, and a tensor rule (which draws nothing) no longer records seed-1
     with pytest.raises(InvalidParameterError, match="seed must be a non-negative integer, got -1"):
         build_scheme(2, method, resolution, seed=-1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: sample_height_pairs(0, 3), "dim must be a positive integer, got 0"),
+    (lambda: PairConfig(dim=2.5), "dim must be a positive integer, got 2.5"),
+    (lambda: TripleConfig(dim=0), "dim must be a positive integer, got 0"),
+    (lambda: lattice_points(True), "lattice dim must be a positive integer, got True"),
+    (lambda: lattice_points(2, nx=2.5), "lattice nx must be a positive integer, got 2.5"),
+    (lambda: build_scheme(2, "quasi_random", 64.5, 1),
+     "resolution must be a positive integer, got 64.5"),
+    (lambda: build_scheme(2, "quasi_random", 64, 1.5),
+     "scheme seed must be a non-negative integer, got 1.5"),
+    (lambda: build_scheme(True, "tensor_hermite", 5), "dim must be a positive integer, got True"),
+    (lambda: ball_rule(2.0), "dim must be a positive integer, got 2.0"),
+    (lambda: claim_check(dims=(2, 0), count=5), "dims must be one or more positive integers"),
+], ids=["height-pairs-dim", "pair-dim", "triple-dim", "lattice-bool-dim", "lattice-nx",
+        "scheme-resolution", "scheme-seed", "scheme-bool-dim", "ball-float-dim", "claim-dims"])
+def test_one_integer_rule_rejects_every_non_integer(make, message):
+    # check_integer is the one test of a positive or non-negative integer: no
+    # argument is truncated, no bool counts as one, and no bad value reaches
+    # numpy, which would raise its own TypeError or build a degenerate array
+    with pytest.raises(InvalidParameterError, match=message):
+        make()
+
+
+def test_one_integer_rule_stores_numpy_integers_as_int():
+    two, five = np.int64(2), np.int64(5)
+    values = [MapSpec("identity", two).dim, ball_rule(two).dim,
+              build_scheme(two, "tensor_hermite", five, np.int64(0)).dim,
+              build_scheme(two, "quasi_random", np.int64(64), np.int64(3)).seed,
+              PairConfig(dim=two, seed=five).seed, TripleConfig(dim=two).dim,
+              claim_check(dims=np.array([2]), count=5, seed=five).stats[0].dim,
+              sample_height_pairs(two, five)[0].shape[1]]
+    assert values == [2, 2, 2, 3, 5, 2, 2, 3]
+    assert all(type(v) is int for v in values[:-1])
+    assert MapSpec("identity", two).digest() == MapSpec("identity", 2).digest()
+    scheme = build_scheme(2, "quasi_random", five * 13, np.int64(3))
+    assert scheme.descriptor() == "quasi_random:r128:seed3:dim2"
