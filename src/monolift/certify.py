@@ -60,6 +60,7 @@ working set beyond the input is one block's.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -584,16 +585,18 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
     a certified lower bound, is >= ``delta_floor``; the matrix is then
     delta-monotone with delta that value, and the check asserts
     sigma_min >= c(delta) sigma_max (up to 1e-12 relative rounding slack)
-    and reports the worst margin seen, or None when no matrix qualifies.  The floor must lie in (0, 1], the
-    domain of :func:`claim_constant`.
+    and reports the worst margin seen, or None when no matrix qualifies.
+    The floor must lie in (0, 1], the domain of :func:`claim_constant`.
+    ``dims`` is a sequence of dimensions, not a bare integer.
     """
     if not 0.0 < delta_floor <= 1.0:
         raise InvalidParameterError(f"delta_floor must lie in (0, 1], got {delta_floor}")
     count = check_integer(count, "matrix count", 1)
-    if len(dims) == 0:
+    listed = list(dims) if isinstance(dims, Iterable) else []
+    if not listed:
         raise InvalidParameterError(f"dims must be one or more positive integers, got {dims}")
     dims = [check_integer(d, "dims must be one or more positive integers: each dim", 1)
-            for d in dims]
+            for d in listed]
     seed = check_integer(seed, "seed", 0)
     check_allocation(count * max(dims) ** 2 * 8, f"{count} matrices of size {max(dims)}")
     stats = []

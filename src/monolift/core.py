@@ -17,7 +17,9 @@ array and reject non-finite coordinates.  :func:`map_values` and
 :func:`map_jacobians` are the same kernels without that input check: they
 take an (M, n) array the caller has already shown to be finite, as the lift
 does once per run of rows from a bound on its points rather than by a scan of
-every node.
+every node.  :func:`map_values` also takes an ``out`` array, which may be its
+input: the lift writes f over its buffer of points, with the same bits as a
+new array.
 """
 
 from __future__ import annotations
@@ -284,10 +286,12 @@ def parse_map_spec(text: str) -> MapSpec:
 # evaluation ---------------------------------------------------------------
 
 def combine(coeffs, columns, out):
-    """``out = sum_k coeffs[k] * columns[k]``, accumulated in order of k."""
+    """``out = sum_k coeffs[k] * columns[k]``, accumulated in order of k,
+    each term formed in one scratch array reused for every k."""
     np.multiply(coeffs[0], columns[0], out=out)
+    term = np.empty_like(out) if len(columns) > 1 else None
     for c, col in zip(coeffs[1:], columns[1:]):
-        out += c * col
+        out += np.multiply(c, col, out=term)
     return out
 
 
@@ -298,47 +302,65 @@ def _sq_norm(X):
         return combine(X.T, X.T, np.empty(len(X)))
 
 
-def _eval_identity(spec, X):
-    return X.copy(order="K")
+# Each value kernel takes the (M, n) points X and an ``out`` array of the
+# same shape, or None for a new one, and returns f(X) in ``out``.  ``out``
+# may be X itself: the lift evaluates f over its points buffer in place.
+# The elementwise kinds write straight into ``out``; those that mix
+# coordinates finish their own array and then copy it over.
+
+def _eval_identity(spec, X, out):
+    if out is None:
+        return X.copy(order="K")
+    np.copyto(out, X)
+    return out
 
 
-def _eval_linear(spec, X):
-    out = np.empty((spec.dim, len(X)))
-    for row, coeffs in zip(out, spec._matrix):
+def _eval_linear(spec, X, out):
+    values = np.empty((spec.dim, len(X)))
+    for row, coeffs in zip(values, spec._matrix):
         combine(coeffs, X.T, row)
-    return out.T
+    if out is None:
+        return values.T
+    np.copyto(out, values.T)
+    return out
 
 
 def _radial_scale(p, r2):
-    # |x|^p from the squared norm r2 = |x|^2, with no gather or scatter.  For
-    # p >= 0 the power is exact at the origin (0, or 1 when p == 0).  For
-    # p < 0 the origin gets 0, where f vanishes, and a row whose r2 overflowed
-    # gets NaN, which the lift reports, rather than 0, which it would trust.
+    # |x|^p from the squared norm r2 = |x|^2, with no gather or scatter; for
+    # p >= 0 it overwrites r2.  The power is then exact at the origin (0, or
+    # 1 when p == 0).  For p < 0 the origin gets 0, where f vanishes, and a
+    # row whose r2 overflowed gets NaN, which the lift reports, rather than 0,
+    # which it would trust.
     if p >= 0.0:
-        return r2 ** (0.5 * p)
+        r2 **= 0.5 * p
+        return r2
     s = np.power(r2, 0.5 * p, out=np.zeros_like(r2), where=r2 > 0.0)
     np.copyto(s, np.nan, where=r2 == np.inf)
     return s
 
 
-def _eval_power_radial(spec, X):
-    r2 = _sq_norm(X)
-    return _radial_scale(spec.params["p"], r2)[:, None] * X
+def _eval_power_radial(spec, X, out):
+    s = _radial_scale(spec.params["p"], _sq_norm(X))
+    return np.multiply(s[:, None], X, out=out)
 
 
-def _eval_convex_gradient_quartic(spec, X):
+def _eval_convex_gradient_quartic(spec, X, out):
     a, b = spec.params["a"], spec.params["b"]
-    return (a + b * _sq_norm(X))[:, None] * X
+    s = _sq_norm(X)
+    s *= b
+    s += a
+    return np.multiply(s[:, None], X, out=out)
 
 
-def _eval_translation(spec, X):
-    return X + spec._matrix
+def _eval_translation(spec, X, out):
+    return np.add(X, spec._matrix, out=out)
 
 
-def _eval_composition(spec, X):
-    out = X
+def _eval_composition(spec, X, out):
+    # the first child to act fills ``out`` (a new array when None); each
+    # later child overwrites it in place
     for child in reversed(spec.children):
-        out = _EVAL[child.kind](child, out)
+        X = out = _EVAL[child.kind](child, X, out)
     return out
 
 
@@ -389,7 +411,7 @@ def _jac_power_radial(spec, X):
     r2 = _sq_norm(X)
     if p < 0.0 and not np.all(r2 > 0.0):
         raise SingularPointError("power_radial has no differential at the origin for p < 0")
-    s = _radial_scale(p, r2)
+    s = _radial_scale(p, r2.copy())
     ps = p * s
     u = (X * np.power(r2, -0.5, out=np.zeros_like(r2), where=r2 > 0.0)[:, None]).T
     return _symmetric(spec.dim, len(X), lambda i, j: ps * (u[i] * u[j]), s)
@@ -416,7 +438,7 @@ def _jac_composition(spec, X):
                     combine(J[:, i].T, mats[:, :, k].T, prod[i, k])
             J = prod.transpose(2, 0, 1)
         mats = J
-        cur = _EVAL[child.kind](child, cur)
+        cur = map_values(child, cur)
     return mats
 
 
@@ -442,10 +464,15 @@ def _as_point_array(x, dim: int) -> np.ndarray:
     return arr
 
 
-def map_values(spec: MapSpec, X: np.ndarray) -> np.ndarray:
+def map_values(spec: MapSpec, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """f at the rows of an (M, n) float array that the caller has already
-    shown to be finite; no input check.  Shape (M, n)."""
-    return _EVAL[spec.kind](spec, X)
+    shown to be finite; no input check.  Shape (M, n).
+
+    The values go into ``out`` when it is given, an (M, n) float array, and
+    ``out`` may be X itself: f(X) then overwrites X with the same bits as a
+    new array.  X is left untouched otherwise.  Returns ``out``, or a new
+    array when it is None."""
+    return _EVAL[spec.kind](spec, X, out)
 
 
 def map_jacobians(spec: MapSpec, X: np.ndarray) -> np.ndarray:

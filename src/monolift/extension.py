@@ -46,9 +46,17 @@ Every array of the hot loop is coordinate-major: the points x +- t y sit
 in an (n, c, 2, b) buffer for c rows and the b paired nodes of a block,
 the kernels fill one contiguous vector over the nodes per coordinate (or
 matrix entry), the contractions with y are n multiply-adds of such
-vectors, and each caller writes its integrands into (c, ..., b) arrays
+vectors, and each caller hands on its integrands as (c, ..., b) arrays
 that are reduced over the last axis with no copy: one for the vector
-integrands and one for the scalar.
+integrands and one for the scalar.  The lift keeps no array of values or
+pair sums beside its points: f(x +- t y) overwrites the points (a map that
+mixes coordinates forms its values apart, then copies them over),
+<f(x + t y) - f(x - t y), y> is formed next into a (c, b) array, and then
+the pair sums overwrite the f(x + t y) half, a (c, n, b) view.  So a
+piece's working set is its points plus a few vectors over its nodes, one
+value per point for an elementwise map.  The Jacobian path is
+unchanged: its (c, 2, b, n, n) values cannot overwrite the points, so its
+kernels return their own array and its pair sums go to a new one.
 
 Bad input fails loudly, naming its first bad row, but each run of rows
 is checked on (rows x n) data rather than node by node.  The points
@@ -150,10 +158,11 @@ def _contract_difference(plus: np.ndarray, minus: np.ndarray, y: np.ndarray,
 
 def _paired_kernel(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
                    run: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``kernel`` at x + |t| y and x - |t| y for the ``run`` rows of (X, T)
-    and the paired nodes ``y`` of one block, shape (c, 2, b, ...): one
-    contiguous vector over the nodes per coordinate (or entry).  x - t y is
-    bitwise x + t (-y), the point at the reflected node."""
+    """``kernel(spec, P)`` at the points P = x + |t| y and x - |t| y for the
+    ``run`` rows of (X, T) and the paired nodes ``y`` of one block, shape
+    (c, 2, b, ...): one contiguous vector over the nodes per coordinate (or
+    entry).  P is a view of a new buffer, which the kernel may overwrite.
+    x - t y is bitwise x + t (-y), the point at the reflected node."""
     n = field.dim
     buf = np.empty((n, run.size, 2, y.shape[0]))
     ty = buf[:, :, 1]
@@ -165,19 +174,24 @@ def _paired_kernel(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
     return values.reshape((run.size, 2, y.shape[0]) + values.shape[1:])
 
 
+def _values_in_place(spec: MapSpec, P: np.ndarray) -> np.ndarray:
+    """f at the points P, written over P."""
+    return map_values(spec, P, out=P)
+
+
 def _pair_averages(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
                    rows: np.ndarray, contract, what: str) -> list[np.ndarray]:
     """Gaussian averages, over ``rows`` of (X, T), of the pair sums that
-    ``contract(plus, minus, y)`` makes from ``kernel`` (``map_values`` or
-    ``map_jacobians``) at x + |t| y and x - |t| y.
+    ``contract(plus, minus, y)`` makes from ``kernel`` (f written over the
+    points, or ``map_jacobians``) at x + |t| y and x - |t| y.
 
     ``plus`` and ``minus`` are the kernel's (c, b, ...) values at one
     piece's points and ``y`` its (b, n) paired nodes; ``contract`` returns
     a tuple of (c, ..., b) pair-sum arrays, node axis last with unit
-    stride, and the driver returns a (len(rows), ...) average for each.  A
-    piece is a run of rows times one of the
-    :func:`~monolift.quadrature.pair_blocks`, at most ``_TARGET_EVALS``
-    evaluations.  Bad rows are named in the order of the module docstring;
+    stride, which may overwrite ``plus``, and the driver returns a
+    (len(rows), ...) average for each.  A piece is a run of rows times one
+    of the :func:`~monolift.quadrature.pair_blocks`, at most
+    ``_TARGET_EVALS`` evaluations.  Bad rows are named in the order of the module docstring;
     a bad value is reported as "``what`` at a quadrature node".
     """
     scheme, y = field.scheme, paired_nodes(field.scheme)
@@ -275,14 +289,14 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
         out[boundary, n] = 0.0
 
     def contract(plus, minus, y):
-        # pair sums f(x+ty) + f(x-ty) and <f(x+ty) - f(x-ty), y>, node axis last
-        c, b = plus.shape[:2]
-        sums = np.empty((c, n, b))
-        np.add(plus, minus, out=sums.transpose(0, 2, 1))
-        return sums, _contract_difference(plus, minus, y, np.empty((c, b)))
+        # <f(x+ty) - f(x-ty), y> first; then the pair sums f(x+ty) + f(x-ty)
+        # overwrite the plus half, a (c, n, b) view with the node axis last
+        vert = _contract_difference(plus, minus, y, np.empty(plus.shape[:2]))
+        return np.add(plus, minus, out=plus).transpose(0, 2, 1), vert
 
     rows = np.flatnonzero(T != 0.0)
-    horiz, vert = _pair_averages(field, map_values, X, T, rows, contract, "map evaluation")
+    horiz, vert = _pair_averages(field, _values_in_place, X, T, rows, contract,
+                                 "map evaluation")
     out[rows, :n] = horiz
     out[rows, n] = np.where(T[rows] < 0.0, -vert, vert)
     return out

@@ -879,7 +879,8 @@ def test_non_integer_counts_and_seeds_are_rejected(make):
         make()
 
 
-@pytest.mark.parametrize("dims", [(), (0,), (2.5,), (2, 3.0), (True,)], ids=str)
+@pytest.mark.parametrize("dims", [(), (0,), (2.5,), (2, 3.0), (True,), 3, np.int64(3), None],
+                         ids=repr)
 def test_claim_check_dims_must_be_positive_integers(dims):
     # numpy's generator would raise its own TypeError on a float or bool dim
     with pytest.raises(InvalidParameterError, match="dims must be one or more positive integers"):

@@ -191,6 +191,52 @@ def test_evaluate_dimension_mismatch():
         evaluate_map(identity_map(2), [np.nan, 0.0])
 
 
+OUT_SPECS = [
+    identity_map(3),
+    linear_map([[1.0, -0.4, 0.2], [0.6, 1.2, 0.0], [-0.3, 0.5, 2.0]]),
+    power_radial_map(3, 0.5),
+    power_radial_map(3, 1.0),
+    power_radial_map(3, -0.5),
+    planar_rotation_map(math.pi / 8),
+    convex_gradient_quartic_map(3, 1.0, 0.25),
+    translation_map([1.0, 0.0, -1.0]),
+    compose_maps(power_radial_map(3, 0.5), linear_map([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0],
+                                                      [0.5, 0.0, 1.5]])),
+    compose_maps(linear_map([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [0.5, 0.0, 1.5]]),
+                 translation_map([0.5, -1.0, 0.0])),
+]
+
+
+def lift_shaped_points(rng, n, rows=3, pairs=37):
+    # the (M, n) view of an (n, rows, 2, pairs) buffer that the lift passes
+    # the kernels: one contiguous vector over the points per coordinate,
+    # with the origin among the points
+    buf = rng.standard_normal((n, rows, 2, pairs))
+    buf[:, 1, 0, 5] = 0.0
+    return buf.transpose(1, 2, 3, 0).reshape(-1, n)
+
+
+@pytest.mark.parametrize("spec", OUT_SPECS, ids=spec_id)
+def test_values_written_over_their_points_keep_their_bits(spec, rng):
+    P = lift_shaped_points(rng, spec.dim)
+    assert not P.flags.c_contiguous and P.T.flags.c_contiguous
+    fresh = core.map_values(spec, P.copy())
+    given = core.map_values(spec, P.copy(), out=np.empty(P.shape))
+    inplace = core.map_values(spec, P, out=P)
+    assert inplace is P
+    assert fresh.tobytes() == given.tobytes() == P.tobytes()
+
+
+@pytest.mark.parametrize("spec", OUT_SPECS, ids=spec_id)
+def test_values_leave_their_points_untouched(spec, rng):
+    P = lift_shaped_points(rng, spec.dim)
+    before = P.copy()
+    values = core.map_values(spec, P)
+    core.map_values(spec, P, out=np.empty(P.shape))
+    assert not np.shares_memory(values, P)
+    assert P.tobytes() == before.tobytes()
+
+
 # --- Jacobians ---------------------------------------------------------------
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)

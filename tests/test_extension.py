@@ -371,7 +371,7 @@ def test_batch_equals_rows_bitwise(scheme, rng):
 def test_lift_working_set_does_not_grow_with_the_rule(fn):
     # the lift holds one piece of at most _TARGET_EVALS evaluations at a
     # time, whatever the rule's size: the traced peak above the built rule
-    # is the same for 2^16 and 2^18 nodes (about 1.3 MiB for the lift and
+    # is the same for 2^16 and 2^18 nodes (about 0.76 MiB for the lift and
     # 3.9 MiB for the Jacobian in dim 4), where whole rows took 2x and 6x
     # the rule's bytes
     X, T = np.array([[0.3, -0.2, 0.1, 0.5]]), np.array([0.7])
@@ -386,6 +386,26 @@ def test_lift_working_set_does_not_grow_with_the_rule(fn):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + (64 << 10), peaks
+
+
+def test_lift_piece_is_its_points_plus_a_few_node_columns():
+    # f overwrites the piece's points and the pair sums its plus half, so
+    # the traced peak of a lift is the (n, c, 2, b) points buffer plus a few
+    # node columns of (c, 2, b) floats (|x|^2, raised to its power in place,
+    # and one scratch term), not a second buffer of values and a third of sums
+    X, T = np.array([[0.3, -0.2, 0.1, 0.5]]), np.array([0.7])
+    field = gaussian_extension(power_radial_map(4, 1.0), build_scheme(4, "quasi_random", 1 << 16))
+    block = pair_blocks(field.scheme)[0]
+    column = 2 * (block.stop - block.start) * 8  # one row: c = 1
+    points = field.dim * column
+    extend_points(field, X, T)
+    tracemalloc.start()
+    try:
+        extend_points(field, X, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= points + 3 * column, (peak, points, column)
 
 
 def full_node_sums(field, x, t):
