@@ -47,10 +47,11 @@ above (``_envelope_min``); the row stops once that bound exceeds its best
 c by no more than the least rounding allowance of the four, and
 ``_GOLDEN_STEPS`` is a cap.
 
-In every dimension ``matrix_delta`` and ``matrix_delta_many`` give a
-certified lower bound on delta (for n >= 3 exactly -1, the lowered closed
-form, or the best c found less its rounding allowance): the one constant
-the matrix lemma needs, and the one ``claim_check`` reads.
+``matrix_delta`` and ``matrix_delta_many`` give a lower bound on delta (for
+n >= 3 exactly -1, the lowered closed form, or the best c found less its
+rounding allowance), the one constant the matrix lemma needs and the one
+``claim_check`` reads.  It is certified in every dimension but on searched
+rows whose sym A is nearly singular, which can read about 1e-13 above delta.
 
 The search takes a stack ``_SEARCH_BLOCK`` matrices at a time: rows are
 independent, so the bits are those of one call on the whole stack, and the
@@ -497,8 +498,8 @@ def _matrix_stack(mats) -> np.ndarray:
 
 
 def matrix_delta(A) -> float:
-    """A certified lower bound on min over unit v of v^T A v / |A v|
-    (directions with Av = 0 excluded): see :func:`matrix_delta_many`.
+    """A lower bound on min over unit v of v^T A v / |A v| (directions
+    with Av = 0 excluded): see :func:`matrix_delta_many`.
     """
     return float(matrix_delta_many(as_square_matrix(A)[None, :, :])[0])
 
@@ -506,13 +507,14 @@ def matrix_delta(A) -> float:
 def matrix_delta_many(mats) -> np.ndarray:
     """Matrix constant of each matrix of a stack of same-size matrices.
 
-    A certified lower bound in every dimension: sign(a) in dim 1, the
-    closed form less a bound on its rounding error in dim 2, and for n >= 3
-    exactly -1 where the least eigenvalue of sym A is not clearly positive,
-    Kantorovich's form less an allowance where A is symmetric, and otherwise
-    the best c(mu) of the pencil search less a rounding allowance (module
-    docstring).  The stack is searched ``_SEARCH_BLOCK`` matrices at a time,
-    so each row's value is the same whatever else is in the stack.
+    A lower bound: sign(a) in dim 1, the closed form less a bound on its
+    rounding error in dim 2, and for n >= 3 exactly -1 where the least
+    eigenvalue of sym A is not clearly positive, Kantorovich's form less an
+    allowance where A is symmetric, and otherwise the best c(mu) of the
+    pencil search less a rounding allowance, not certified where sym A is
+    nearly singular (module docstring).  The stack is searched
+    ``_SEARCH_BLOCK`` matrices at a time, so each row's value is the same
+    whatever else is in the stack.
     """
     arr = _matrix_stack(mats)
     if arr.shape[1] == 1:
@@ -582,7 +584,7 @@ def claim_check(dims=(2, 3), count: int = 10000, seed: int = 7,
     """Brute-force the singular-value claim over random matrices.
 
     A sampled matrix qualifies when its :func:`matrix_delta_many` value,
-    a certified lower bound, is >= ``delta_floor``; the matrix is then
+    a lower bound on delta, is >= ``delta_floor``; the matrix is then
     delta-monotone with delta that value, and the check asserts
     sigma_min >= c(delta) sigma_max (up to 1e-12 relative rounding slack)
     and reports the worst margin seen, or None when no matrix qualifies.

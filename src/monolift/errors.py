@@ -23,7 +23,7 @@ class DimensionMismatchError(MonoliftError, ValueError):
 
 
 class ResolutionError(MonoliftError, ValueError):
-    """Quadrature resolution below the supported minimum."""
+    """Quadrature resolution below the minimum, or a rule with non-finite nodes or weights."""
 
 
 class DimensionOverflowError(MonoliftError, ValueError):

@@ -36,10 +36,9 @@ One private driver, ``_pair_averages``, builds the points x +- t y and
 evaluates f (for ``extend_points``) or Df (for ``extension_jacobians``)
 there, in pieces of a run of rows times one node block of
 :func:`~monolift.quadrature.pair_blocks` (at most 2^13 paired nodes).  Each
-caller passes only its contraction of a piece into pair sums; the driver
-adds them to the run's totals with :func:`~monolift.quadrature.add_pair_block`,
-in the order :func:`~monolift.quadrature.pair_expectation` uses.  So a
-row's bits do not depend on its batch or on how it is split, and the
+caller passes only its contraction of a piece into pair sums, which
+:func:`~monolift.quadrature.pair_expectation` reduces one block at a time.
+So a row's bits do not depend on its batch or on how it is split, and the
 working set is one piece whatever the rule's size.
 
 Every array of the hot loop is coordinate-major: the points x +- t y sit
@@ -85,11 +84,11 @@ from .errors import (
 )
 from .quadrature import (
     QuadratureScheme,
-    add_pair_block,
     check_allocation,
     check_integer,
     default_scheme,
     pair_blocks,
+    pair_expectation,
     paired_nodes,
 )
 
@@ -189,10 +188,10 @@ def _pair_averages(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
     piece's points and ``y`` its (b, n) paired nodes; ``contract`` returns
     a tuple of (c, ..., b) pair-sum arrays, node axis last with unit
     stride, which may overwrite ``plus``, and the driver returns a
-    (len(rows), ...) average for each.  A piece is a run of rows times one
-    of the :func:`~monolift.quadrature.pair_blocks`, at most
-    ``_TARGET_EVALS`` evaluations.  Bad rows are named in the order of the module docstring;
-    a bad value is reported as "``what`` at a quadrature node".
+    (len(rows), ...) average of each from :func:`~monolift.quadrature.pair_expectation`.
+    A piece is a run of rows times one of the :func:`~monolift.quadrature.pair_blocks`,
+    at most ``_TARGET_EVALS`` evaluations.  Bad rows are named in the order of
+    the module docstring; a bad value is reported as "``what`` at a quadrature node".
     """
     scheme, y = field.scheme, paired_nodes(field.scheme)
     blocks = pair_blocks(scheme)
@@ -219,14 +218,13 @@ def _pair_averages(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
         # +-fl(|x_k| + fl(|t| ymax_k)), and rounding is monotone
         _require_finite(np.abs(X[run]) + np.abs(T[run])[:, None] * ymax, run,
                         "x + t y at a quadrature node")
-        totals = None
+
+        def piece_sums(block):  # the run's piece on one block, into pair sums
+            values = _paired_kernel(field, kernel, X, T, run, y[block])
+            return contract(values[:, 0], values[:, 1], y[block])
+
         try:
-            for block in blocks:
-                values = _paired_kernel(field, kernel, X, T, run, y[block])
-                sums = contract(values[:, 0], values[:, 1], y[block])
-                totals = [add_pair_block(scheme, block, s, total)
-                          for s, total in zip(sums, totals or [None] * len(sums))]
-                del values, sums  # drop the piece before the next is made
+            totals = pair_expectation(scheme, piece_sums)
         except SingularPointError:
             name_bad_row(run)
             raise
@@ -373,7 +371,8 @@ def trivial_lift_map(spec: MapSpec):
 
 @dataclass(frozen=True, eq=False)
 class ExtensionTable:
-    """Evaluated grid: one row per input point, heights last-but-(n+1)."""
+    """Evaluated grid: one row per input point, in the columns x_1..x_n, t,
+    F_1..F_n, F_vert of :meth:`columns`."""
 
     inputs: np.ndarray   # (m, n+1) as x_1..x_n, t
     outputs: np.ndarray  # (m, n+1) as F_1..F_n, F_vert

@@ -22,20 +22,20 @@ reflected node): f(x+ty) + f(x-ty) for the even parts of the integrand and
 
 The nodes are stored coordinate-major: ``scheme.nodes`` has shape (N, n)
 but contiguous columns, so each coordinate of the :func:`paired_nodes` is
-one contiguous vector over the nodes.  :func:`pair_expectation` reduces
-along a contiguous last (node) axis, so its bits do not depend on the
-layout a caller holds its values in.
+one contiguous vector over the nodes.  :func:`gaussian_expectation`
+reduces its pair sums C-ordered, so its bits do not depend on the layout a
+caller holds its values in.
 
-There is one reduction rule.  The paired nodes are cut into the
-:func:`pair_blocks`, runs of at most 2^13 consecutive nodes; each block's
-weighted pair sums are one einsum, :func:`add_pair_block` adds the block
-sums left to right, and the centre node of an odd count is added last.
-einsum reduces up to 2^13 contiguous terms per output in one pass whether
-it has one output or many, so a result's bits depend neither on how many
-rows share the reduction nor on whether the caller holds all the pair sums
-(:func:`gaussian_expectation`) or one block at a time (the lift, whose
-working set is then one block whatever the rule's size).  Rules of at most
-2^13 pairs are one block.
+There is one reduction rule, applied by :func:`pair_expectation` alone.
+The paired nodes are cut into the :func:`pair_blocks`, runs of at most 2^13
+consecutive nodes; each block's weighted pair sums are one einsum, the block
+sums are added left to right, and the centre node of an odd count is added
+last.  einsum reduces up to 2^13 contiguous terms per output in one pass
+whether it has one output or many, so a result's bits depend neither on how
+many rows share the reduction nor on whether the caller holds all the pair
+sums (:func:`gaussian_expectation`) or forms one block at a time (the lift,
+whose working set is then one block whatever the rule's size).  Rules of at
+most 2^13 pairs are one block.
 
 Sobol points come from :func:`sobol_points`, which draws scipy's scrambled
 Sobol rule bit for bit with numpy alone: the Joe-Kuo direction numbers are
@@ -69,7 +69,6 @@ __all__ = [
     "check_integer",
     "default_scheme",
     "gaussian_expectation",
-    "add_pair_block",
     "pair_blocks",
     "pair_expectation",
     "paired_nodes",
@@ -346,39 +345,29 @@ def pair_blocks(scheme: QuadratureScheme) -> list[slice]:
     return [slice(a, min(a + _BLOCK_PAIRS, h)) for a in range(0, h, _BLOCK_PAIRS)]
 
 
-def add_pair_block(scheme: QuadratureScheme, block: slice, pair_sums, total=None):
-    """``total`` (None at the first block) plus the weighted pair sums of one
-    of the :func:`pair_blocks`.
-
-    ``pair_sums`` holds the sums ``g(y) + g(-y)`` at the block's paired
-    nodes along its last axis, which must have unit stride.  The pairs of
-    the block are weighted in one einsum, each pair with the weight of its
-    first node, and added to ``total``; at the centre node the pair sum is
-    2 g(0), weighted with half the centre weight and added after them.
+def pair_expectation(scheme: QuadratureScheme, block_sums) -> list[np.ndarray]:
+    """E[g] for each integrand g whose pair sums ``g(y) + g(-y)`` at the
+    :func:`paired_nodes` of each of the :func:`pair_blocks` come back, as a
+    tuple of arrays along a last axis of unit stride, from one call of
+    ``block_sums(block)`` per block, in order.  Each tuple is dropped before
+    the next call.  A block's pairs are weighted in one einsum, each with
+    its first node's weight, and added to the totals; the centre node's sum
+    2 g(0) is weighted with half the centre weight and added last.
     """
     half = scheme.size // 2
-    pairs = min(block.stop, half) - block.start
-    if pairs > 0:
-        part = np.einsum("...n,n->...", pair_sums[..., :pairs],
-                         scheme.weights[block.start:block.start + pairs])
-        total = part if total is None else total + part
-    if block.stop > half:
-        total = total + (0.5 * scheme.weights[half]) * pair_sums[..., pairs]
-    return total
-
-
-def pair_expectation(scheme: QuadratureScheme, pair_sums):
-    """E[g] from the pair sums ``g(y) + g(-y)`` at the :func:`paired_nodes`,
-    held along the last axis of ``pair_sums``, reduced block by block with
-    :func:`add_pair_block`.  The sums are made contiguous (no copy when the
-    caller built them so), so the result does not depend on the caller's
-    layout.
-    """
-    s = np.ascontiguousarray(pair_sums)
-    total = None
+    totals = None
     for block in pair_blocks(scheme):
-        total = add_pair_block(scheme, block, s[..., block], total)
-    return total
+        sums = block_sums(block)
+        pairs = min(block.stop, half) - block.start
+        if pairs > 0:
+            w = scheme.weights[block.start:block.start + pairs]
+            parts = [np.einsum("...n,n->...", s[..., :pairs], w) for s in sums]
+            totals = parts if totals is None else [t + p for t, p in zip(totals, parts)]
+        if block.stop > half:
+            totals = [t + (0.5 * scheme.weights[half]) * s[..., pairs]
+                      for t, s in zip(totals, sums)]
+        del sums  # drop the block before the next is made
+    return totals
 
 
 def gaussian_expectation(scheme: QuadratureScheme, values, axis: int = 0):
@@ -395,4 +384,4 @@ def gaussian_expectation(scheme: QuadratureScheme, values, axis: int = 0):
         raise DimensionMismatchError(f"got {v.shape[-1]} node values for a scheme of size {n}")
     k = (n + 1) // 2
     sums = np.add(v[..., :k], v[..., ::-1][..., :k], out=np.empty(v.shape[:-1] + (k,)))
-    return pair_expectation(scheme, sums)
+    return pair_expectation(scheme, lambda block: (sums[..., block],))[0]

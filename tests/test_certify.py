@@ -829,6 +829,58 @@ def test_matrix_delta_many_is_at_or_below_exact_delta(n):
     assert above == []
 
 
+def decimal_ratio(A, v):
+    """v^T A v / (|A v| |v|) of a float matrix and vector in 60-digit decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        w = [decimal.Decimal(x) for x in v.tolist()]
+        Aw = [sum(decimal.Decimal(a) * b for a, b in zip(row, w)) for row in A.tolist()]
+        return sum(a * b for a, b in zip(w, Aw)) / (
+            sum(a * a for a in Aw).sqrt() * sum(a * a for a in w).sqrt())
+
+
+def least_ratio_direction(A):
+    """A BFGS minimiser of v^T A v / (|A v| |v|), the better of the runs from
+    +e and -e, e the least eigenvector of sym A."""
+    S, G = A + A.T, A.T @ A
+
+    def ratio_and_grad(x):
+        Ax = A @ x
+        r, s, q = np.linalg.norm(Ax), np.linalg.norm(x), x @ Ax
+        return q / (r * s), S @ x / (r * s) - q * (G @ x) / (r**3 * s) - q * x / (r * s**3)
+
+    e = np.linalg.eigh(0.5 * S)[1][:, 0]
+    runs = [minimize(ratio_and_grad, sign * e, jac=True, method="BFGS",
+                     options={"gtol": 1e-13}).x for sign in (1.0, -1.0)]
+    return min(runs, key=lambda x: ratio_and_grad(x)[0])
+
+
+def test_nonsymmetric_rows_are_at_or_below_an_attained_ratio():
+    # searched rows, n = 3-5, with a skew part and lambda_min(sym A) in
+    # [0.1, 1] after the rescale: each value, read as the exact decimal of its
+    # float, is positive and at or below the exact ratio at a point, so at or
+    # below delta; and within 1e-12 of it wherever BFGS from +-e reaches the
+    # least ratio, not a local minimum.  Rows whose sym A is nearly singular
+    # can read above delta by about 1e-13 (ROADMAP item 15), so none is here
+    rng = np.random.default_rng(30)
+    mats = []
+    while len(mats) < 40:
+        n = 3 + len(mats) % 3
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        B = rng.standard_normal((n, n))
+        A = (Q * rng.uniform(0.1, 1.0, n)) @ Q.T + 10.0 ** rng.uniform(-5.0, -1.0) * (B - B.T)
+        A = certify._pow2_rescaled(A[None])[0]
+        if 0.1 <= np.linalg.eigvalsh(0.5 * (A + A.T))[0] <= 1.0:
+            mats.append(A)
+    gaps = []
+    for A in mats:
+        value = decimal.Decimal(float(matrix_delta_many(A[None])[0]))
+        ratio = decimal_ratio(A, least_ratio_direction(A))
+        assert 0 < value <= ratio, (A.tolist(), value, ratio)
+        gaps.append(ratio - value)
+    assert sum(gap <= decimal.Decimal("1e-12") for gap in gaps) >= 36
+
+
 # ---------------------------------------------------------------------------
 # the claim constant and the brute-force check
 

@@ -273,6 +273,18 @@ def test_pair_expectation_reduces_in_blocks(scheme, rng):
     assert all(b.stop - b.start <= 1 << 13 for b in blocks)
     sums = rng.normal(size=(5, 3, h))
     half = scheme.size // 2
+
+    def reduced(*arrays):  # pair_expectation on whole arrays, recording its blocks
+        called = []
+
+        def block_sums(block):
+            called.append(block)
+            return tuple(np.ascontiguousarray(a)[..., block] for a in arrays)
+
+        totals = pair_expectation(scheme, block_sums)
+        assert called == blocks
+        return totals
+
     for s in (sums[2, 1], sums[2, 1, None], sums[:, 1], sums):
         expected = None
         for b in blocks:
@@ -281,11 +293,12 @@ def test_pair_expectation_reduces_in_blocks(scheme, rng):
             expected = part if expected is None else expected + part
         if scheme.size % 2:
             expected = expected + (0.5 * scheme.weights[half]) * s[..., half]
-        assert np.array_equal(pair_expectation(scheme, s), expected)
-    rows = pair_expectation(scheme, sums)
+        assert np.array_equal(reduced(s)[0], expected)
+    rows, second = reduced(sums, sums[:, 1])
+    assert np.array_equal(second, rows[:, 1])
     for i in range(5):
-        assert np.array_equal(pair_expectation(scheme, sums[i, 1]), rows[i, 1])
-        assert np.array_equal(pair_expectation(scheme, sums[i]), rows[i])
+        assert np.array_equal(reduced(sums[i, 1])[0], rows[i, 1])
+        assert np.array_equal(reduced(sums[i])[0], rows[i])
 
 
 def test_build_errors():

@@ -134,18 +134,22 @@ def test_exporting_modules_found():
 
 
 def test_pair_block_reduction_has_one_driver():
-    # the lift and its Jacobian reduce their pieces through one driver in
-    # extension.py; a second caller of add_pair_block would copy its block
-    # protocol (totals, point check, naming the bad row) instead of passing
-    # a contraction to it
-    sites = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES if path.name != "quadrature.py"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "add_pair_block"
-    ]
-    assert len(sites) == 1 and sites[0].startswith("extension.py:"), sites
+    # quadrature.pair_expectation alone weights pair sums, block by block;
+    # the lift's driver and gaussian_expectation hand it their sums, and a
+    # third caller, or a second reducer, would copy its block protocol
+    # instead of passing it one more function of a block
+    from monolift import quadrature
+
+    assert not hasattr(quadrature, "add_pair_block")
+    sites = []
+    for path in SOURCES:
+        for scope in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(scope, ast.FunctionDef):
+                sites += [f"{path.stem}.{scope.name}" for node in ast.walk(scope)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", getattr(node.func, "attr", None))
+                          == "pair_expectation"]
+    assert sorted(sites) == ["extension._pair_averages", "quadrature.gaussian_expectation"], sites
 
 
 POWER1 = '{"kind":"power_radial","dim":2,"params":{"p":1.0}}'
