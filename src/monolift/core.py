@@ -13,13 +13,13 @@ coordinate-major input, the layout the lift passes them, and give the
 same bits in any layout.
 
 :func:`evaluate_map` and :func:`evaluate_map_jacobian` take any point
-array and reject non-finite coordinates.  :func:`map_values` and
-:func:`map_jacobians` are the same kernels without that input check: they
-take an (M, n) array the caller has already shown to be finite, as the lift
-does once per run of rows from a bound on its points rather than by a scan of
-every node.  :func:`map_values` also takes an ``out`` array, which may be its
-input: the lift writes f over its buffer of points, with the same bits as a
-new array.
+array, reject non-finite coordinates and leave the caller's array as it
+was.  :func:`map_values` and :func:`map_jacobians` are the same kernels
+without that input check, on one contract: they take an (M, n) array of
+points that the caller has already shown to be finite and no longer needs,
+and may overwrite it.  The lift hands them each piece's buffer of points,
+shown finite once per run of rows from a bound rather than by a scan of
+every node, and f comes back over that buffer for the elementwise kinds.
 """
 
 from __future__ import annotations
@@ -302,27 +302,19 @@ def _sq_norm(X):
         return combine(X.T, X.T, np.empty(len(X)))
 
 
-# Each value kernel takes the (M, n) points X and an ``out`` array of the
-# same shape, or None for a new one, and returns f(X) in ``out``.  ``out``
-# may be X itself: the lift evaluates f over its points buffer in place.
-# The elementwise kinds write straight into ``out``; those that mix
-# coordinates finish their own array and then copy it over.
+# Each value kernel takes the (M, n) points X, which it may overwrite, and
+# returns f(X).  The elementwise kinds write f over X and return X; those
+# that mix coordinates return their own array.
 
-def _eval_identity(spec, X, out):
-    if out is None:
-        return X.copy(order="K")
-    np.copyto(out, X)
-    return out
+def _eval_identity(spec, X):
+    return X
 
 
-def _eval_linear(spec, X, out):
+def _eval_linear(spec, X):
     values = np.empty((spec.dim, len(X)))
     for row, coeffs in zip(values, spec._matrix):
         combine(coeffs, X.T, row)
-    if out is None:
-        return values.T
-    np.copyto(out, values.T)
-    return out
+    return values.T
 
 
 def _radial_scale(p, r2):
@@ -339,29 +331,27 @@ def _radial_scale(p, r2):
     return s
 
 
-def _eval_power_radial(spec, X, out):
+def _eval_power_radial(spec, X):
     s = _radial_scale(spec.params["p"], _sq_norm(X))
-    return np.multiply(s[:, None], X, out=out)
+    return np.multiply(s[:, None], X, out=X)
 
 
-def _eval_convex_gradient_quartic(spec, X, out):
+def _eval_convex_gradient_quartic(spec, X):
     a, b = spec.params["a"], spec.params["b"]
     s = _sq_norm(X)
     s *= b
     s += a
-    return np.multiply(s[:, None], X, out=out)
+    return np.multiply(s[:, None], X, out=X)
 
 
-def _eval_translation(spec, X, out):
-    return np.add(X, spec._matrix, out=out)
+def _eval_translation(spec, X):
+    return np.add(X, spec._matrix, out=X)
 
 
-def _eval_composition(spec, X, out):
-    # the first child to act fills ``out`` (a new array when None); each
-    # later child overwrites it in place
+def _eval_composition(spec, X):
     for child in reversed(spec.children):
-        X = out = _EVAL[child.kind](child, X, out)
-    return out
+        X = _EVAL[child.kind](child, X)
+    return X
 
 
 _EVAL = {
@@ -424,13 +414,18 @@ def _jac_convex_gradient_quartic(spec, X):
                       a + b * _sq_norm(X))
 
 
-def _jac_composition(spec, X):
-    # chain rule along the right-to-left evaluation order
+def _chain(spec, X):
+    # Df and f of a composition at X, by the chain rule along the
+    # right-to-left evaluation order; each child's f overwrites the points
+    # once its Df is taken, and a child composition returns both
     n = spec.dim
-    cur = X
     mats = None
     for child in reversed(spec.children):
-        J = _JAC[child.kind](child, cur)
+        if child.kind == "composition":
+            J, X = _chain(child, X)
+        else:
+            J = _JAC[child.kind](child, X)
+            X = _EVAL[child.kind](child, X)
         if mats is not None:
             prod = np.empty((n, n, len(X)))
             for i in range(n):
@@ -438,8 +433,11 @@ def _jac_composition(spec, X):
                     combine(J[:, i].T, mats[:, :, k].T, prod[i, k])
             J = prod.transpose(2, 0, 1)
         mats = J
-        cur = map_values(child, cur)
-    return mats
+    return mats, X
+
+
+def _jac_composition(spec, X):
+    return _chain(spec, X)[0]
 
 
 _JAC = {
@@ -456,7 +454,8 @@ KINDS = tuple(_EVAL)  # the gallery's map kinds, in the order error messages lis
 
 
 def _as_point_array(x, dim: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    # a copy, which the kernels may overwrite
+    arr = np.array(x, dtype=float)
     if arr.ndim == 0 or arr.shape[-1] != dim:
         raise DimensionMismatchError(f"expected points in R^{dim}, got array of shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -464,20 +463,20 @@ def _as_point_array(x, dim: int) -> np.ndarray:
     return arr
 
 
-def map_values(spec: MapSpec, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def map_values(spec: MapSpec, X: np.ndarray) -> np.ndarray:
     """f at the rows of an (M, n) float array that the caller has already
-    shown to be finite; no input check.  Shape (M, n).
+    shown to be finite and no longer needs; no input check.  Shape (M, n).
 
-    The values go into ``out`` when it is given, an (M, n) float array, and
-    ``out`` may be X itself: f(X) then overwrites X with the same bits as a
-    new array.  X is left untouched otherwise.  Returns ``out``, or a new
-    array when it is None."""
-    return _EVAL[spec.kind](spec, X, out)
+    X may be overwritten: the elementwise kinds write f over X and return
+    it, with the same bits as a new array."""
+    return _EVAL[spec.kind](spec, X)
 
 
 def map_jacobians(spec: MapSpec, X: np.ndarray) -> np.ndarray:
     """Df at the rows of an (M, n) float array that the caller has already
-    shown to be finite; no input check.  Shape (M, n, n)."""
+    shown to be finite and no longer needs; no input check.  Shape (M, n, n).
+
+    X may be overwritten: a composition writes each child's f over it."""
     return _JAC[spec.kind](spec, X)
 
 

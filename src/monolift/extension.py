@@ -47,15 +47,16 @@ the kernels fill one contiguous vector over the nodes per coordinate (or
 matrix entry), the contractions with y are n multiply-adds of such
 vectors, and each caller hands on its integrands as (c, ..., b) arrays
 that are reduced over the last axis with no copy: one for the vector
-integrands and one for the scalar.  The lift keeps no array of values or
-pair sums beside its points: f(x +- t y) overwrites the points (a map that
-mixes coordinates forms its values apart, then copies them over),
-<f(x + t y) - f(x - t y), y> is formed next into a (c, b) array, and then
-the pair sums overwrite the f(x + t y) half, a (c, n, b) view.  So a
-piece's working set is its points plus a few vectors over its nodes, one
-value per point for an elementwise map.  The Jacobian path is
-unchanged: its (c, 2, b, n, n) values cannot overwrite the points, so its
-kernels return their own array and its pair sums go to a new one.
+integrands and one for the scalar.  The buffer is the kernel's to
+overwrite (the contract of :func:`~monolift.core.map_values`).  The lift
+keeps no array of pair sums beside its values: <f(x + t y) - f(x - t y), y>
+is formed into a (c, b) array, and then the pair sums overwrite the
+f(x + t y) half, a (c, n, b) view.  So for an elementwise map, whose values
+overwrite the points, a piece's working set is its points plus a few
+vectors over its nodes; a map that mixes coordinates returns its values in
+an array of the points' shape and layout.  The Jacobian path's (c, 2, b,
+n, n) values cannot overwrite the points, so its kernels return their own
+array and its pair sums go to a new one.
 
 Bad input fails loudly, naming its first bad row, but each run of rows
 is checked on (rows x n) data rather than node by node.  The points
@@ -173,16 +174,11 @@ def _paired_kernel(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
     return values.reshape((run.size, 2, y.shape[0]) + values.shape[1:])
 
 
-def _values_in_place(spec: MapSpec, P: np.ndarray) -> np.ndarray:
-    """f at the points P, written over P."""
-    return map_values(spec, P, out=P)
-
-
 def _pair_averages(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
                    rows: np.ndarray, contract, what: str) -> list[np.ndarray]:
     """Gaussian averages, over ``rows`` of (X, T), of the pair sums that
-    ``contract(plus, minus, y)`` makes from ``kernel`` (f written over the
-    points, or ``map_jacobians``) at x + |t| y and x - |t| y.
+    ``contract(plus, minus, y)`` makes from ``kernel`` (``map_values`` or
+    ``map_jacobians``) at x + |t| y and x - |t| y.
 
     ``plus`` and ``minus`` are the kernel's (c, b, ...) values at one
     piece's points and ``y`` its (b, n) paired nodes; ``contract`` returns
@@ -293,8 +289,7 @@ def extend_points(field: ExtensionField, X, T) -> np.ndarray:
         return np.add(plus, minus, out=plus).transpose(0, 2, 1), vert
 
     rows = np.flatnonzero(T != 0.0)
-    horiz, vert = _pair_averages(field, _values_in_place, X, T, rows, contract,
-                                 "map evaluation")
+    horiz, vert = _pair_averages(field, map_values, X, T, rows, contract, "map evaluation")
     out[rows, :n] = horiz
     out[rows, n] = np.where(T[rows] < 0.0, -vert, vert)
     return out

@@ -73,8 +73,9 @@ class DoublingReport:
     ratios: np.ndarray
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.masses)) and np.all(self.masses > 0.0)):
-            raise ZeroMassError("ball masses must be finite and positive")
+        for masses in (self.masses, self.masses_doubled):
+            if not (np.all(np.isfinite(masses)) and np.all(masses > 0.0)):
+                raise ZeroMassError("ball masses must be finite and positive")
 
     @property
     def constant_hat(self) -> float:

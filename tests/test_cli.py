@@ -503,6 +503,9 @@ def test_scheme_seed_alone_reseeds_the_default_scheme(capsys, tmp_path):
     ["hyperbolic", "--spec", IDENTITY2, "--pairs", "10000000000"],
     # sampled pairs are reported in JSON only
     ["hyperbolic", "--spec", IDENTITY2, "--pairs", "3", "--format", "csv"],
+    # a ball whose mass is finite inside a doubled ball whose mass overflows
+    ["doubling", "--dim", "2", "--radii", "7e153"],
+    ["doubling", "--dim", "2", "--radii", "7e153", "--format", "json"],
 ])
 def test_input_errors_exit_1(capsys, argv):
     code = main(argv)

@@ -216,25 +216,58 @@ def lift_shaped_points(rng, n, rows=3, pairs=37):
     return buf.transpose(1, 2, 3, 0).reshape(-1, n)
 
 
+# the kinds whose value kernel writes f over its points and returns them
+ELEMENTWISE = {"identity", "power_radial", "convex_gradient_quartic", "translation"}
+
+
 @pytest.mark.parametrize("spec", OUT_SPECS, ids=spec_id)
 def test_values_written_over_their_points_keep_their_bits(spec, rng):
     P = lift_shaped_points(rng, spec.dim)
     assert not P.flags.c_contiguous and P.T.flags.c_contiguous
-    fresh = core.map_values(spec, P.copy())
-    given = core.map_values(spec, P.copy(), out=np.empty(P.shape))
-    inplace = core.map_values(spec, P, out=P)
-    assert inplace is P
-    assert fresh.tobytes() == given.tobytes() == P.tobytes()
+    checked = evaluate_map(spec, P)
+    values = core.map_values(spec, P)
+    assert (values is P) == (spec.kind in ELEMENTWISE)
+    assert values.tobytes() == checked.tobytes()
 
 
 @pytest.mark.parametrize("spec", OUT_SPECS, ids=spec_id)
 def test_values_leave_their_points_untouched(spec, rng):
+    # the checked entry points copy the caller's points before a kernel
+    # may overwrite them
     P = lift_shaped_points(rng, spec.dim)
     before = P.copy()
-    values = core.map_values(spec, P)
-    core.map_values(spec, P, out=np.empty(P.shape))
-    assert not np.shares_memory(values, P)
+    assert not np.shares_memory(evaluate_map(spec, P), P)
+    if spec.kind == "power_radial" and spec.params["p"] < 0.0:
+        with pytest.raises(SingularPointError):  # the origin is among the points
+            evaluate_map_jacobian(spec, P)
+    else:
+        assert not np.shares_memory(evaluate_map_jacobian(spec, P), P)
     assert P.tobytes() == before.tobytes()
+
+
+NESTED = compose_maps(
+    compose_maps(power_radial_map(3, 0.5), translation_map([0.5, -1.0, 0.0])),
+    compose_maps(linear_map([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [0.5, 0.0, 1.5]]),
+                 translation_map([1.0, 0.0, -1.0])))
+
+
+@pytest.mark.parametrize("spec", OUT_SPECS[-2:] + [NESTED], ids=spec_id)
+def test_jacobians_over_their_points_keep_their_bits(spec, rng):
+    P = lift_shaped_points(rng, spec.dim)
+    checked = evaluate_map_jacobian(spec, P)
+    assert core.map_jacobians(spec, P).tobytes() == checked.tobytes()
+
+
+def test_nested_composition_jacobian_is_the_chain_rule(rng):
+    # each child composition's Df overwrites the points with its f, which
+    # the parent composition's next child then reads
+    X = rng.standard_normal((50, 3))
+    J = core.map_jacobians(NESTED, X.copy())
+    expected = np.eye(3)
+    for leaf in reversed([leaf for child in NESTED.children for leaf in child.children]):
+        expected = evaluate_map_jacobian(leaf, X) @ expected
+        X = evaluate_map(leaf, X)
+    assert np.allclose(J, expected, rtol=1e-12, atol=1e-12)
 
 
 # --- Jacobians ---------------------------------------------------------------

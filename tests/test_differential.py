@@ -119,7 +119,7 @@ def test_jacobian_names_overflowing_row():
         extension_jacobians(field, [[0.0, 0.0]], [1.0])
 
 
-def test_operator_norm_closed_forms():
+def test_spectral_norms_closed_forms():
     theta = 0.7
     R = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
     mats = np.array([[[0.0, 3.0], [0.0, 0.0]], R, np.diag([1.0, 2.0]), np.zeros((2, 2))])

@@ -149,6 +149,9 @@ def test_doubling_errors():
         doubling_report(jacobian_norm_density(power_radial_map(2, 1.0)), [[0.0, 0.0]], [1e200])
     with pytest.raises(ZeroMassError):
         doubling_report(lebesgue_density(), [[0.0, 0.0]], [1e300])
+    # B(c, r) has a finite mass, B(c, 2r) an overflowing one
+    with pytest.raises(ZeroMassError):
+        doubling_report(lebesgue_density(), [[0.0, 0.0]], [7e153])
 
 
 def test_moment_ratio_lebesgue_constants():

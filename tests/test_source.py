@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -150,6 +151,21 @@ def test_pair_block_reduction_has_one_driver():
                           and getattr(node.func, "id", getattr(node.func, "attr", None))
                           == "pair_expectation"]
     assert sorted(sites) == ["extension._pair_averages", "quadrature.gaussian_expectation"], sites
+
+
+def test_map_kernels_have_one_contract():
+    # the value kernels may overwrite their points and return f, so none
+    # takes an array to fill; the lift hands its buffer of points to
+    # map_values or map_jacobians itself, through no wrapper of its own
+    from monolift import extension
+
+    kernels = list(core._EVAL.values()) + [core.map_values]
+    assert [f.__name__ for f in kernels if "out" in inspect.signature(f).parameters] == []
+    assert not hasattr(extension, "_values_in_place")
+    tree = ast.parse(Path(extension.__file__).read_text())
+    passed = [ast.unparse(node.args[1]) for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_pair_averages"]
+    assert sorted(passed) == ["map_jacobians", "map_values"], passed
 
 
 POWER1 = '{"kind":"power_radial","dim":2,"params":{"p":1.0}}'
