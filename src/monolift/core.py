@@ -414,18 +414,22 @@ def _jac_convex_gradient_quartic(spec, X):
                       a + b * _sq_norm(X))
 
 
-def _chain(spec, X):
+def _chain(spec, X, values=True):
     # Df and f of a composition at X, by the chain rule along the
     # right-to-left evaluation order; each child's f overwrites the points
-    # once its Df is taken, and a child composition returns both
+    # once its Df is taken, and a child composition returns both.  With
+    # values False the outermost child's f is skipped (only the Jacobian
+    # kernel, the top-level caller, sets it) and the X returned is not f
     n = spec.dim
     mats = None
-    for child in reversed(spec.children):
+    for step, child in enumerate(reversed(spec.children), 1):
+        need_f = values or step < len(spec.children)  # the next child reads it
         if child.kind == "composition":
-            J, X = _chain(child, X)
+            J, X = _chain(child, X, need_f)
         else:
             J = _JAC[child.kind](child, X)
-            X = _EVAL[child.kind](child, X)
+            if need_f:
+                X = _EVAL[child.kind](child, X)
         if mats is not None:
             prod = np.empty((n, n, len(X)))
             for i in range(n):
@@ -437,7 +441,7 @@ def _chain(spec, X):
 
 
 def _jac_composition(spec, X):
-    return _chain(spec, X)[0]
+    return _chain(spec, X, values=False)[0]
 
 
 _JAC = {

@@ -41,22 +41,43 @@ caller passes only its contraction of a piece into pair sums, which
 So a row's bits do not depend on its batch or on how it is split, and the
 working set is one piece whatever the rule's size.
 
-Every array of the hot loop is coordinate-major: the points x +- t y sit
-in an (n, c, 2, b) buffer for c rows and the b paired nodes of a block,
-the kernels fill one contiguous vector over the nodes per coordinate (or
-matrix entry), the contractions with y are n multiply-adds of such
-vectors, and each caller hands on its integrands as (c, ..., b) arrays
-that are reduced over the last axis with no copy: one for the vector
-integrands and one for the scalar.  The buffer is the kernel's to
-overwrite (the contract of :func:`~monolift.core.map_values`).  The lift
-keeps no array of pair sums beside its values: <f(x + t y) - f(x - t y), y>
-is formed into a (c, b) array, and then the pair sums overwrite the
-f(x + t y) half, a (c, n, b) view.  So for an elementwise map, whose values
-overwrite the points, a piece's working set is its points plus a few
-vectors over its nodes; a map that mixes coordinates returns its values in
-an array of the points' shape and layout.  The Jacobian path's (c, 2, b,
-n, n) values cannot overwrite the points, so its kernels return their own
-array and its pair sums go to a new one.
+Every array of the hot loop is coordinate-major: the points x +- t y of a
+piece, for c rows and the b paired nodes of a block, sit in one buffer;
+the kernels fill one contiguous vector over the piece per coordinate (or
+matrix entry); the contractions with y are n multiply-adds of (c, b)
+arrays; and each caller hands on its integrands as (c, ..., b) arrays that
+are reduced over the last axis with no copy: one for the vector integrands
+and one for the scalar.  The buffer is the kernel's to overwrite (the
+contract of :func:`~monolift.core.map_values`).  The lift keeps no array of
+pair sums beside its values: <f(x + t y) - f(x - t y), y> is formed into a
+(c, b) array, and then the pair sums overwrite the f(x + t y) half, a
+(c, n, b) view.  So for an elementwise map, whose values overwrite the
+points, a piece's working set is its points plus a few vectors over its
+nodes; a map that mixes coordinates returns its values in an array of the
+points' shape and layout.  The Jacobian path's n x n values per point
+cannot overwrite the points, so its kernels return their own array and its
+pair sums go to a new one.
+
+The buffer's layout follows the block length, and either layout gives the
+same bits.  A block of at most ``_SPLIT_PAIRS`` = 2048 pairs (the default
+rules of dims 1 and 2) is laid out (n, 2, c, b) in split halves: for each
+coordinate, the plus points of all c rows as one (c, b) block, then the
+minus points.  A longer block (dims 3 and 4) is laid out (n, c, 2, b), each
+row's plus and minus points side by side.  The reason is how numpy (2.4.6)
+iterates a pass over a (c, b) half:
+
+- strided, as one half of the side-by-side layout: through its buffers,
+  at about 1.4 ns an element, while a row is at most a quarter of the
+  8192-element buffer; one loop per row above that, at about 0.5 ns;
+- contiguous, as one half of the split layout: one long loop, at about
+  0.3 ns, unless an operand broadcasts a column over the rows, as in the
+  passes that build the points; then through its buffers, at about 0.9 ns,
+  whatever the row length.
+
+So short rows, such as dim 2's 89 rows of 184 pairs, are faster split, and
+long ones, such as dim 3's 5 rows of 2944, side by side.  On a 2-vCPU KVM
+Xeon, a lift in split halves took 0.74-0.87 of the time side by side at
+2047 and 2048 pairs, and 1.05-1.21 of it at 2068 to 3478 pairs.
 
 Bad input fails loudly, naming its first bad row, but each run of rows
 is checked on (rows x n) data rather than node by node.  The points
@@ -116,6 +137,10 @@ __all__ = [
 # no faster.
 _TARGET_EVALS = 1 << 15
 
+# blocks of at most this many pairs lay a piece's points out in split
+# halves (see _paired_kernel and the module docstring)
+_SPLIT_PAIRS = 2048
+
 
 def _require_finite(values: np.ndarray, rows: np.ndarray, what: str) -> None:
     """Raise naming the first of ``rows`` whose per-row ``values`` are not all finite."""
@@ -157,21 +182,34 @@ def _contract_difference(plus: np.ndarray, minus: np.ndarray, y: np.ndarray,
 
 
 def _paired_kernel(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
-                   run: np.ndarray, y: np.ndarray) -> np.ndarray:
+                   run: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``kernel(spec, P)`` at the points P = x + |t| y and x - |t| y for the
-    ``run`` rows of (X, T) and the paired nodes ``y`` of one block, shape
-    (c, 2, b, ...): one contiguous vector over the nodes per coordinate (or
-    entry).  P is a view of a new buffer, which the kernel may overwrite.
-    x - t y is bitwise x + t (-y), the point at the reflected node."""
-    n = field.dim
-    buf = np.empty((n, run.size, 2, y.shape[0]))
-    ty = buf[:, :, 1]
+    ``run`` rows of (X, T) and the paired nodes ``y`` of one block, as the
+    (c, b, ...) values at the plus points and at the minus points.  P is a
+    view of a new buffer, one contiguous vector over the piece per
+    coordinate, which the kernel may overwrite; x - t y is bitwise
+    x + t (-y), the point at the reflected node.
+
+    A block of at most ``_SPLIT_PAIRS`` pairs is laid out (n, 2, c, b) in
+    split halves, all plus points and then all minus points, so that a pass
+    over a half runs over one contiguous block; a longer block is laid out
+    (n, c, 2, b), each row's plus and minus points side by side, where a
+    pass over a half runs one loop per row.  The module docstring gives the
+    measured reason."""
+    n, c, b = field.dim, run.size, y.shape[0]
+    split = b <= _SPLIT_PAIRS
+    shape = (2, c, b) if split else (c, 2, b)
+    buf = np.empty((n,) + shape)
+    P = buf if split else buf.swapaxes(1, 2)  # (n, 2, c, b) either way
+    ty = P[:, 1]
     np.multiply(np.abs(T[run])[:, None], y.T[:, None, :], out=ty)
     xs = X[run].T[:, :, None]
-    np.add(xs, ty, out=buf[:, :, 0])
+    np.add(xs, ty, out=P[:, 0])
     np.subtract(xs, ty, out=ty)
-    values = kernel(field.spec, buf.transpose(1, 2, 3, 0).reshape(-1, n))
-    return values.reshape((run.size, 2, y.shape[0]) + values.shape[1:])
+    values = kernel(field.spec, buf.reshape(n, -1).T)
+    values = values.reshape(shape + values.shape[1:])
+    plus, minus = values if split else values.swapaxes(0, 1)
+    return plus, minus
 
 
 def _pair_averages(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
@@ -201,7 +239,7 @@ def _pair_averages(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
             row = run[j:j + 1]
             for block in blocks:
                 try:
-                    values = _paired_kernel(field, kernel, X, T, row, y[block])
+                    values = np.stack(_paired_kernel(field, kernel, X, T, row, y[block]), axis=1)
                 except SingularPointError as exc:
                     raise SingularPointError(f"row {row[0]}: {exc}") from exc
                 _require_finite(values, row, f"{what} at a quadrature node")
@@ -216,8 +254,7 @@ def _pair_averages(field: ExtensionField, kernel, X: np.ndarray, T: np.ndarray,
                         "x + t y at a quadrature node")
 
         def piece_sums(block):  # the run's piece on one block, into pair sums
-            values = _paired_kernel(field, kernel, X, T, run, y[block])
-            return contract(values[:, 0], values[:, 1], y[block])
+            return contract(*_paired_kernel(field, kernel, X, T, run, y[block]), y[block])
 
         try:
             totals = pair_expectation(scheme, piece_sums)

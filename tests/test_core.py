@@ -270,6 +270,25 @@ def test_nested_composition_jacobian_is_the_chain_rule(rng):
     assert np.allclose(J, expected, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("spec, read", [
+    (compose_maps(power_radial_map(3, 0.5), linear_map(np.eye(3))), ["linear"]),
+    (NESTED, ["linear", "translation", "translation"]),
+], ids=["flat", "nested"])
+def test_composition_jacobian_skips_the_outermost_value(spec, read, rng, monkeypatch):
+    # Df of a composition reads the f of every child but the outermost, so
+    # the value kernel of the leaf that acts last (power_radial in both) is
+    # never called, while a plain evaluation calls every leaf's
+    calls = []
+    for kind in ("power_radial", "translation", "linear"):
+        monkeypatch.setitem(core._EVAL, kind, lambda s, X, kernel=core._EVAL[kind]:
+                            calls.append(s.kind) or kernel(s, X))
+    core.map_jacobians(spec, rng.standard_normal((50, 3)))
+    assert sorted(calls) == read
+    calls.clear()
+    evaluate_map(spec, rng.standard_normal((50, 3)))
+    assert sorted(calls) == sorted(read + ["power_radial"])
+
+
 # --- Jacobians ---------------------------------------------------------------
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)

@@ -341,21 +341,44 @@ def test_point_bound_is_exact(scheme, k, a, jitter, signs):
     assert reported == scan_bad
 
 
-@pytest.mark.parametrize("scheme", [
+BITWISE_SCHEMES = [
+    build_scheme(1, "tensor_hermite", 20),  # 10 pairs a block, 1638 rows a piece
     build_scheme(2, "tensor_hermite", 20),
     build_scheme(3, "tensor_hermite", 20),
     build_scheme(4, "quasi_random", 1 << 16, seed=5),
     build_scheme(4, "quasi_random", 1 << 15, seed=5),
     TWO_BLOCKS,
     ODD_TWO_BLOCKS,
-], ids=lambda s: s.descriptor())
-def test_batch_equals_rows_bitwise(scheme, rng):
+]
+
+
+def bitwise_spec(kind, n):
+    # the linear map's kernel returns its own array, and so does this
+    # composition, whose linear child acts last
+    M = np.eye(n) + 0.3 * np.roll(np.eye(n), 1, axis=1)
+    return {"quartic": convex_gradient_quartic_map(n, 1.0, 0.5),
+            "linear": linear_map(M),
+            "composition": compose_maps(linear_map(M), power_radial_map(n, 0.5))}[kind]
+
+
+def test_bitwise_schemes_take_both_piece_layouts():
+    # blocks of at most _SPLIT_PAIRS pairs are laid out in split halves,
+    # longer ones with each row's halves side by side; the bitwise test
+    # below must see both
+    pairs = {block.stop - block.start for s in BITWISE_SCHEMES for block in pair_blocks(s)}
+    assert min(pairs) <= extension._SPLIT_PAIRS < max(pairs)
+
+
+@pytest.mark.parametrize("scheme, kind", [
+    pytest.param(s, kind, id=s.descriptor() + ("" if kind == "quartic" else f"-{kind}"))
+    for s in BITWISE_SCHEMES for kind in ("quartic", "linear", "composition")])
+def test_batch_equals_rows_bitwise(scheme, kind, rng):
     # a batch spanning several chunks gives each row exactly the value it
     # gets when lifted alone, for the lift and for its Jacobian
     if scheme in (TWO_BLOCKS, ODD_TWO_BLOCKS):
         assert len(pair_blocks(scheme)) == 2
     dim = scheme.dim
-    field = gaussian_extension(convex_gradient_quartic_map(dim, 1.0, 0.5), scheme)
+    field = gaussian_extension(bitwise_spec(kind, dim), scheme)
     m = 2 * max(1, extension._TARGET_EVALS // scheme.size) + 1
     X = rng.uniform(-2.0, 2.0, size=(m, dim))
     T = rng.uniform(0.2, 2.0, size=m)

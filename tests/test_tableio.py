@@ -67,3 +67,32 @@ def test_write_json_preserves_order():
     assert text.endswith("\n")
     assert text.index('"b"') < text.index('"a"')
     assert json.loads(text) == {"b": 1, "a": [1.5, None]}
+
+
+CELLS = st.one_of(
+    st.floats(width=64),  # any float, nan and +-inf included
+    st.floats(-1e-5, 1e-5),  # mostly written with an exponent by repr
+    st.integers(-10**17, 10**17).map(float),  # integral: a ".0" ending, or an exponent
+    st.sampled_from([-0.0, 0.0, 1e16, -1e16, 5e-324, float("inf"), -float("inf"),
+                     float("nan"), 1.5e-7, 123.0, 0.1]),
+)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=8)))
+@settings(max_examples=300, deadline=None)
+def test_write_csv_matches_csv_line(rows):
+    # write_csv formats a row at a time; each cell must read as csv_line's
+    # per-cell rule writes it, for exponents, integral values, -0.0, +-inf
+    # and nan alike
+    columns = [f"c{i}" for i in range(len(rows[0]))] if rows else ["c0"]
+    buf = io.StringIO()
+    write_csv(buf, columns, rows)
+    assert buf.getvalue() == "\n".join([",".join(columns)] + [csv_line(r) for r in rows]) + "\n"
+
+
+@pytest.mark.parametrize("rows", [[], np.empty((0, 3))], ids=["list", "array"])
+def test_write_csv_empty_table_is_its_header(rows):
+    buf = io.StringIO()
+    write_csv(buf, ["a", "b", "c"], rows, meta={"rows": 0})
+    assert buf.getvalue() == "# rows=0\na,b,c\n"
