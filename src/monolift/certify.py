@@ -39,13 +39,18 @@ optimal mu is 1/|Av| for the optimal v, so s = log mu is searched over
 [-log sigma_max, -log sigma_min], where c is unimodal in s: 1/c(s) =
 max_v (e^s |Av|^2 + e^-s |v|^2) / (2 v^T P v), each term a e^s + b e^-s
 with a, b >= 0 over a positive constant, so convex in s, and so is their
-maximum.  Golden section finds the maximum of c from c at both ends and
-both interior points of the interval, with steps that share one SVD
-(``_pencil_search``).  Before each step the secants of the convex 1/c
-through the four points of a row's bracket bound the row's maximum from
-above (``_envelope_min``); the row stops once that bound exceeds its best
-c by no more than the least rounding allowance of the four, and
-``_GOLDEN_STEPS`` is a cap.
+maximum.  The search follows the slope of g = 1/c, with steps that share
+one SVD (``_pencil_search``).  At each s one eigh of the scaled pencil gives
+c and its least eigenvector, and so g' exactly: it is the slope at s of the
+convex supporting function g_w for w the eigenvector, which touches g from
+below (``_pencil_at``), so the tangent of g at any point it evaluates lies
+below g everywhere.  A row's bracket starts at the interval's ends, where
+g' <= 0 and g' >= 0.  Each step moves to the secant root of g' between the
+ends, or, where the bracket has not halved in two steps, to the point where
+the ends' tangents meet (``_pencil_max``).  The row stops once the tangents
+meet above 1/(best c + the ends' least rounding allowance), so its maximum
+of c is at most its best c plus that allowance, and ``_SEARCH_STEPS`` is a
+cap.
 
 ``matrix_delta`` and ``matrix_delta_many`` give a lower bound on delta (for
 n >= 3 exactly -1, the lowered closed form, or the best c found less its
@@ -104,8 +109,7 @@ __all__ = [
 ]
 
 _RANK_RATIO = 1e-14        # a 2x2 sigma_min below this fraction of sigma_max counts as 0
-_GOLDEN_STEPS = 66         # cap on steps, from the whole log(mu) interval to a bracket of 0.618^66 < 2e-14 of it
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SEARCH_STEPS = 66         # cap on a row's pencil steps, over twice acceptance 04's most (26); a row at it keeps its best c
 _SEARCH_BLOCK = 1024       # matrices per block of the n >= 3 search, about 0.6 MB at n = 3
 
 
@@ -354,69 +358,92 @@ def _delta_2x2(mats: np.ndarray) -> np.ndarray:
     return np.where(winds, -1.0, np.maximum(delta - 0.5 * np.finfo(float).eps * slack, -1.0))
 
 
-def _envelope_min(f: np.ndarray) -> np.ndarray:
-    """Lower bound on the least g = 1/f over a bracket where g is convex, from
-    f at the bracket's points (a, x1, x2, b), the rows of ``f``; NaN unless
-    all four values are at least the least normal float.
+def _pencil_at(s: np.ndarray, sv2: np.ndarray, P: np.ndarray, entry_slack: np.ndarray):
+    """c, the slope g' of g = 1/c in s, and c's rounding allowance at s = log mu,
+    for the pencil (P, B_mu) of each row, B_mu = diag(mu sv2 + 1/mu) / 2, P
+    positive definite and ``entry_slack`` a bound on the rounding of P's
+    entries.
 
-    A secant of a convex g lies below g outside its own interval.  The points
-    sit at 0, G^2, G and 1 of the bracket (G = _GOLDEN), so on [a, x1] and on
-    [x2, b] g is above the secant through x1 and x2, whose least value there
-    is min(g1, g2) - |g2 - g1| / G.  On [x1, x2] g is above the secant through
-    a and x1, which falls by at most G (g0 - g1)+ across it, and above the one
-    through x2 and b, which falls by at most G (g3 - g2)+ back across it.
+    c is the least eigenvalue of D P D, D = B_mu^(-1/2), and its unit
+    eigenvector v gives w = D v, at which the maximum over w that defines g
+    is attained.  So the supporting function g_w(s') = (e^s' |Aw|^2 + e^-s'
+    |w|^2) / (2 w^T P w), convex and at most g everywhere, touches g at s, and
+    g' = g_w'(s) = sum_i h_i v_i^2 / c, h_i = (mu sv2_i - 1/mu) / (mu sv2_i +
+    1/mu).  The tangent of g there lies below g_w, so below g, everywhere.
     """
-    g0, g1, g2, g3 = 1.0 / np.where(f >= np.finfo(float).tiny, f, np.nan)
-    ends = np.minimum(g1, g2) - np.abs(g2 - g1) / _GOLDEN
-    middle = np.maximum(g1 - _GOLDEN * np.maximum(g0 - g1, 0.0),
-                        g2 - _GOLDEN * np.maximum(g3 - g2, 0.0))
-    return np.minimum(ends, middle)
+    mu = np.exp(s)[..., None]
+    up, down = mu * sv2, 1.0 / mu
+    diag = up + down
+    d = np.sqrt(2.0 / diag)
+    dd = d[..., :, None] * d[..., None, :]
+    lam, vec = np.linalg.eigh(P * dd)
+    c = lam[..., 0]
+    slope = ((up - down) / diag * np.square(vec[..., :, 0])).sum(axis=-1) / c
+    return c, slope, np.sqrt(np.square(entry_slack * dd).sum(axis=(-2, -1)))
 
 
-def _golden_max(objective, lo: np.ndarray, hi: np.ndarray, *data) -> np.ndarray:
-    """Best value of ``objective`` per row on [lo, hi] less its rounding
-    allowance, where 1/objective is convex.  ``objective(s, *data)`` gives
-    the values and their allowances at abscissae ``s`` (rows on the last
-    axis) of the rows of the arrays ``data``.
+def _pencil_max(lo: np.ndarray, hi: np.ndarray, sv2: np.ndarray, P: np.ndarray,
+                entry_slack: np.ndarray) -> np.ndarray:
+    """Best c per row over s = log mu in [lo, hi], where the least g = 1/c
+    lies, less its rounding allowance (``_pencil_at`` for the arguments).
 
-    Golden section from the ends and the two interior points, keeping each
-    row's bracket (a, x1, x2, b) with its four values.  Before each step the
-    secant envelope of 1/objective (``_envelope_min``) bounds a row's maximum
-    from above; the row stops once that bound exceeds its best value by no
-    more than the least allowance of the four, and leaves the batch that
-    ``objective`` sees.  The rest stop after ``_GOLDEN_STEPS`` steps.  A
-    row's steps depend on its own values alone.
+    Each row keeps a bracket whose ends have g' <= 0 and g' >= 0, at first
+    lo and hi, both taken in one call.  g is convex, so its tangents at the
+    ends lie below it, and where they meet they bound the least g from below.
+    A step moves to the secant root of g' between the ends.  Where g' is
+    far from linear on the bracket (it grows like g towards both ends of a
+    wide one, and jumps where the least eigenvalue of D P D is double) that
+    root falls next to the same end step after step, so where the bracket
+    has not halved in two steps the step moves instead to the point where
+    the tangents meet: the midpoint for a quadratic g, the corner for a g
+    made of two lines.  The new point replaces the end whose slope has its
+    sign.  A row stops once the tangents meet above 1/(best c + the ends'
+    least allowance), and leaves the batch; the rest stop after
+    ``_SEARCH_STEPS`` steps.  A row's steps depend on its own values alone.
     """
     out = np.empty(len(lo))
     rows = np.arange(len(lo))
-    x = np.stack([lo, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo), hi])
-    state = np.stack([x, *objective(x, *data)])   # abscissae, values, allowances
-    for step in range(_GOLDEN_STEPS + 1):
-        x, f, slack = state
-        done = ((_envelope_min(f) * (f.max(axis=0) + slack.min(axis=0)) >= 1.0)
-                | (step == _GOLDEN_STEPS))
-        if done.any():
-            best, allow = state[1:, f[:, done].argmax(axis=0), done]
-            out[rows[done]] = best - allow
-            going = ~done
-            rows, state, data = rows[going], state[:, :, going], [v[going] for v in data]
-            x, f, _ = state
-        if not rows.size:
-            return out
-        right = f[1] < f[2]   # the maximum lies right of x1
-        a, b = np.where(right, x[1], x[0]), np.where(right, x[3], x[2])
-        w = _GOLDEN * (b - a)
-        s = np.where(right, a + w, b - w)[None]   # the new point
-        new = np.concatenate([s, *objective(s, *data)])[:, None]
-        state = np.where(right, np.concatenate([state[:, 1:3], new, state[:, 3:]], axis=1),
-                         np.concatenate([state[:, :1], new, state[:, 1:3]], axis=1))
+    x = np.stack([lo, hi])
+    state = np.stack([x, *_pencil_at(x, sv2, P, entry_slack)])   # abscissae, c, slopes, allowances
+    widths = np.full((2, len(lo)), np.inf)   # the bracket's widths two steps and one step back
+    data = [sv2, P, entry_slack]
+    # only a badly scaled pencil rounds a c to 0 or below; the infinities and
+    # NaNs that follow bisect, and a row that stops returns a c less its
+    # allowance at a point it took, a lower bound however far from the best
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(_SEARCH_STEPS + 1):
+            x, c, slope, allow = state
+            g = 1.0 / c
+            pa, pb = np.minimum(slope[0], 0.0), np.maximum(slope[1], 0.0)
+            w = x[1] - x[0]
+            # the tangents meet at x[0] + t; where both ends are flat they are
+            # parallel and both ends are least
+            t = (g[0] - g[1] + pb * w) / (pb - pa)
+            floor = np.where(pb > pa, g[0] + pa * t, np.maximum(g[0], g[1]))
+            done = (floor * (c.max(axis=0) + allow.min(axis=0)) >= 1.0) | (step == _SEARCH_STEPS)
+            s = np.where(w > 0.5 * widths[0], x[0] + t, x[0] - pa * w / (pb - pa))
+            s = np.where((x[0] < s) & (s < x[1]), s, 0.5 * (x[0] + x[1]))   # NaN or an end: bisect
+            widths = np.stack([widths[1], w])
+            if done.any():
+                best = c[:, done].argmax(axis=0)
+                out[rows[done]] = (c - allow)[best, np.flatnonzero(done)]
+                going = ~done
+                rows, state, widths, s = rows[going], state[:, :, going], widths[:, going], s[going]
+                data = [v[going] for v in data]
+            if not rows.size:
+                return out
+            c, slope, allow = _pencil_at(s, *data)
+            # s replaces the end whose slope has its sign: the right one where
+            # g rises at s, since the least g lies left of it
+            state[:, (slope > 0.0).astype(np.intp), np.arange(rows.size)] = s, c, slope, allow
     return out
 
 
 def _pencil_search(A: np.ndarray) -> np.ndarray:
     """Certified lower bound on delta for each row of a rescaled stack A
     (``_pow2_rescaled``) whose sym A is clearly positive definite: the best
-    c(mu) less its rounding allowance.
+    c(mu) found by ``_pencil_max`` over [-log sigma_max, -log sigma_min], less
+    its rounding allowance.
 
     The pencil is taken in A's right singular basis, A = U diag(sigma) V^T:
     there P = V^T (sym A) V = sym(WS) with WS = V^T U diag(sigma), and
@@ -426,19 +453,12 @@ def _pencil_search(A: np.ndarray) -> np.ndarray:
     WS = (Vt @ U) * sv[:, None, :]
     P = 0.5 * (WS + np.swapaxes(WS, 1, 2))
     # each entry of the scaled pencil carries a few ulps of the same scaling of
-    # |WS|, and eigvalsh about n: the allowance is 4 n ulps of its Frobenius norm
+    # |WS|, and eigh about n of the pencil's norm: like eigvalsh it goes
+    # through LAPACK's dsyevd, backward stable to the same order, and only
+    # computing v as well differs.  The allowance is 4 n ulps of that
+    # scaled |WS| in Frobenius norm
     entry_slack = 4 * P.shape[1] * np.finfo(float).eps * np.abs(WS)
-
-    def objective(s, sv2, P, entry_slack):
-        # c(mu), mu = e^s: the least eigenvalue of P scaled on both sides by
-        # d = diag(B_mu)^(-1/2), and the allowance scaled the same way
-        mu = np.exp(s)[..., None]
-        d = np.sqrt(2.0 / (mu * sv2 + 1.0 / mu))
-        dd = d[..., :, None] * d[..., None, :]
-        return (np.linalg.eigvalsh(P * dd)[..., 0],
-                np.sqrt(np.square(entry_slack * dd).sum(axis=(-2, -1))))
-
-    return _golden_max(objective, -np.log(sv[:, 0]), -np.log(sv[:, -1]), sv * sv, P, entry_slack)
+    return _pencil_max(-np.log(sv[:, 0]), -np.log(sv[:, -1]), sv * sv, P, entry_slack)
 
 
 def _delta_symmetric(low: np.ndarray, high: np.ndarray, n: int) -> np.ndarray:
@@ -512,7 +532,10 @@ def matrix_delta_many(mats) -> np.ndarray:
     eigenvalue of sym A is not clearly positive, Kantorovich's form less an
     allowance where A is symmetric, and otherwise the best c(mu) of the
     pencil search less a rounding allowance, not certified where sym A is
-    nearly singular (module docstring).  The stack is searched
+    nearly singular (module docstring).  The search follows the slope of
+    1/c(mu) in log mu, read from the pencil's least eigenvector, and stops a
+    row once tangents of the convex 1/c put its maximum of c within an
+    allowance of the best c found.  The stack is searched
     ``_SEARCH_BLOCK`` matrices at a time, so each row's value is the same
     whatever else is in the stack.
     """
